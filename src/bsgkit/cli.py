@@ -6,7 +6,7 @@ Exit codes: 0 success with all checks passing, 2 some inequality failed
 (the report is still written), 1 runtime error, 64 usage error. Rational
 parameters are written as "p/q"; decimals are rejected. Output JSON is
 canonical (sorted keys, compact separators), so identical invocations
-produce identical bytes regardless of worker count.
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--C", type=_fraction_or_measured, default="measured")
     p_extract.add_argument("--eps", type=_fraction_arg, default=None)
     p_extract.add_argument("--delta", type=_fraction_or_auto, default="auto")
-    p_extract.add_argument("--workers", type=int, default=1)
+    p_extract.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
     p_extract.add_argument("--random-pivots", type=int, default=None,
                            metavar="SEED", dest="random_pivots",
                            help="scan pivots in a seeded random order")
@@ -264,30 +265,24 @@ def _report_payload(result: ExtractionResult, report: BoundReport, params: dict)
 
 def _cmd_extract(args) -> int:
     inst = _load_instance(args.instance)
-    workers = max(1, args.workers)
-    # worker count tunes wall time only; it never appears in the output
     params: dict = {"mode": args.mode}
     if args.mode == "general":
         params["K"] = args.K if isinstance(args.K, str) else frac_str(args.K)
         params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
         if args.random_pivots is not None:
             params["pivot_seed"] = args.random_pivots
-        result, report = bsg_extract(
-            inst, args.K, args.C, workers=workers, pivot_seed=args.random_pivots
-        )
+        result, report = bsg_extract(inst, args.K, args.C, pivot_seed=args.random_pivots)
     else:
         if args.eps is None:
             raise ConfigInvalidError(f"--eps is required for mode {args.mode}")
         params["eps"] = frac_str(args.eps)
         params["delta"] = args.delta if isinstance(args.delta, str) else frac_str(args.delta)
         if args.mode == "dense":
-            result = dense_extract(inst, args.eps, args.delta, workers=workers)
+            result = dense_extract(inst, args.eps, args.delta)
             report = check_bounds(result, inst, "dense")
         else:
             params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
-            result, report = almost_all_extract(
-                inst, args.C, args.eps, args.delta, workers=workers
-            )
+            result, report = almost_all_extract(inst, args.C, args.eps, args.delta)
     _write_output(_report_payload(result, report, params), args.out)
     if not report.overall:
         print("bsgkit: some inequalities FAILED", file=sys.stderr)

@@ -14,11 +14,11 @@ produce identical traces and subsets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .config import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -32,6 +32,7 @@ from .errors import (
     EpsilonTooLargeError,
     HypothesisViolatedError,
     InfeasibleEpsilonError,
+    ModeMismatchError,
     NoWitnessError,
     UnequalPartsError,
 )
@@ -156,11 +157,27 @@ class SweepOutcome:
         }
 
 
-def _support_product(subsets: Sequence[Sequence[int]]) -> Iterable[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for sub in subsets:
-        out = [p + (v,) for p in out for v in sub]
-    return out
+def verification_supports(
+    subsets: Sequence[Sequence[int]],
+    exhaustive_cap: float = DEFAULT_EXHAUSTIVE_CAP,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+) -> tuple[Iterator[tuple[int, ...]], bool]:
+    """Supports to verify, and whether they are the whole product.
+
+    Up to exhaustive_cap tuples the whole product is streamed in
+    lexicographic order; above it, sample_count tuples are drawn with the
+    fixed SUPPORT_SAMPLE_SEED. The sample depends only on the seed and the
+    subset sizes, so reports are byte-identical across runs.
+    """
+    subs = [tuple(sub) for sub in subsets]
+    if math.prod(len(s) for s in subs) <= exhaustive_cap:
+        return itertools.product(*subs), True
+    rng = SplitMix64(SUPPORT_SAMPLE_SEED)
+    sample = (
+        tuple(sub[rng.next_below(len(sub))] for sub in subs)
+        for _ in range(sample_count)
+    )
+    return sample, False
 
 
 def verify_relaxed_counts(
@@ -170,43 +187,21 @@ def verify_relaxed_counts(
     *,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = SUPPORT_SAMPLE_SEED,
-    workers: int = 1,
 ) -> SweepOutcome:
-    """Check the relaxed count floor over all supports, or a fixed-seed sample
-    when the product exceeds the exhaustion cap.
-
-    The sample sequence depends only on the seed and the subset sizes, so
-    reports are byte-identical across runs and worker counts.
+    """Check the relaxed count floor over the supports that
+    verification_supports picks: all of them, or a fixed-seed sample when
+    the product exceeds the exhaustion cap.
     """
     subs = [tuple(sub) for sub in subsets]
     if any(not sub for sub in subs):
         raise EmptyPartError("cannot verify over an empty subset")
-    total = math.prod(len(s) for s in subs)
-    exhaustive = total <= exhaustive_cap
+    supports, exhaustive = verification_supports(subs, exhaustive_cap, sample_count)
+    supports = list(supports)
     if exhaustive:
-        supports = list(_support_product(subs))
-    else:
-        rng = SplitMix64(seed)
-        supports = [
-            tuple(sub[rng.next_below(len(sub))] for sub in subs)
-            for _ in range(sample_count)
-        ]
-
-    if exhaustive and workers <= 1:
         table = relaxed_count_table(h, subs)
         counts = [table[s] for s in supports]
-    elif workers <= 1:
-        counts = [octopus_count_relaxed(h, s) for s in supports]
     else:
-        chunk = (len(supports) + workers - 1) // workers
-        blocks = [supports[i : i + chunk] for i in range(0, len(supports), chunk)]
-
-        def run(block):
-            return [octopus_count_relaxed(h, s) for s in block]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = [c for block in pool.map(run, blocks) for c in block]
+        counts = [octopus_count_relaxed(h, s) for s in supports]
 
     min_count = None
     min_support = None
@@ -388,7 +383,6 @@ def octopus_extract(
     inst: Instance,
     k: Fraction,
     *,
-    workers: int = 1,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     pivot_seed: int | None = None,
@@ -534,12 +528,8 @@ def octopus_extract(
         }
     )
 
-    count_floor = Fraction(total ** (r - 1)) / (
-        8 ** (r**3) * (r - 1) ** (r - 1) * k ** ((r * r + 5 * r - 4) // 2)
-    )
-    size_floors = [
-        Fraction(ambient[p]) / (2 ** (p + 3) * k) for p in range(r - 1)
-    ] + [Fraction(ambient[last]) / (2 ** (r + 2) * k)]
+    count_floor = _general_count_floor(r, k, total)
+    size_floors = [_size_floor(p, ambient[p], k) for p in range(r)]
 
     def run_sweep() -> SweepOutcome:
         return verify_relaxed_counts(
@@ -548,7 +538,6 @@ def octopus_extract(
             count_floor,
             exhaustive_cap=exhaustive_cap,
             sample_count=sample_count,
-            workers=workers,
         )
 
     # The degree and partner filters cannot rule out a support vertex whose
@@ -609,7 +598,6 @@ def dense_extract(
     eps: Fraction,
     delta: Fraction | str = "auto",
     *,
-    workers: int = 1,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> ExtractionResult:
@@ -659,7 +647,7 @@ def dense_extract(
         }
     ]
     degree_floor = (1 - delta_val / eps) * n ** (r - 1)
-    target = math.ceil((1 - eps) * n)
+    target = _trimmed_target(eps, n)
     subsets = []
     for i in range(r):
         qualifying = [
@@ -683,14 +671,12 @@ def dense_extract(
             }
         )
 
-    count_floor = Fraction(n ** (r * (r - 1)), 2)
     sweep = verify_relaxed_counts(
         h,
         [list(s) for s in subsets],
-        count_floor,
+        _dense_count_floor(r, n),
         exhaustive_cap=exhaustive_cap,
         sample_count=sample_count,
-        workers=workers,
     )
     trace.append(sweep.to_trace())
     return ExtractionResult(
@@ -701,9 +687,30 @@ def dense_extract(
     )
 
 
-def _count_verify_values(result: ExtractionResult) -> tuple[int, Fraction]:
-    entry = result.trace_entry("count-verify")
-    return int(entry["min_count"]), parse_fraction(entry["threshold"])
+def _bsg_constant(r: int, k: Fraction) -> Fraction:
+    """8^(r^3) (r-1)^(r-1) k^((r^2+5r-4)/2), shared by the general count
+    floor and the growth cap; r^2+5r-4 is always even."""
+    return 8 ** (r**3) * (r - 1) ** (r - 1) * Fraction(k) ** ((r * r + 5 * r - 4) // 2)
+
+
+def _general_count_floor(r: int, k: Fraction, total: int) -> Fraction:
+    """Relaxed count floor of the general pipeline: total^(r-1) / constant."""
+    return Fraction(total ** (r - 1)) / _bsg_constant(r, k)
+
+
+def _size_floor(part: int, part_size: int, k: Fraction) -> Fraction:
+    """Size floor of the chosen subset of `part` (0-based): size / (2^(part+3) k)."""
+    return Fraction(part_size) / (2 ** (part + 3) * k)
+
+
+def _dense_count_floor(r: int, n: int) -> Fraction:
+    """Relaxed count floor of the dense pipeline: n^(r(r-1)) / 2."""
+    return Fraction(n ** (r * (r - 1)), 2)
+
+
+def _trimmed_target(eps: Fraction, n: int) -> int:
+    """Exact size of every dense-pipeline subset: ceil((1 - eps) n)."""
+    return math.ceil((1 - Fraction(eps)) * n)
 
 
 def sumset_growth_cap_pow_r(r: int, k: Fraction, c_pow_r: Fraction, total: int) -> Fraction:
@@ -713,12 +720,143 @@ def sumset_growth_cap_pow_r(r: int, k: Fraction, c_pow_r: Fraction, total: int) 
     r-th root of the part size product; raising to the r-th power removes
     the roots so everything stays rational.
     """
-    base = 8 ** (r**3) * (r - 1) ** (r - 1)
-    return (
-        Fraction(base) ** r
-        * Fraction(k) ** (r * (r * r + 5 * r - 4) // 2)
-        * Fraction(c_pow_r) ** (2 * r - 1)
-        * total
+    return _bsg_constant(r, k) ** r * Fraction(c_pow_r) ** (2 * r - 1) * total
+
+
+@dataclass(frozen=True)
+class LedgerQuantities:
+    """The measured side of every ledger row.
+
+    The pipelines fill these from the values they recorded; check_bounds
+    recomputes each one from scratch. ``k`` is read in general mode,
+    ``eps`` and ``delta`` in the dense modes. ``cap`` is a claimed sumset
+    cap, C^r in general mode and C in almost-all mode; None takes the
+    measured cap, which the restricted sumset meets with equality.
+    """
+
+    part_sizes: tuple[int, ...]
+    edge_count: int
+    subset_sizes: tuple[int, ...]
+    min_count: int
+    checked: int
+    exhaustive: bool
+    restricted_size: int
+    sumset_size: int
+    k: Fraction | None = None
+    cap: Fraction | None = None
+    eps: Fraction | None = None
+    delta: Fraction | None = None
+
+
+def ledger(mode: str, q: LedgerQuantities) -> BoundReport:
+    """Every inequality row of a mode, in report order.
+
+    general: edge-density-floor, restricted-sumset-cap, one
+    subset-size-floor-p per part, octopus-count-floor, sumset-growth-bound.
+    almost-all: edge-density-floor, restricted-sumset-cap-linear, one
+    trimmed-size-p per part, octopus-count-floor, almost-all-sumset-bound.
+    dense: the almost-all rows without the two sumset rows. When the count
+    was checked over a sample, the octopus-count-floor anchor says so.
+    """
+    r = len(q.part_sizes)
+    total = math.prod(q.part_sizes)
+
+    def count_row(floor: Fraction, floor_name: str) -> Inequality:
+        anchor = f"minimum verified relaxed count against the {floor_name} floor"
+        if not q.exhaustive:
+            anchor += (
+                f", over a fixed-seed sample of {q.checked} of "
+                f"{math.prod(q.subset_sizes)} supports"
+            )
+        return check_ge("octopus-count-floor", Fraction(q.min_count), floor, anchor)
+
+    if mode == "general":
+        c_pow_r = Fraction(q.restricted_size**r, total) if q.cap is None else q.cap
+        rows = [
+            check_ge(
+                "edge-density-floor",
+                Fraction(q.edge_count),
+                Fraction(total) / q.k,
+                "edge count against the density parameter",
+            ),
+            check_le(
+                "restricted-sumset-cap",
+                Fraction(q.restricted_size**r),
+                c_pow_r * total,
+                "restricted sumset size against the cap, r-th powers",
+            ),
+        ]
+        for p, size in enumerate(q.subset_sizes):
+            rows.append(
+                check_ge(
+                    f"subset-size-floor-{p}",
+                    Fraction(size),
+                    _size_floor(p, q.part_sizes[p], q.k),
+                    "chosen subset size against its floor",
+                )
+            )
+        rows.append(count_row(_general_count_floor(r, q.k, total), "derived"))
+        rows.append(
+            check_le(
+                "sumset-growth-bound",
+                Fraction(q.sumset_size**r),
+                sumset_growth_cap_pow_r(r, q.k, c_pow_r, total),
+                "sumset of chosen subsets against the growth cap, r-th powers",
+            )
+        )
+    elif mode in ("dense", "almost-all"):
+        n = q.part_sizes[0]
+        c = Fraction(q.restricted_size, n) if q.cap is None else q.cap
+        rows = [
+            check_ge(
+                "edge-density-floor",
+                Fraction(q.edge_count),
+                (1 - q.delta) * total,
+                "edge count against the near-complete floor",
+            )
+        ]
+        if mode == "almost-all":
+            rows.append(
+                check_le(
+                    "restricted-sumset-cap-linear",
+                    Fraction(q.restricted_size),
+                    c * n,
+                    "restricted sumset size against the linear cap",
+                )
+            )
+        target = _trimmed_target(q.eps, n)
+        for p, size in enumerate(q.subset_sizes):
+            rows.append(check_eq(f"trimmed-size-{p}", size, target, "trimmed subset size"))
+        rows.append(count_row(_dense_count_floor(r, n), "dense"))
+        if mode == "almost-all":
+            rows.append(
+                check_le(
+                    "almost-all-sumset-bound",
+                    Fraction(q.sumset_size),
+                    2 * c ** (2 * r - 1) * n,
+                    "sumset of chosen subsets against the linear growth cap",
+                )
+            )
+    else:
+        raise ModeMismatchError(f"unknown mode {mode!r}")
+    return BoundReport(tuple(rows))
+
+
+def _recorded_quantities(
+    inst: Instance, result: ExtractionResult, restricted_size: int, **params
+) -> LedgerQuantities:
+    """Ledger quantities as a pipeline recorded them in its trace."""
+    sweep = result.trace_entry("count-verify")
+    return LedgerQuantities(
+        part_sizes=inst.part_sizes,
+        edge_count=inst.hypergraph.edge_count,
+        subset_sizes=result.sizes(),
+        min_count=int(sweep["min_count"]),
+        checked=sweep["checked"],
+        exhaustive=sweep["exhaustive"],
+        restricted_size=restricted_size,
+        sumset_size=len(iterated_sumset(inst.subset_elemsets(result.subsets))),
+        **params,
     )
 
 
@@ -727,7 +865,6 @@ def bsg_extract(
     k: Fraction | str = "measured",
     c: Fraction | str = "measured",
     *,
-    workers: int = 1,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     pivot_seed: int | None = None,
@@ -746,11 +883,10 @@ def bsg_extract(
     if Fraction(h.edge_count) < Fraction(total) / k_eff:
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
     osize = len(restricted_sumset(inst))
-    if isinstance(c, str) and c == "measured":
-        c_pow_r = Fraction(osize**r, total)
-    else:
-        c_pow_r = Fraction(c) ** r
-        if Fraction(osize**r) > c_pow_r * total:
+    cap = None
+    if not (isinstance(c, str) and c == "measured"):
+        cap = Fraction(c) ** r
+        if Fraction(osize**r) > cap * total:
             raise HypothesisViolatedError(
                 "restricted-sumset-cap",
                 f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
@@ -759,55 +895,12 @@ def bsg_extract(
     result = octopus_extract(
         inst,
         k_eff,
-        workers=workers,
         exhaustive_cap=exhaustive_cap,
         sample_count=sample_count,
         pivot_seed=pivot_seed,
     )
-    chosen = inst.subset_elemsets(result.subsets)
-    s_size = len(iterated_sumset(chosen))
-    min_count, count_floor = _count_verify_values(result)
-
-    rows: list[Inequality] = [
-        check_ge(
-            "edge-density-floor",
-            Fraction(h.edge_count),
-            Fraction(total) / k_eff,
-            "edge count against the density parameter",
-        ),
-        check_le(
-            "restricted-sumset-cap",
-            Fraction(osize**r),
-            c_pow_r * total,
-            "restricted sumset size against the cap, r-th powers",
-        ),
-    ]
-    for p in range(r):
-        rows.append(
-            check_ge(
-                f"subset-size-floor-{p}",
-                Fraction(len(result.subsets[p])),
-                Fraction(h.part_sizes[p]) / (2 ** (p + 3) * k_eff),
-                "chosen subset size against its floor",
-            )
-        )
-    rows.append(
-        check_ge(
-            "octopus-count-floor",
-            Fraction(min_count),
-            count_floor,
-            "minimum verified relaxed count against the derived floor",
-        )
-    )
-    rows.append(
-        check_le(
-            "sumset-growth-bound",
-            Fraction(s_size**r),
-            sumset_growth_cap_pow_r(r, k_eff, c_pow_r, total),
-            "sumset of chosen subsets against the growth cap, r-th powers",
-        )
-    )
-    return result, BoundReport(tuple(rows))
+    quantities = _recorded_quantities(inst, result, osize, k=k_eff, cap=cap)
+    return result, ledger("general", quantities)
 
 
 def almost_all_extract(
@@ -816,81 +909,40 @@ def almost_all_extract(
     eps: Fraction = Fraction(1, 25),
     delta: Fraction | str = "auto",
     *,
-    workers: int = 1,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> tuple[ExtractionResult, BoundReport]:
     """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n."""
     h = inst.hypergraph
-    r = inst.r
     if len(set(h.part_sizes)) != 1:
         raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")
     n = h.part_sizes[0]
     if n == 0:
         raise EmptyPartError("parts are empty")
     osize = len(restricted_sumset(inst))
-    if isinstance(c, str) and c == "measured":
-        c_eff = Fraction(osize, n)
-    else:
-        c_eff = Fraction(c)
-        if osize > c_eff * n:
+    cap = None
+    if not (isinstance(c, str) and c == "measured"):
+        cap = Fraction(c)
+        if osize > cap * n:
             raise HypothesisViolatedError(
                 "restricted-sumset-cap",
-                f"|restricted sumset| = {osize} exceeds {c_eff} * {n}",
+                f"|restricted sumset| = {osize} exceeds {cap} * {n}",
             )
 
     result = dense_extract(
         inst,
         eps,
         delta,
-        workers=workers,
         exhaustive_cap=exhaustive_cap,
         sample_count=sample_count,
     )
     result = dataclasses.replace(result, mode="almost-all")
-    chosen = inst.subset_elemsets(result.subsets)
-    s_size = len(iterated_sumset(chosen))
-    min_count, count_floor = _count_verify_values(result)
-    delta_val = parse_fraction(result.trace[0]["delta"])
-    target = math.ceil((1 - Fraction(eps)) * n)
-
-    rows: list[Inequality] = [
-        check_ge(
-            "edge-density-floor",
-            Fraction(h.edge_count),
-            (1 - delta_val) * h.total_tuples,
-            "edge count against the near-complete floor",
-        ),
-        check_le(
-            "restricted-sumset-cap-linear",
-            Fraction(osize),
-            c_eff * n,
-            "restricted sumset size against the linear cap",
-        ),
-    ]
-    for p in range(r):
-        rows.append(
-            check_eq(
-                f"trimmed-size-{p}",
-                len(result.subsets[p]),
-                target,
-                "trimmed subset size",
-            )
-        )
-    rows.append(
-        check_ge(
-            "octopus-count-floor",
-            Fraction(min_count),
-            count_floor,
-            "minimum verified relaxed count against the dense floor",
-        )
+    quantities = _recorded_quantities(
+        inst,
+        result,
+        osize,
+        cap=cap,
+        eps=result.epsilon,
+        delta=parse_fraction(result.trace[0]["delta"]),
     )
-    rows.append(
-        check_le(
-            "almost-all-sumset-bound",
-            Fraction(s_size),
-            2 * c_eff ** (2 * r - 1) * n,
-            "sumset of chosen subsets against the linear growth cap",
-        )
-    )
-    return result, BoundReport(tuple(rows))
+    return result, ledger("almost-all", quantities)

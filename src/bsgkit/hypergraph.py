@@ -67,10 +67,6 @@ class Bipartite:
             index %= st
         return tuple(out)
 
-    @cached_property
-    def right_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.right_label(i) for i in range(self.right_size))
-
     def _check_left(self, v: int) -> None:
         if not 0 <= v < self.left_size:
             raise IndexOutOfRangeError(f"left vertex {v} out of range [0, {self.left_size})")
@@ -94,13 +90,6 @@ class Bipartite:
     def left_neighbors(self, z: int) -> list[int]:
         bit = 1 << z
         return [v for v, mask in enumerate(self.adj) if mask & bit]
-
-    def right_neighbor_indices(self, v: int) -> Iterator[int]:
-        mask = self.adj[v]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     @property
     def edge_count(self) -> int:

@@ -17,14 +17,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .config import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_SAMPLE_COUNT, SUPPORT_SAMPLE_SEED
+from .config import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_SAMPLE_COUNT
 from .errors import (
     ConfigInvalidError,
     ModeMismatchError,
     NoEdgesError,
     TooLargeError,
 )
-from .extraction import ExtractionResult, sumset_growth_cap_pow_r
+from .extraction import (
+    ExtractionResult,
+    LedgerQuantities,
+    ledger,
+    verification_supports,
+)
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph
 from .jsonio import frac_str, parse_fraction
@@ -309,10 +314,6 @@ def measure_instance(inst: Instance) -> Measurement:
     )
 
 
-def _result_k(result: ExtractionResult) -> Fraction:
-    return parse_fraction(result.trace[0]["k"])
-
-
 def check_bounds(
     result: ExtractionResult,
     inst: Instance,
@@ -323,146 +324,46 @@ def check_bounds(
 ) -> BoundReport:
     """Recompute every inequality of the relevant mode from scratch.
 
-    Uses the density parameter recorded in the result trace and the measured
-    sumset cap of the instance. Counts are recomputed with the per-support
-    counter, sumsets from the chosen elements; nothing recorded by the
-    pipeline is trusted except the run parameters themselves.
+    Uses the run parameters recorded in the result (k, or eps and delta)
+    and the measured sumset cap of the instance. Counts are recomputed with
+    the per-support counter, sumsets from the chosen elements; nothing else
+    the pipeline recorded is trusted. The rows come from the same ledger as
+    the pipeline's.
     """
     if result.mode != mode:
         raise ModeMismatchError(f"result mode {result.mode!r} != requested {mode!r}")
     h = inst.hypergraph
-    r = inst.r
-    total = h.total_tuples
-    if len(result.subsets) != r:
+    if len(result.subsets) != inst.r:
         raise ModeMismatchError("result arity does not match the instance")
-    chosen = inst.subset_elemsets(result.subsets)
-    s_size = len(iterated_sumset(chosen))
-    osize = len(restricted_sumset(inst))
-    rows: list[Inequality] = []
-
-    supports, exhaustive = _verification_supports(
-        result.subsets, exhaustive_cap, sample_count
-    )
-    min_count = min(octopus_count_relaxed(h, sup) for sup in supports)
-
+    params: dict = {}
     if mode == "general":
-        k_eff = _result_k(result)
-        c_pow_r = Fraction(osize**r, total)
-        rows.append(
-            check_ge(
-                "edge-density-floor",
-                Fraction(h.edge_count),
-                Fraction(total) / k_eff,
-                "edge count against the density parameter",
-            )
-        )
-        rows.append(
-            check_le(
-                "restricted-sumset-cap",
-                Fraction(osize**r),
-                c_pow_r * total,
-                "restricted sumset size against the measured cap, r-th powers",
-            )
-        )
-        for p in range(r):
-            rows.append(
-                check_ge(
-                    f"subset-size-floor-{p}",
-                    Fraction(len(result.subsets[p])),
-                    Fraction(h.part_sizes[p]) / (2 ** (p + 3) * k_eff),
-                    "chosen subset size against its floor",
-                )
-            )
-        count_floor = Fraction(total ** (r - 1)) / (
-            8 ** (r**3) * (r - 1) ** (r - 1) * k_eff ** ((r * r + 5 * r - 4) // 2)
-        )
-        rows.append(
-            check_ge(
-                "octopus-count-floor",
-                Fraction(min_count),
-                count_floor,
-                "recomputed minimum relaxed count against the derived floor",
-            )
-        )
-        rows.append(
-            check_le(
-                "sumset-growth-bound",
-                Fraction(s_size**r),
-                sumset_growth_cap_pow_r(r, k_eff, c_pow_r, total),
-                "recomputed sumset against the growth cap, r-th powers",
-            )
-        )
+        params["k"] = parse_fraction(result.trace[0]["k"])
     elif mode in ("dense", "almost-all"):
         if len(set(h.part_sizes)) != 1:
             raise ModeMismatchError("dense verification requires equal part sizes")
-        n = h.part_sizes[0]
-        eps = result.epsilon
-        if eps is None:
+        if result.epsilon is None:
             raise ModeMismatchError("dense result carries no epsilon")
-        delta_val = parse_fraction(result.trace[0]["delta"])
-        target = math.ceil((1 - eps) * n)
-        rows.append(
-            check_ge(
-                "edge-density-floor",
-                Fraction(h.edge_count),
-                (1 - delta_val) * total,
-                "edge count against the near-complete floor",
-            )
-        )
-        for p in range(r):
-            rows.append(
-                check_eq(
-                    f"trimmed-size-{p}",
-                    len(result.subsets[p]),
-                    target,
-                    "trimmed subset size",
-                )
-            )
-        rows.append(
-            check_ge(
-                "octopus-count-floor",
-                Fraction(min_count),
-                Fraction(n ** (r * (r - 1)), 2),
-                "recomputed minimum relaxed count against the dense floor",
-            )
-        )
-        if mode == "almost-all":
-            c_eff = Fraction(osize, n)
-            rows.append(
-                check_le(
-                    "restricted-sumset-cap-linear",
-                    Fraction(osize),
-                    c_eff * n,
-                    "restricted sumset size against the measured linear cap",
-                )
-            )
-            rows.append(
-                check_le(
-                    "almost-all-sumset-bound",
-                    Fraction(s_size),
-                    2 * c_eff ** (2 * r - 1) * n,
-                    "recomputed sumset against the linear growth cap",
-                )
-            )
+        params["eps"] = result.epsilon
+        params["delta"] = parse_fraction(result.trace[0]["delta"])
     else:
         raise ModeMismatchError(f"unknown mode {mode!r}")
-    return BoundReport(tuple(rows))
 
-
-def _verification_supports(
-    subsets: Sequence[Sequence[int]], exhaustive_cap: int, sample_count: int
-) -> tuple[list[tuple[int, ...]], bool]:
-    total = math.prod(len(s) for s in subsets)
-    if total <= exhaustive_cap:
-        supports: list[tuple[int, ...]] = [()]
-        for sub in subsets:
-            supports = [p + (v,) for p in supports for v in sub]
-        return supports, True
-    rng = SplitMix64(SUPPORT_SAMPLE_SEED)
-    return [
-        tuple(sub[rng.next_below(len(sub))] for sub in subsets)
-        for _ in range(sample_count)
-    ], False
+    supports, exhaustive = verification_supports(
+        result.subsets, exhaustive_cap, sample_count
+    )
+    counts = [octopus_count_relaxed(h, sup) for sup in supports]
+    quantities = LedgerQuantities(
+        part_sizes=h.part_sizes,
+        edge_count=h.edge_count,
+        subset_sizes=result.sizes(),
+        min_count=min(counts),
+        checked=len(counts),
+        exhaustive=exhaustive,
+        restricted_size=len(restricted_sumset(inst)),
+        sumset_size=len(iterated_sumset(inst.subset_elemsets(result.subsets))),
+        **params,
+    )
+    return ledger(mode, quantities)
 
 
 def check_representations(
@@ -492,9 +393,10 @@ def check_representations(
 
     # Part elements are stored sorted, so lexicographic order on index tuples
     # equals lexicographic order on element tuples; the first support seen
-    # for a sum is its lexicographically least representative.
+    # for a sum is its lexicographically least representative. That needs
+    # every support, so the product is streamed with no cap.
     reps: dict[GroupElem, tuple[int, ...]] = {}
-    supports, _ = _verification_supports(result.subsets, 10**9, 0)
+    supports, _ = verification_supports(result.subsets, exhaustive_cap=math.inf)
     for sup in supports:
         s = spec.sum(inst.parts[i].elems[v] for i, v in enumerate(sup))
         if s not in reps:

@@ -12,8 +12,7 @@ extraction bound checks. The exact counter enumerates witnesses and enforces
 vertex-disjointness between legs; the "full" mode additionally forbids leg
 interior vertices from coinciding with any anchor vertex.
 
-Leg counts are cached per (part, v, w) with symmetric keys; inserts are
-idempotent, so the cache is safe under concurrent sweeps.
+Leg counts are cached per (part, v, w) with symmetric keys.
 """
 
 from __future__ import annotations

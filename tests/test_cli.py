@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import bsgkit
 from bsgkit.cli import main
 from bsgkit.jsonio import canonical_dumps
 
@@ -195,9 +197,11 @@ def test_workers_do_not_change_bytes(tmp_path):
 def test_module_entry_point(tmp_path):
     args, inst = gen_args(tmp_path)
     run_cli(args)
+    # `-m` searches the working directory first: run this process's bsgkit
     proc = subprocess.run(
         [sys.executable, "-m", "bsgkit", "measure", "--instance", str(inst)],
         capture_output=True, text=True,
+        cwd=Path(bsgkit.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["K"] == "1"

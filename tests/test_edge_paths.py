@@ -5,9 +5,11 @@ byte stability."""
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bsgkit
 from bsgkit.cli import main as cli_main
 from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
@@ -44,6 +46,12 @@ def test_sampled_sweep_inside_pipeline():
     entry = res.trace_entry("count-verify")
     assert not entry["exhaustive"]
     assert entry["checked"] == 1000
+    # both routes say the count row holds over a sample, not every support
+    sampled = ", over a fixed-seed sample of 1000 of 16384 supports"
+    recheck = check_bounds(res, inst, "general")
+    for rows in (report.inequalities, recheck.inequalities):
+        count_row = next(q for q in rows if q.name == "octopus-count-floor")
+        assert count_row.anchor.endswith(sampled)
     res2, report2 = bsg_extract(inst, Fraction(1), "measured")
     assert res2.trace == res.trace and report2.to_json() == report.to_json()
 
@@ -106,6 +114,9 @@ def test_exact_budget_estimate_is_reported():
 def test_cross_process_byte_stability(tmp_path):
     # fresh interpreters use different string-hash seeds; identical output
     # bytes across them rule out any hidden set or dict ordering dependence
+    # `-m` searches the working directory first, so the child runs the
+    # same bsgkit as this process, installed or not
+    package_root = Path(bsgkit.__file__).resolve().parent.parent
     outputs = set()
     for run in range(2):
         inst = tmp_path / f"i{run}.json"
@@ -118,7 +129,7 @@ def test_cross_process_byte_stability(tmp_path):
              "--K", "measured", "--C", "measured", "--out", str(rep)],
         ):
             proc = subprocess.run(
-                [sys.executable, "-m", "bsgkit", *cmd], capture_output=True
+                [sys.executable, "-m", "bsgkit", *cmd], capture_output=True, cwd=package_root
             )
             assert proc.returncode == 0, proc.stderr
         outputs.add(inst.read_bytes() + rep.read_bytes())

@@ -273,7 +273,3 @@ def test_sweep_sampling_path():
     assert full == again
     exh = verify_relaxed_counts(h, subsets, Fraction(1))
     assert exh.exhaustive and exh.checked == 144
-    # worker count never changes values
-    workers4 = verify_relaxed_counts(h, subsets, Fraction(1), workers=4)
-    assert workers4.min_count == exh.min_count
-    assert workers4.failing_supports == exh.failing_supports

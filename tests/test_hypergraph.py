@@ -118,7 +118,7 @@ def test_flatten_label_roundtrip():
     flat = comp.flatten(1)
     for idx in range(flat.right_size):
         assert flat.right_index(flat.right_label(idx)) == idx
-    assert flat.right_labels[0] == (0, 0)
+    assert flat.right_label(0) == (0, 0)
 
 
 def test_codegree_examples():

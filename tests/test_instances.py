@@ -13,9 +13,14 @@ from bsgkit.errors import (
     NoEdgesError,
     TooLargeError,
 )
-from bsgkit.extraction import ExtractionResult, bsg_extract, dense_extract
+from bsgkit.extraction import (
+    ExtractionResult,
+    almost_all_extract,
+    bsg_extract,
+    dense_extract,
+)
 from bsgkit.groups import make_group
-from bsgkit.hypergraph import Instance, PartiteHypergraph
+from bsgkit.hypergraph import Instance, PartiteHypergraph, build_hypergraph
 from bsgkit.instances import (
     GenConfig,
     brute_force_best_subsets,
@@ -154,6 +159,56 @@ def test_check_bounds_forced_failure():
     by_name = {q.name: q for q in report.inequalities}
     assert not by_name["subset-size-floor-0"].passed
     assert not report.overall
+
+
+def test_check_bounds_recounts_instead_of_trusting_the_trace():
+    # Last-part vertex 7 has no edges, so every support through it has
+    # relaxed count 0. Adding it leaves the recorded count-verify entry as
+    # it was; only a verifier that recounts sees the failure.
+    n = 8
+    spec = make_group([0])
+    parts = tuple(
+        ElemSet.from_iterable(spec, [(v,) for v in range(n)]) for _ in range(2)
+    )
+    edges = [(i, j) for i in range(n) for j in range(n - 1)]
+    inst = Instance(spec, parts, build_hypergraph(2, (n, n), edges))
+    res, report = bsg_extract(inst, "measured", "measured")
+    assert report.overall and n - 1 not in res.subsets[1]
+    tampered = ExtractionResult(
+        mode="general",
+        subsets=(res.subsets[0], res.subsets[1] + (n - 1,)),
+        epsilon=res.epsilon,
+        trace=res.trace,
+    )
+    failed = check_bounds(tampered, inst, "general").failures()
+    assert [q.name for q in failed] == ["octopus-count-floor"]
+
+
+def _row_keys(report):
+    return [(q.name, q.relation, q.lhs, q.rhs, q.passed) for q in report.inequalities]
+
+
+def test_pipeline_and_check_bounds_agree_row_by_row():
+    # instances from the criterion 4 (general) and 5 (dense) suites
+    for r, n, k, seed in ((2, 12, Fraction(3, 2), 1), (3, 8, Fraction(2), 0)):
+        inst = gen_instance(
+            GenConfig.make(r=r, n=n, family="random-density", seed=seed, k=k)
+        )
+        res, report = bsg_extract(inst, k, "measured")
+        assert _row_keys(check_bounds(res, inst, "general")) == _row_keys(report)
+        # check_bounds reads the measured C, so a claimed C moves the two
+        # rows that use it and no other
+        res, report = bsg_extract(inst, k, Fraction(64))
+        recheck = _row_keys(check_bounds(res, inst, "general"))
+        assert len(recheck) == len(report.inequalities)
+        differ = {a[0] for a, b in zip(_row_keys(report), recheck) if a != b}
+        assert differ == {"restricted-sumset-cap", "sumset-growth-bound"}
+    for r, n, eps, seed in ((2, 10, Fraction(1, 25), 0), (3, 12, Fraction(1, 40), 1)):
+        inst = gen_instance(
+            GenConfig.make(r=r, n=n, family="dense", seed=seed, delta=eps / (10 * r))
+        )
+        res, report = almost_all_extract(inst, "measured", eps, "auto")
+        assert _row_keys(check_bounds(res, inst, "almost-all")) == _row_keys(report)
 
 
 def test_check_bounds_mode_mismatch():
