@@ -23,6 +23,7 @@ from .extraction import (
     almost_all_extract,
     bsg_extract,
     dense_extract,
+    recorded_report,
 )
 from .groups import GroupSpec
 from .hypergraph import Instance
@@ -110,14 +111,25 @@ def _load_json(path: str) -> dict:
         raise BsgkitError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _parse_file(path: str, parse):
+    """Parse the JSON of a file, turning a missing or malformed field into a
+    typed error that names the file."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigInvalidError(f"malformed {path}: {exc!r}") from exc
+
+
 def _load_instance(path: str) -> Instance:
-    return Instance.from_json(_load_json(path))
+    return _parse_file(path, Instance.from_json)
 
 
 def _load_set(path: str) -> ElemSet:
-    data = _load_json(path)
-    spec = GroupSpec.from_json(data["group"])
-    return ElemSet.from_json(spec, data["elems"])
+    return _parse_file(
+        path,
+        lambda data: ElemSet.from_json(GroupSpec.from_json(data["group"]), data["elems"]),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +291,7 @@ def _cmd_extract(args) -> int:
         params["delta"] = args.delta if isinstance(args.delta, str) else frac_str(args.delta)
         if args.mode == "dense":
             result = dense_extract(inst, args.eps, args.delta)
-            report = check_bounds(result, inst, "dense")
+            report = recorded_report(inst, result)
         else:
             params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
             result, report = almost_all_extract(inst, args.C, args.eps, args.delta)
@@ -292,9 +304,11 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    data = _load_json(args.result)
-    result = ExtractionResult.from_json(
-        data["result"] if "result" in data else data
+    result = _parse_file(
+        args.result,
+        lambda data: ExtractionResult.from_json(
+            data["result"] if "result" in data else data
+        ),
     )
     report = check_bounds(result, inst, args.mode)
     _write_output(

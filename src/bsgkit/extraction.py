@@ -41,7 +41,6 @@ from .jsonio import frac_str, parse_fraction
 from .octopus import (
     eps_good_threshold,
     leg_count,
-    octopus_count_relaxed,
     relaxed_count_table,
 )
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
@@ -197,11 +196,11 @@ def verify_relaxed_counts(
         raise EmptyPartError("cannot verify over an empty subset")
     supports, exhaustive = verification_supports(subs, exhaustive_cap, sample_count)
     supports = list(supports)
-    if exhaustive:
-        table = relaxed_count_table(h, subs)
-        counts = [table[s] for s in supports]
-    else:
-        counts = [octopus_count_relaxed(h, s) for s in supports]
+    # one kernel either way: the whole product, or one box per sampled support
+    table: dict[tuple[int, ...], int] = {}
+    for box in [subs] if exhaustive else ([(v,) for v in s] for s in supports):
+        table.update(relaxed_count_table(h, box))
+    counts = [table[s] for s in supports]
 
     min_count = None
     min_support = None
@@ -723,33 +722,25 @@ def sumset_growth_cap_pow_r(r: int, k: Fraction, c_pow_r: Fraction, total: int) 
     return _bsg_constant(r, k) ** r * Fraction(c_pow_r) ** (2 * r - 1) * total
 
 
-@dataclass(frozen=True)
-class LedgerQuantities:
-    """The measured side of every ledger row.
-
-    The pipelines fill these from the values they recorded; check_bounds
-    recomputes each one from scratch. ``k`` is read in general mode,
-    ``eps`` and ``delta`` in the dense modes. ``cap`` is a claimed sumset
-    cap, C^r in general mode and C in almost-all mode; None takes the
-    measured cap, which the restricted sumset meets with equality.
-    """
-
-    part_sizes: tuple[int, ...]
-    edge_count: int
-    subset_sizes: tuple[int, ...]
-    min_count: int
-    checked: int
-    exhaustive: bool
-    restricted_size: int
-    sumset_size: int
-    k: Fraction | None = None
-    cap: Fraction | None = None
-    eps: Fraction | None = None
-    delta: Fraction | None = None
+def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
+    """The sumset cap a claimed C stands for: C^r in general mode, C in the
+    dense modes; None when c is "measured"."""
+    if c == "measured":
+        return None
+    return Fraction(c) ** r if mode == "general" else Fraction(c)
 
 
-def ledger(mode: str, q: LedgerQuantities) -> BoundReport:
-    """Every inequality row of a mode, in report order.
+def ledger(
+    inst: Instance, result: ExtractionResult, min_count: int, checked: int, exhaustive: bool
+) -> BoundReport:
+    """Every inequality row of the result's mode, in report order.
+
+    The two routes differ only in the count they pass: the minimum relaxed
+    count over the checked supports, as a pipeline recorded it or as
+    check_bounds recounted it. Sizes and sumsets come from the instance and
+    the chosen subsets. The run parameters come from the ambient trace
+    entry: k, or eps and delta, and the claimed C if the run recorded one;
+    else the measured C, which the restricted sumset meets with equality.
 
     general: edge-density-floor, restricted-sumset-cap, one
     subset-size-floor-p per part, octopus-count-floor, sumset-growth-bound.
@@ -758,81 +749,92 @@ def ledger(mode: str, q: LedgerQuantities) -> BoundReport:
     dense: the almost-all rows without the two sumset rows. When the count
     was checked over a sample, the octopus-count-floor anchor says so.
     """
-    r = len(q.part_sizes)
-    total = math.prod(q.part_sizes)
+    mode = result.mode
+    ambient = result.trace[0]
+    part_sizes = inst.part_sizes
+    subset_sizes = result.sizes()
+    r = inst.r
+    total = math.prod(part_sizes)
+    edge_count = Fraction(inst.hypergraph.edge_count)
+    cap = _claimed_cap(mode, r, ambient.get("c", "measured"))
+    if mode != "dense":
+        restricted_size = len(restricted_sumset(inst))
+        sumset_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
 
     def count_row(floor: Fraction, floor_name: str) -> Inequality:
         anchor = f"minimum verified relaxed count against the {floor_name} floor"
-        if not q.exhaustive:
+        if not exhaustive:
             anchor += (
-                f", over a fixed-seed sample of {q.checked} of "
-                f"{math.prod(q.subset_sizes)} supports"
+                f", over a fixed-seed sample of {checked} of "
+                f"{math.prod(subset_sizes)} supports"
             )
-        return check_ge("octopus-count-floor", Fraction(q.min_count), floor, anchor)
+        return check_ge("octopus-count-floor", Fraction(min_count), floor, anchor)
 
     if mode == "general":
-        c_pow_r = Fraction(q.restricted_size**r, total) if q.cap is None else q.cap
+        k = parse_fraction(ambient["k"])
+        c_pow_r = Fraction(restricted_size**r, total) if cap is None else cap
         rows = [
             check_ge(
                 "edge-density-floor",
-                Fraction(q.edge_count),
-                Fraction(total) / q.k,
+                edge_count,
+                Fraction(total) / k,
                 "edge count against the density parameter",
             ),
             check_le(
                 "restricted-sumset-cap",
-                Fraction(q.restricted_size**r),
+                Fraction(restricted_size**r),
                 c_pow_r * total,
                 "restricted sumset size against the cap, r-th powers",
             ),
         ]
-        for p, size in enumerate(q.subset_sizes):
+        for p, size in enumerate(subset_sizes):
             rows.append(
                 check_ge(
                     f"subset-size-floor-{p}",
                     Fraction(size),
-                    _size_floor(p, q.part_sizes[p], q.k),
+                    _size_floor(p, part_sizes[p], k),
                     "chosen subset size against its floor",
                 )
             )
-        rows.append(count_row(_general_count_floor(r, q.k, total), "derived"))
+        rows.append(count_row(_general_count_floor(r, k, total), "derived"))
         rows.append(
             check_le(
                 "sumset-growth-bound",
-                Fraction(q.sumset_size**r),
-                sumset_growth_cap_pow_r(r, q.k, c_pow_r, total),
+                Fraction(sumset_size**r),
+                sumset_growth_cap_pow_r(r, k, c_pow_r, total),
                 "sumset of chosen subsets against the growth cap, r-th powers",
             )
         )
     elif mode in ("dense", "almost-all"):
-        n = q.part_sizes[0]
-        c = Fraction(q.restricted_size, n) if q.cap is None else q.cap
+        n = part_sizes[0]
+        delta = parse_fraction(ambient["delta"])
         rows = [
             check_ge(
                 "edge-density-floor",
-                Fraction(q.edge_count),
-                (1 - q.delta) * total,
+                edge_count,
+                (1 - delta) * total,
                 "edge count against the near-complete floor",
             )
         ]
         if mode == "almost-all":
+            c = Fraction(restricted_size, n) if cap is None else cap
             rows.append(
                 check_le(
                     "restricted-sumset-cap-linear",
-                    Fraction(q.restricted_size),
+                    Fraction(restricted_size),
                     c * n,
                     "restricted sumset size against the linear cap",
                 )
             )
-        target = _trimmed_target(q.eps, n)
-        for p, size in enumerate(q.subset_sizes):
+        target = _trimmed_target(result.epsilon, n)
+        for p, size in enumerate(subset_sizes):
             rows.append(check_eq(f"trimmed-size-{p}", size, target, "trimmed subset size"))
         rows.append(count_row(_dense_count_floor(r, n), "dense"))
         if mode == "almost-all":
             rows.append(
                 check_le(
                     "almost-all-sumset-bound",
-                    Fraction(q.sumset_size),
+                    Fraction(sumset_size),
                     2 * c ** (2 * r - 1) * n,
                     "sumset of chosen subsets against the linear growth cap",
                 )
@@ -842,22 +844,21 @@ def ledger(mode: str, q: LedgerQuantities) -> BoundReport:
     return BoundReport(tuple(rows))
 
 
-def _recorded_quantities(
-    inst: Instance, result: ExtractionResult, restricted_size: int, **params
-) -> LedgerQuantities:
-    """Ledger quantities as a pipeline recorded them in its trace."""
+def recorded_report(inst: Instance, result: ExtractionResult) -> BoundReport:
+    """The ledger of a pipeline result, from the count its trace recorded."""
     sweep = result.trace_entry("count-verify")
-    return LedgerQuantities(
-        part_sizes=inst.part_sizes,
-        edge_count=inst.hypergraph.edge_count,
-        subset_sizes=result.sizes(),
-        min_count=int(sweep["min_count"]),
-        checked=sweep["checked"],
-        exhaustive=sweep["exhaustive"],
-        restricted_size=restricted_size,
-        sumset_size=len(iterated_sumset(inst.subset_elemsets(result.subsets))),
-        **params,
+    return ledger(
+        inst, result, int(sweep["min_count"]), sweep["checked"], sweep["exhaustive"]
     )
+
+
+def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> ExtractionResult:
+    """The result under `mode`, with a claimed C recorded in its ambient
+    entry so that check_bounds rechecks the same cap."""
+    trace = result.trace
+    if c != "measured":
+        trace = (dict(trace[0], c=frac_str(Fraction(c))),) + trace[1:]
+    return dataclasses.replace(result, mode=mode, trace=trace)
 
 
 def bsg_extract(
@@ -874,7 +875,8 @@ def bsg_extract(
     k and c may be exact rationals or "measured" to derive them from the
     instance. c is carried as the exact rational c^r throughout, and the
     growth bound is compared after raising both sides to the r-th power so
-    no irrational arithmetic occurs.
+    no irrational arithmetic occurs. A claimed c is recorded in the ambient
+    trace entry.
     """
     h = inst.hypergraph
     r = inst.r
@@ -882,10 +884,9 @@ def bsg_extract(
     k_eff = h.measured_k() if isinstance(k, str) and k == "measured" else Fraction(k)
     if Fraction(h.edge_count) < Fraction(total) / k_eff:
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
-    osize = len(restricted_sumset(inst))
-    cap = None
-    if not (isinstance(c, str) and c == "measured"):
-        cap = Fraction(c) ** r
+    cap = _claimed_cap("general", r, c)
+    if cap is not None:
+        osize = len(restricted_sumset(inst))
         if Fraction(osize**r) > cap * total:
             raise HypothesisViolatedError(
                 "restricted-sumset-cap",
@@ -899,8 +900,8 @@ def bsg_extract(
         sample_count=sample_count,
         pivot_seed=pivot_seed,
     )
-    quantities = _recorded_quantities(inst, result, osize, k=k_eff, cap=cap)
-    return result, ledger("general", quantities)
+    result = _as_claimed(result, "general", c)
+    return result, recorded_report(inst, result)
 
 
 def almost_all_extract(
@@ -912,17 +913,17 @@ def almost_all_extract(
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> tuple[ExtractionResult, BoundReport]:
-    """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n."""
+    """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n. A claimed c
+    is recorded in the ambient trace entry."""
     h = inst.hypergraph
     if len(set(h.part_sizes)) != 1:
         raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")
     n = h.part_sizes[0]
     if n == 0:
         raise EmptyPartError("parts are empty")
-    osize = len(restricted_sumset(inst))
-    cap = None
-    if not (isinstance(c, str) and c == "measured"):
-        cap = Fraction(c)
+    cap = _claimed_cap("almost-all", inst.r, c)
+    if cap is not None:
+        osize = len(restricted_sumset(inst))
         if osize > cap * n:
             raise HypothesisViolatedError(
                 "restricted-sumset-cap",
@@ -936,13 +937,5 @@ def almost_all_extract(
         exhaustive_cap=exhaustive_cap,
         sample_count=sample_count,
     )
-    result = dataclasses.replace(result, mode="almost-all")
-    quantities = _recorded_quantities(
-        inst,
-        result,
-        osize,
-        cap=cap,
-        eps=result.epsilon,
-        delta=parse_fraction(result.trace[0]["delta"]),
-    )
-    return result, ledger("almost-all", quantities)
+    result = _as_claimed(result, "almost-all", c)
+    return result, recorded_report(inst, result)

@@ -26,13 +26,12 @@ from .errors import (
 )
 from .extraction import (
     ExtractionResult,
-    LedgerQuantities,
     ledger,
     verification_supports,
 )
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph
-from .jsonio import frac_str, parse_fraction
+from .jsonio import frac_str
 from .octopus import octopus_count_relaxed
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
@@ -324,46 +323,30 @@ def check_bounds(
 ) -> BoundReport:
     """Recompute every inequality of the relevant mode from scratch.
 
-    Uses the run parameters recorded in the result (k, or eps and delta)
-    and the measured sumset cap of the instance. Counts are recomputed with
-    the per-support counter, sumsets from the chosen elements; nothing else
-    the pipeline recorded is trusted. The rows come from the same ledger as
-    the pipeline's.
+    Uses the run parameters recorded in the result (k, or eps and delta,
+    and the claimed sumset cap C when the run was given one). Counts are
+    recomputed with the per-support counter, sumsets from the chosen
+    elements; nothing else the pipeline recorded is trusted. The rows come
+    from the same ledger as the pipeline's.
     """
     if result.mode != mode:
         raise ModeMismatchError(f"result mode {result.mode!r} != requested {mode!r}")
     h = inst.hypergraph
     if len(result.subsets) != inst.r:
         raise ModeMismatchError("result arity does not match the instance")
-    params: dict = {}
-    if mode == "general":
-        params["k"] = parse_fraction(result.trace[0]["k"])
-    elif mode in ("dense", "almost-all"):
+    if mode in ("dense", "almost-all"):
         if len(set(h.part_sizes)) != 1:
             raise ModeMismatchError("dense verification requires equal part sizes")
         if result.epsilon is None:
             raise ModeMismatchError("dense result carries no epsilon")
-        params["eps"] = result.epsilon
-        params["delta"] = parse_fraction(result.trace[0]["delta"])
-    else:
+    elif mode != "general":
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
     supports, exhaustive = verification_supports(
         result.subsets, exhaustive_cap, sample_count
     )
     counts = [octopus_count_relaxed(h, sup) for sup in supports]
-    quantities = LedgerQuantities(
-        part_sizes=h.part_sizes,
-        edge_count=h.edge_count,
-        subset_sizes=result.sizes(),
-        min_count=min(counts),
-        checked=len(counts),
-        exhaustive=exhaustive,
-        restricted_size=len(restricted_sumset(inst)),
-        sumset_size=len(iterated_sumset(inst.subset_elemsets(result.subsets))),
-        **params,
-    )
-    return ledger(mode, quantities)
+    return ledger(inst, result, min(counts), len(counts), exhaustive)
 
 
 def check_representations(

@@ -6,17 +6,20 @@ count equals a codegree in the bipartite flattening against part i. An
 octopus anchored at a support tuple (v_1, ..., v_r) consists of one leg per
 part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 
-Two counters are provided. The relaxed counter multiplies leg counts over
-each closing edge, enforcing only w_i != v_i; it is the counter used by the
-extraction bound checks. The exact counter enumerates witnesses and enforces
-vertex-disjointness between legs; the "full" mode additionally forbids leg
-interior vertices from coinciding with any anchor vertex.
+The relaxed count multiplies leg counts over each closing edge, enforcing
+only w_i != v_i; every bound check uses it. The pipelines count a whole
+box of supports with relaxed_count_table, one elimination kernel for every
+arity; the verifier counts one support at a time with octopus_count_relaxed.
+The exact counter enumerates witnesses and enforces vertex-disjointness
+between legs; the "full" mode additionally forbids leg interior vertices
+from coinciding with any anchor vertex.
 
 Leg counts are cached per (part, v, w) with symmetric keys.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -81,23 +84,15 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     return total
 
 
-def _leg_matrix_row(h: PartiteHypergraph, part: int, v: int) -> list[int]:
-    """Row of leg counts from v to every vertex of its part, 0 on the diagonal."""
-    flat = h.flatten(part)
-    row = []
-    mask_v = flat.adj[v]
-    for w in range(h.part_sizes[part]):
-        row.append(0 if w == v else (mask_v & flat.adj[w]).bit_count())
-    return row
-
-
 def relaxed_count_table(
     h: PartiteHypergraph, subsets: Sequence[Sequence[int]]
 ) -> dict[tuple[int, ...], int]:
     """Relaxed counts for every support in the product of the given subsets.
 
-    Grouped evaluation: legs-by-row matrices are built once, and closing
-    edges are scanned once per last-part vertex. Results equal
+    One variable elimination for every arity: per last-part vertex, closing
+    edges are grouped by their first r-2 mates and part r-2 leg rows summed
+    per group, then parts r-3 down to 0 are contracted one at a time into
+    flat vectors over the product of the later subsets. Results equal
     octopus_count_relaxed on each support.
     """
     if len(subsets) != h.r:
@@ -106,53 +101,45 @@ def relaxed_count_table(
     for i, sub in enumerate(subs):
         for v in sub:
             h._check_vertex(i, v)
-    r = h.r
-    last = r - 1
+    last = h.r - 1
     out: dict[tuple[int, ...], int] = {}
-    if any(not sub for sub in subs):
-        return out
-    if r == 2:
-        rows = {v: _leg_matrix_row(h, 0, v) for v in subs[0]}
-        for v2 in subs[1]:
-            mates = [e[0] for e in h.edges_through(1, v2)]
-            for v1 in subs[0]:
-                row = rows[v1]
-                out[(v1, v2)] = sum(row[w] for w in mates)
-        return out
-    if r == 3:
-        rows0 = {v: _leg_matrix_row(h, 0, v) for v in subs[0]}
-        rows1 = {v: _leg_matrix_row(h, 1, v) for v in subs[1]}
-        for v3 in subs[2]:
-            mates_by_w1: dict[int, list[int]] = {}
-            for e in h.edges_through(2, v3):
-                mates_by_w1.setdefault(e[0], []).append(e[1])
-            # inner[w1][v2] = sum of leg counts from v2 to the w2 partners of w1
-            inner: dict[int, dict[int, int]] = {}
-            for w1, w2s in mates_by_w1.items():
-                acc = {}
-                for v2 in subs[1]:
-                    row = rows1[v2]
-                    acc[v2] = sum(row[w2] for w2 in w2s)
-                inner[w1] = acc
-            for v1 in subs[0]:
-                row0 = rows0[v1]
-                for v2 in subs[1]:
-                    total = 0
-                    for w1, acc in inner.items():
-                        c0 = row0[w1]
-                        if c0:
-                            total += c0 * acc[v2]
-                    out[(v1, v2, v3)] = total
-        return out
-    # General arity: fall back to the per-support counter.
-    def rec(prefix: tuple[int, ...], depth: int):
-        if depth == r:
-            out[prefix] = octopus_count_relaxed(h, prefix)
-            return
-        for v in subs[depth]:
-            rec(prefix + (v,), depth + 1)
-
-    rec((), 0)
+    rows = []  # leg counts from each chosen v to its whole part, 0 at v itself
+    for i in range(last):
+        adj = h.flatten(i).adj
+        rows.append([
+            [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
+            for v in subs[i]
+        ])
+    heads = list(itertools.product(*subs[:last]))
+    for v_last in subs[last]:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for e in h.edges_through(last, v_last):
+            groups.setdefault(e[: last - 1], []).append(e[last - 1])
+        # vecs[prefix][j]: the count at the j-th tuple (row-major) of the
+        # product of the subsets after the prefix, over closing edges whose
+        # mates start with the prefix
+        vecs = {
+            prefix: [sum(row[w] for w in ws) for row in rows[last - 1]]
+            for prefix, ws in groups.items()
+        }
+        for p in range(last - 2, -1, -1):
+            terms: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+            for prefix, vec in vecs.items():
+                terms.setdefault(prefix[:p], []).append((prefix[p], vec))
+            vecs = {}
+            for prefix, pairs in terms.items():
+                flat: list[int] = []
+                for row in rows[p]:
+                    acc = [0] * len(pairs[0][1])
+                    for w, vec in pairs:
+                        c = row[w]
+                        if c:
+                            acc = [a + c * x for a, x in zip(acc, vec)]
+                    flat.extend(acc)
+                vecs[prefix] = flat
+        counts = vecs.get((), itertools.repeat(0))
+        for head, count in zip(heads, counts):
+            out[head + (v_last,)] = count
     return out
 
 
@@ -248,17 +235,10 @@ def enumerate_octopus_witnesses(
         if all(mates[i] != sup[i] for i in range(last)):
             mate_edges.append(mates)
 
-    # Estimate: product of leg counts per closing edge, before disjointness.
-    estimate = 0
-    for mates in mate_edges:
-        prod = 1
-        for i in range(last):
-            prod *= leg_count(h, i, sup[i], mates[i])
-            if prod == 0:
-                break
-        estimate += prod
-        if estimate > cap:
-            raise BudgetExceededError(estimate, cap)
+    # The relaxed count bounds the witnesses before disjointness is enforced.
+    estimate = octopus_count_relaxed(h, sup)
+    if estimate > cap:
+        raise BudgetExceededError(estimate, cap)
 
     other_parts = {i: [j for j in range(r) if j != i] for i in range(last)}
 

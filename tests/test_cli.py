@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bsgkit
+import bsgkit.cli
 from bsgkit.cli import main
 from bsgkit.jsonio import canonical_dumps
 
@@ -67,10 +70,16 @@ def test_extract_verify_roundtrip(tmp_path, capsys):
     assert json.loads(verdict.read_text())["bounds"]["overall"] is True
 
 
-def test_extract_dense_and_almost_all(tmp_path):
+def test_extract_dense_and_almost_all(tmp_path, monkeypatch):
     args, inst = gen_args(tmp_path, family="dense", n=10, seed=2,
                           extra=("--delta", "1/500"))
     run_cli(args)
+
+    # every extract report comes from the quantities the pipeline recorded
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract called check_bounds")
+
+    monkeypatch.setattr(bsgkit.cli, "check_bounds", refuse)
     for mode in ("dense", "almost-all"):
         report = tmp_path / f"{mode}.json"
         code = run_cli([
@@ -141,6 +150,35 @@ def test_exit_code_usage():
 
 def test_exit_code_error(tmp_path):
     assert run_cli(["measure", "--instance", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("measure", {}),
+        ("measure", {"group": {"moduli": ["x"]}, "parts": [], "edges": []}),
+        ("verify", {"result": {"mode": "general"}}),
+        ("energy", {"group": {"moduli": [0]}}),
+    ],
+    ids=["no-group", "bad-modulus", "result-without-subsets", "set-without-elems"],
+)
+def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "verify":
+        args, inst = gen_args(tmp_path)
+        run_cli(args)
+        argv = ["verify", "--instance", str(inst), "--result", str(bad),
+                "--mode", "general"]
+    elif command == "energy":
+        argv = ["energy", "--set", str(bad)]
+    else:
+        argv = ["measure", "--instance", str(bad)]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bsgkit: error:") and str(bad) in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_check_failed(tmp_path, capsys):

@@ -2,6 +2,9 @@
 pipeline, deletion-repaired pivot scans, budget wiring, and cross-process
 byte stability."""
 
+import itertools
+import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,15 +29,43 @@ def test_arity_four_pipeline_end_to_end():
     assert check_bounds(res, inst, "general").overall
 
 
-def test_arity_four_table_matches_counter():
-    inst = gen_instance(
-        GenConfig.make(r=4, n=3, family="random-density", seed=2, k=Fraction(3, 2))
-    )
-    h = inst.hypergraph
-    table = relaxed_count_table(h, [range(3)] * 4)
-    assert len(table) == 81
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_table_matches_counter(r):
+    # unequal part sizes, every other vertex of each part, and a last-part
+    # vertex with no closing edge at all
+    sizes = (3, 5, 4, 6, 5)[:r - 1] + ((7, 5, 5, 3)[r - 2],)
+    rng = random.Random(r)
+    isolated = sizes[-1] - 1
+    edges = [
+        e for e in itertools.product(*(range(s) for s in sizes))
+        if e[-1] != isolated and rng.random() < 0.6
+    ]
+    h = build_hypergraph(r, sizes, edges)
+    subsets = [range(0, s, 2) for s in sizes]
+    table = relaxed_count_table(h, subsets)
+    assert len(table) == math.prod(len(sub) for sub in subsets)
     for sup, count in table.items():
         assert count == octopus_count_relaxed(h, sup)
+    assert any(count for count in table.values())
+    assert all(table[sup] == 0 for sup in table if sup[-1] == isolated)
+
+
+def test_pipeline_counts_without_the_per_support_counter(monkeypatch):
+    # the per-support counter is the verifier's route; the pipeline sweep,
+    # exhaustive at r=4 and sampled on the 128 x 128 complete instance,
+    # must not use it
+    def refuse(*args):
+        raise AssertionError("pipeline called octopus_count_relaxed")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bsgkit" and hasattr(module, "octopus_count_relaxed"):
+            monkeypatch.setattr(module, "octopus_count_relaxed", refuse)
+    for cfg in (
+        GenConfig.make(r=4, n=4, family="complete", seed=0),
+        GenConfig.make(r=2, n=128, family="complete", seed=0),
+    ):
+        _, report = bsg_extract(gen_instance(cfg), Fraction(1), "measured")
+        assert report.overall
 
 
 def test_sampled_sweep_inside_pipeline():

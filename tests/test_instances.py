@@ -1,6 +1,7 @@
 """Generators, measurement, the independent bound checker, representation
 checks, and the brute-force subset oracle."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -194,21 +195,31 @@ def test_pipeline_and_check_bounds_agree_row_by_row():
         inst = gen_instance(
             GenConfig.make(r=r, n=n, family="random-density", seed=seed, k=k)
         )
-        res, report = bsg_extract(inst, k, "measured")
-        assert _row_keys(check_bounds(res, inst, "general")) == _row_keys(report)
-        # check_bounds reads the measured C, so a claimed C moves the two
-        # rows that use it and no other
-        res, report = bsg_extract(inst, k, Fraction(64))
-        recheck = _row_keys(check_bounds(res, inst, "general"))
-        assert len(recheck) == len(report.inequalities)
-        differ = {a[0] for a, b in zip(_row_keys(report), recheck) if a != b}
-        assert differ == {"restricted-sumset-cap", "sumset-growth-bound"}
+        # a claimed C is recorded in the trace and rechecked as claimed
+        for c in ("measured", Fraction(64)):
+            res, report = bsg_extract(inst, k, c)
+            assert _row_keys(check_bounds(res, inst, "general")) == _row_keys(report)
     for r, n, eps, seed in ((2, 10, Fraction(1, 25), 0), (3, 12, Fraction(1, 40), 1)):
         inst = gen_instance(
             GenConfig.make(r=r, n=n, family="dense", seed=seed, delta=eps / (10 * r))
         )
-        res, report = almost_all_extract(inst, "measured", eps, "auto")
-        assert _row_keys(check_bounds(res, inst, "almost-all")) == _row_keys(report)
+        for c in ("measured", Fraction(8)):
+            res, report = almost_all_extract(inst, c, eps, "auto")
+            assert _row_keys(check_bounds(res, inst, "almost-all")) == _row_keys(report)
+
+
+def test_check_bounds_rechecks_the_claimed_cap():
+    inst = gen_instance(
+        GenConfig.make(r=2, n=12, family="random-density", seed=1, k=Fraction(3, 2))
+    )
+    assert "c" not in bsg_extract(inst, Fraction(3, 2), "measured")[0].trace[0]
+    res, report = bsg_extract(inst, Fraction(3, 2), Fraction(64))
+    assert report.overall and res.trace[0]["c"] == "64"
+    # a claimed C below the measured one fails its rows instead of raising
+    ambient = dict(res.trace[0], c="1/2")
+    tampered = dataclasses.replace(res, trace=(ambient,) + res.trace[1:])
+    failed = [q.name for q in check_bounds(tampered, inst, "general").failures()]
+    assert "restricted-sumset-cap" in failed
 
 
 def test_check_bounds_mode_mismatch():
