@@ -51,8 +51,6 @@ from .octopus import (
     OctopusWitness,
     enumerate_octopus_witnesses,
     eps_good_threshold,
-    is_eps_good,
-    is_good_vertex,
     leg_count,
     octopus_count_exact,
     octopus_count_relaxed,

@@ -115,9 +115,11 @@ def _parse_file(path: str, parse):
     """Parse the JSON of a file, turning a missing or malformed field into a
     typed error that names the file."""
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ConfigInvalidError(f"malformed {path}: top level is not a JSON object")
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ConfigInvalidError) as exc:
         raise ConfigInvalidError(f"malformed {path}: {exc!r}") from exc
 
 
@@ -321,9 +323,32 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    data = _load_json(args.report_path)
+_ROW_STRINGS = ("name", "relation", "lhs", "rhs")
+
+
+def _report_bounds(data: dict) -> dict:
+    """The bounds object of a report file, with every row checked for the
+    fields the summary prints."""
     bounds = data.get("bounds", data)
+    if not isinstance(bounds, dict):
+        raise TypeError("bounds is not an object")
+    rows = bounds.get("inequalities", [])
+    if not isinstance(rows, list):
+        raise TypeError("inequalities is not a list")
+    for i, row in enumerate(rows):
+        if not (
+            isinstance(row, dict)
+            and all(isinstance(row.get(key), str) for key in _ROW_STRINGS)
+            and isinstance(row.get("pass"), bool)
+        ):
+            raise ValueError(
+                f"inequality {i} needs string {', '.join(_ROW_STRINGS)} and bool pass"
+            )
+    return bounds
+
+
+def _cmd_report(args) -> int:
+    bounds = _parse_file(args.report_path, _report_bounds)
     rows = bounds.get("inequalities", [])
     if args.csv is not None:
         lines = ["name,relation,lhs,rhs,pass"]

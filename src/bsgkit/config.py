@@ -1,8 +1,10 @@
 """Resource caps for enumeration and convolution kernels.
 
-Defaults can be overridden per call or globally through the BSGKIT_CAPS
-environment variable, e.g. ``BSGKIT_CAPS="enum=500000,conv=1000000"``.
-Caps guard memory and runtime only; they never change computed values.
+Each cap has one value. The enumeration budget and the convolution cell cap
+can be overridden only through the BSGKIT_CAPS environment variable, e.g.
+``BSGKIT_CAPS="enum=500000,conv=1000000"``, which applies to the CLI and to
+library calls alike; they guard memory and runtime and never change computed
+values. The exhaustive support cap and the sample count are fixed.
 """
 
 from __future__ import annotations
@@ -44,15 +46,11 @@ def _caps_from_env() -> dict[str, int]:
     return caps
 
 
-def enum_budget(explicit: int | None = None) -> int:
+def enum_budget() -> int:
     """Candidate budget for exact witness enumeration."""
-    if explicit is not None:
-        return explicit
     return _caps_from_env().get("enum", DEFAULT_ENUM_BUDGET)
 
 
-def conv_cell_cap(explicit: int | None = None) -> int:
+def conv_cell_cap() -> int:
     """Cell cap for the bounding box of convolutions over free coordinates."""
-    if explicit is not None:
-        return explicit
     return _caps_from_env().get("conv", DEFAULT_CONV_CELL_CAP)

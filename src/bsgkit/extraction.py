@@ -116,12 +116,24 @@ class ExtractionResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtractionResult":
+        """Parse a result, checking the ambient entry fields ledger reads."""
+        mode = data["mode"]
+        trace = tuple(data.get("trace", []))
+        ambient = trace[0] if trace else None
+        if not isinstance(ambient, dict) or ambient.get("kind") != "ambient":
+            raise ConfigInvalidError("result trace does not start with an ambient entry")
+        if mode == "general":
+            parse_fraction(ambient["k"])
+        elif mode in ("dense", "almost-all"):
+            parse_fraction(ambient["delta"])
+        if "c" in ambient:
+            parse_fraction(ambient["c"])
         eps = data.get("epsilon")
         return cls(
-            mode=data["mode"],
+            mode=mode,
             subsets=tuple(tuple(int(v) for v in s) for s in data["subsets"]),
             epsilon=None if eps is None else parse_fraction(eps),
-            trace=tuple(data.get("trace", [])),
+            trace=trace,
         )
 
 
@@ -158,23 +170,21 @@ class SweepOutcome:
 
 def verification_supports(
     subsets: Sequence[Sequence[int]],
-    exhaustive_cap: float = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> tuple[Iterator[tuple[int, ...]], bool]:
     """Supports to verify, and whether they are the whole product.
 
-    Up to exhaustive_cap tuples the whole product is streamed in
-    lexicographic order; above it, sample_count tuples are drawn with the
-    fixed SUPPORT_SAMPLE_SEED. The sample depends only on the seed and the
-    subset sizes, so reports are byte-identical across runs.
+    Up to DEFAULT_EXHAUSTIVE_CAP tuples the whole product is streamed in
+    lexicographic order; above it, DEFAULT_SAMPLE_COUNT tuples are drawn
+    with the fixed SUPPORT_SAMPLE_SEED. The sample depends only on the seed
+    and the subset sizes, so reports are byte-identical across runs.
     """
     subs = [tuple(sub) for sub in subsets]
-    if math.prod(len(s) for s in subs) <= exhaustive_cap:
+    if math.prod(len(s) for s in subs) <= DEFAULT_EXHAUSTIVE_CAP:
         return itertools.product(*subs), True
     rng = SplitMix64(SUPPORT_SAMPLE_SEED)
     sample = (
         tuple(sub[rng.next_below(len(sub))] for sub in subs)
-        for _ in range(sample_count)
+        for _ in range(DEFAULT_SAMPLE_COUNT)
     )
     return sample, False
 
@@ -183,9 +193,6 @@ def verify_relaxed_counts(
     h: PartiteHypergraph,
     subsets: Sequence[Sequence[int]],
     threshold: Fraction,
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> SweepOutcome:
     """Check the relaxed count floor over the supports that
     verification_supports picks: all of them, or a fixed-seed sample when
@@ -194,7 +201,7 @@ def verify_relaxed_counts(
     subs = [tuple(sub) for sub in subsets]
     if any(not sub for sub in subs):
         raise EmptyPartError("cannot verify over an empty subset")
-    supports, exhaustive = verification_supports(subs, exhaustive_cap, sample_count)
+    supports, exhaustive = verification_supports(subs)
     supports = list(supports)
     # one kernel either way: the whole product, or one box per sampled support
     table: dict[tuple[int, ...], int] = {}
@@ -382,8 +389,6 @@ def octopus_extract(
     inst: Instance,
     k: Fraction,
     *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     pivot_seed: int | None = None,
 ) -> ExtractionResult:
     """Select per-part subsets so that every support carries many octopuses.
@@ -531,13 +536,7 @@ def octopus_extract(
     size_floors = [_size_floor(p, ambient[p], k) for p in range(r)]
 
     def run_sweep() -> SweepOutcome:
-        return verify_relaxed_counts(
-            h,
-            [list(s) for s in subsets],
-            count_floor,
-            exhaustive_cap=exhaustive_cap,
-            sample_count=sample_count,
-        )
+        return verify_relaxed_counts(h, [list(s) for s in subsets], count_floor)
 
     # The degree and partner filters cannot rule out a support vertex whose
     # few edges all point back at the support itself; such a support carries
@@ -596,9 +595,6 @@ def dense_extract(
     inst: Instance,
     eps: Fraction,
     delta: Fraction | str = "auto",
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> ExtractionResult:
     """Almost-spanning extraction for nearly complete hypergraphs.
 
@@ -671,11 +667,7 @@ def dense_extract(
         )
 
     sweep = verify_relaxed_counts(
-        h,
-        [list(s) for s in subsets],
-        _dense_count_floor(r, n),
-        exhaustive_cap=exhaustive_cap,
-        sample_count=sample_count,
+        h, [list(s) for s in subsets], _dense_count_floor(r, n)
     )
     trace.append(sweep.to_trace())
     return ExtractionResult(
@@ -866,8 +858,6 @@ def bsg_extract(
     k: Fraction | str = "measured",
     c: Fraction | str = "measured",
     *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     pivot_seed: int | None = None,
 ) -> tuple[ExtractionResult, BoundReport]:
     """Full pipeline: subset extraction plus the exact sumset growth report.
@@ -893,13 +883,7 @@ def bsg_extract(
                 f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
             )
 
-    result = octopus_extract(
-        inst,
-        k_eff,
-        exhaustive_cap=exhaustive_cap,
-        sample_count=sample_count,
-        pivot_seed=pivot_seed,
-    )
+    result = octopus_extract(inst, k_eff, pivot_seed=pivot_seed)
     result = _as_claimed(result, "general", c)
     return result, recorded_report(inst, result)
 
@@ -909,9 +893,6 @@ def almost_all_extract(
     c: Fraction | str = "measured",
     eps: Fraction = Fraction(1, 25),
     delta: Fraction | str = "auto",
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> tuple[ExtractionResult, BoundReport]:
     """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n. A claimed c
     is recorded in the ambient trace entry."""
@@ -930,12 +911,6 @@ def almost_all_extract(
                 f"|restricted sumset| = {osize} exceeds {cap} * {n}",
             )
 
-    result = dense_extract(
-        inst,
-        eps,
-        delta,
-        exhaustive_cap=exhaustive_cap,
-        sample_count=sample_count,
-    )
+    result = dense_extract(inst, eps, delta)
     result = _as_claimed(result, "almost-all", c)
     return result, recorded_report(inst, result)

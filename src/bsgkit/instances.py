@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
-from .config import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_SAMPLE_COUNT
 from .errors import (
     ConfigInvalidError,
     ModeMismatchError,
@@ -317,9 +316,6 @@ def check_bounds(
     result: ExtractionResult,
     inst: Instance,
     mode: str,
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> BoundReport:
     """Recompute every inequality of the relevant mode from scratch.
 
@@ -342,9 +338,7 @@ def check_bounds(
     elif mode != "general":
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
-    supports, exhaustive = verification_supports(
-        result.subsets, exhaustive_cap, sample_count
-    )
+    supports, exhaustive = verification_supports(result.subsets)
     counts = [octopus_count_relaxed(h, sup) for sup in supports]
     return ledger(inst, result, min(counts), len(counts), exhaustive)
 
@@ -353,8 +347,6 @@ def check_representations(
     result: ExtractionResult,
     inst: Instance,
     l_param: Fraction,
-    *,
-    cell_cap: int | None = None,
 ) -> BoundReport:
     """Check the signed representation route through the restricted sumset.
 
@@ -372,15 +364,14 @@ def check_representations(
     l_param = Fraction(l_param)
     spec = inst.spec
     osize_set = restricted_sumset(inst)
-    table = representation_table(spec, osize_set, r, cell_cap=cell_cap)
+    table = representation_table(spec, osize_set, r)
 
     # Part elements are stored sorted, so lexicographic order on index tuples
     # equals lexicographic order on element tuples; the first support seen
     # for a sum is its lexicographically least representative. That needs
     # every support, so the product is streamed with no cap.
     reps: dict[GroupElem, tuple[int, ...]] = {}
-    supports, _ = verification_supports(result.subsets, exhaustive_cap=math.inf)
-    for sup in supports:
+    for sup in product(*result.subsets):
         s = spec.sum(inst.parts[i].elems[v] for i, v in enumerate(sup))
         if s not in reps:
             reps[s] = sup

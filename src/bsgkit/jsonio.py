@@ -50,6 +50,8 @@ def frac_str(value: Fraction) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or "p". Decimal and scientific notation are rejected."""
+    if not isinstance(text, str):
+        raise ConfigInvalidError(f"rational {text!r} must be a \"p/q\" string")
     s = text.strip()
     if not s:
         raise ConfigInvalidError("empty rational")

@@ -212,7 +212,6 @@ def enumerate_octopus_witnesses(
     h: PartiteHypergraph,
     support: Sequence[int],
     mode: str = "named-only",
-    budget: int | None = None,
 ) -> Iterator[OctopusWitness]:
     """Yield every octopus witness at the support under the given mode.
 
@@ -220,14 +219,14 @@ def enumerate_octopus_witnesses(
     vertex-disjoint; a leg interior vertex in the last part may coincide
     with the last anchor. full: additionally forbids that coincidence.
     Raises BudgetExceededError before enumerating if the candidate estimate
-    exceeds the budget.
+    exceeds config.enum_budget(), which BSGKIT_CAPS can override.
     """
     if mode not in _MODES:
         raise ConfigInvalidError(f"mode must be one of {_MODES}, got {mode!r}")
     sup = _check_support(h, support)
     r = h.r
     last = r - 1
-    cap = enum_budget(budget)
+    cap = enum_budget()
 
     mate_edges = []
     for edge in h.edges_through(last, sup[last]):
@@ -285,10 +284,9 @@ def octopus_count_exact(
     h: PartiteHypergraph,
     support: Sequence[int],
     mode: str = "named-only",
-    budget: int | None = None,
 ) -> int:
     """Exact number of octopus witnesses at the support under the given mode."""
-    return sum(1 for _ in enumerate_octopus_witnesses(h, support, mode, budget))
+    return sum(1 for _ in enumerate_octopus_witnesses(h, support, mode))
 
 
 def eps_good_threshold(
@@ -308,47 +306,3 @@ def eps_good_threshold(
             prod *= s
     return Fraction(eps) * prod / (2 ** (r * r) * Fraction(k) ** (part + 2))
 
-
-def is_eps_good(
-    h: PartiteHypergraph,
-    part: int,
-    v: int,
-    w: int,
-    eps: Fraction,
-    k: Fraction,
-    ambient_sizes: Sequence[int],
-) -> bool:
-    """Whether the distinct pair (v, w) clears the leg-count floor."""
-    if v == w:
-        raise SameVertexError(f"pair needs distinct vertices, got {v} twice")
-    if not 0 < eps < 1:
-        raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps}")
-    if k < 1:
-        raise ConfigInvalidError(f"density parameter must be >= 1, got {k}")
-    threshold = eps_good_threshold(h.r, part, eps, k, ambient_sizes)
-    return leg_count(h, part, v, w) >= threshold
-
-
-def is_good_vertex(
-    h: PartiteHypergraph,
-    part: int,
-    v: int,
-    u_set: Sequence[int],
-    eps: Fraction,
-    eps_prime: Fraction,
-    k: Fraction,
-    ambient_sizes: Sequence[int],
-) -> bool:
-    """Whether v forms good pairs with at least a (1 - eps_prime) fraction of u_set.
-
-    Partners are counted over u_set excluding v itself.
-    """
-    if not 0 <= eps_prime < 1:
-        raise ConfigInvalidError(f"eps_prime must lie in [0, 1), got {eps_prime}")
-    good = 0
-    for w in u_set:
-        if w == v:
-            continue
-        if is_eps_good(h, part, v, w, eps, k, ambient_sizes):
-            good += 1
-    return good >= (1 - Fraction(eps_prime)) * len(u_set)

@@ -158,14 +158,14 @@ def representation_table(
     spec: GroupSpec,
     s_set: ElemSet | Iterable[GroupElem],
     r: int,
-    cell_cap: int | None = None,
 ) -> dict[GroupElem, int]:
     """Histogram of c_1 + ... + c_{r-1} - c_r - ... - c_{2r-2} + c_{2r-1}
     over all (2r-1)-tuples from the given set.
 
     Computed by r plus-convolutions and r-1 minus-convolutions of the set's
     indicator histogram. Raises UnsupportedGroupError when free coordinates
-    make the bounding box of attainable sums exceed the cell cap.
+    make the bounding box of attainable sums exceed config.conv_cell_cap(),
+    which BSGKIT_CAPS can override.
     """
     if r < 2:
         raise ValueError(f"arity must be >= 2, got {r}")
@@ -178,7 +178,7 @@ def representation_table(
     if not elems:
         return {}
     if any(m == 0 for m in spec.moduli):
-        cap = conv_cell_cap(cell_cap)
+        cap = conv_cell_cap()
         cells = _free_box_cells(spec, elems, r)
         if cells > cap:
             raise UnsupportedGroupError(
@@ -199,8 +199,7 @@ def representation_count(
     s_set: ElemSet | Iterable[GroupElem],
     s: GroupElem,
     r: int,
-    cell_cap: int | None = None,
 ) -> int:
     """Number of (2r-1)-tuples from the set whose signed sum equals s."""
-    table = representation_table(spec, s_set, r, cell_cap=cell_cap)
+    table = representation_table(spec, s_set, r)
     return table.get(spec.canon(tuple(s)), 0)

@@ -159,8 +159,21 @@ def test_exit_code_error(tmp_path):
         ("measure", {"group": {"moduli": ["x"]}, "parts": [], "edges": []}),
         ("verify", {"result": {"mode": "general"}}),
         ("energy", {"group": {"moduli": [0]}}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient"}]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]], "epsilon": 5,
+                    "trace": [{"kind": "ambient", "k": "1"}]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "k": 2}]}),
+        ("report", {"bounds": {"inequalities": [
+            {"name": "a", "relation": ">=", "lhs": "1", "rhs": "0"}]}}),
+        ("report", {"inequalities": "abc"}),
+        ("report", []),
     ],
-    ids=["no-group", "bad-modulus", "result-without-subsets", "set-without-elems"],
+    ids=["no-group", "bad-modulus", "result-without-subsets", "set-without-elems",
+         "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
+         "k-not-a-string", "row-without-pass", "rows-not-a-list", "report-not-an-object"],
 )
 def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     bad = tmp_path / "bad.json"
@@ -172,6 +185,8 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
                 "--mode", "general"]
     elif command == "energy":
         argv = ["energy", "--set", str(bad)]
+    elif command == "report":
+        argv = ["report", "--report", str(bad)]
     else:
         argv = ["measure", "--instance", str(bad)]
     capsys.readouterr()

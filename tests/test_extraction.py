@@ -262,14 +262,18 @@ def test_pipeline_determinism():
 
 
 def test_sweep_sampling_path():
-    # above the exhaustion cap the sweep samples with a fixed seed
-    inst = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))
+    # above the exhaustion cap (10,100 > 10^4 supports) the sweep samples
+    # with a fixed seed; raising the cap past this instance fails here
+    inst = gen_instance(GenConfig.make(r=2, n=[101, 100], family="complete", seed=0))
     h = inst.hypergraph
-    subsets = [list(range(12)), list(range(12))]
-    full = verify_relaxed_counts(h, subsets, Fraction(1), exhaustive_cap=10)
+    subsets = [list(range(101)), list(range(100))]
+    full = verify_relaxed_counts(h, subsets, Fraction(1))
     assert not full.exhaustive
     assert full.checked == 1000
-    again = verify_relaxed_counts(h, subsets, Fraction(1), exhaustive_cap=10)
+    assert full.min_count == 100 * 100  # 100 mates w, each with 100 legs
+    again = verify_relaxed_counts(h, subsets, Fraction(1))
     assert full == again
-    exh = verify_relaxed_counts(h, subsets, Fraction(1))
+    small = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))
+    subsets = [list(range(12)), list(range(12))]
+    exh = verify_relaxed_counts(small.hypergraph, subsets, Fraction(1))
     assert exh.exhaustive and exh.checked == 144

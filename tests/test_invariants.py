@@ -73,7 +73,6 @@ def test_caps_env_override(monkeypatch):
     monkeypatch.setenv("BSGKIT_CAPS", "enum=123,conv=456")
     assert enum_budget() == 123
     assert conv_cell_cap() == 456
-    assert enum_budget(10) == 10  # explicit beats env
     monkeypatch.setenv("BSGKIT_CAPS", "enum=bad")
     with pytest.raises(ConfigInvalidError):
         enum_budget()

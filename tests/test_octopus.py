@@ -19,8 +19,6 @@ from bsgkit.instances import GenConfig, gen_instance
 from bsgkit.octopus import (
     enumerate_octopus_witnesses,
     eps_good_threshold,
-    is_eps_good,
-    is_good_vertex,
     leg_count,
     octopus_count_exact,
     octopus_count_relaxed,
@@ -114,10 +112,11 @@ def test_exact_examples():
         octopus_count_exact(h, (0, 0), mode="bogus")
 
 
-def test_exact_budget():
+def test_exact_budget(monkeypatch):
     comp = PartiteHypergraph.complete((4, 4, 4))
+    monkeypatch.setenv("BSGKIT_CAPS", "enum=5")
     with pytest.raises(BudgetExceededError):
-        octopus_count_exact(comp, (0, 0, 0), budget=5)
+        octopus_count_exact(comp, (0, 0, 0))
 
 
 def test_counts_against_oracles():
@@ -180,16 +179,6 @@ def test_representation_identity_on_witnesses():
     assert checked > 0
 
 
-def test_eps_good_examples():
-    comp = PartiteHypergraph.complete((4, 4))
-    ambient = (4, 4)
-    assert is_eps_good(comp, 0, 0, 1, Fraction(1, 2), Fraction(1), ambient)
-    edgeless = build_hypergraph(2, (4, 4), [])
-    assert not is_eps_good(edgeless, 0, 0, 1, Fraction(1, 2), Fraction(1), ambient)
-    with pytest.raises(SameVertexError):
-        is_eps_good(comp, 0, 2, 2, Fraction(1, 2), Fraction(1), ambient)
-
-
 def test_eps_good_threshold_planted():
     inst = gen_instance(
         GenConfig.make(r=2, n=4, family="random-density", seed=9, k=Fraction(2))
@@ -204,38 +193,5 @@ def test_eps_good_threshold_planted():
             if v == w:
                 continue
             expect = oracle_leg_count(h, 0, v, w) >= threshold
-            assert is_eps_good(h, 0, v, w, eps, k, ambient) == expect
+            assert (leg_count(h, 0, v, w) >= threshold) == expect
 
-
-def test_good_vertex_examples():
-    comp = PartiteHypergraph.complete((4, 4))
-    ambient = (4, 4)
-    assert is_good_vertex(
-        comp, 0, 0, range(4), Fraction(1, 2), Fraction(1, 2), Fraction(1), ambient
-    )
-    edgeless = build_hypergraph(2, (4, 4), [])
-    assert not is_good_vertex(
-        edgeless, 0, 0, range(4), Fraction(1, 2), Fraction(1, 2), Fraction(1), ambient
-    )
-
-
-def test_good_vertex_matches_recount():
-    inst = gen_instance(
-        GenConfig.make(r=2, n=6, family="random-density", seed=13, k=Fraction(3, 2))
-    )
-    h = inst.hypergraph
-    eps, k = Fraction(1, 8), Fraction(3, 2)
-    ambient = h.part_sizes
-    u_set = list(range(6))
-    threshold = eps_good_threshold(2, 0, eps, k, ambient)
-    for v in u_set:
-        good = sum(
-            1
-            for w in u_set
-            if w != v and oracle_leg_count(h, 0, v, w) >= threshold
-        )
-        expect = good >= (1 - Fraction(1, 4)) * len(u_set)
-        assert (
-            is_good_vertex(h, 0, v, u_set, eps, Fraction(1, 4), k, ambient)
-            == expect
-        )

@@ -209,12 +209,14 @@ def test_representation_matches_enumeration():
                     assert brute_representations(spec, s_set.elems, s, r) == count
 
 
-def test_representation_cell_cap():
+def test_representation_cell_cap(monkeypatch):
     wide = zset(0, 10**6)
+    monkeypatch.setenv("BSGKIT_CAPS", "conv=1000")
     with pytest.raises(UnsupportedGroupError):
-        representation_count(Z, wide, (0,), 2, cell_cap=1000)
+        representation_count(Z, wide, (0,), 2)
     # modular groups never hit the cap
-    assert representation_count(Z5, z5set(0, 1), (0,), 2, cell_cap=1) == 3
+    monkeypatch.setenv("BSGKIT_CAPS", "conv=1")
+    assert representation_count(Z5, z5set(0, 1), (0,), 2) == 3
 
 
 def test_elemset_dedup_and_order():
