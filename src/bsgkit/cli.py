@@ -328,7 +328,8 @@ _ROW_STRINGS = ("name", "relation", "lhs", "rhs")
 
 def _report_bounds(data: dict) -> dict:
     """The bounds object of a report file, with every row checked for the
-    fields the summary prints."""
+    fields the summary prints. A stored overall must be the conjunction of
+    the rows, as BoundReport.to_json writes it."""
     bounds = data.get("bounds", data)
     if not isinstance(bounds, dict):
         raise TypeError("bounds is not an object")
@@ -344,12 +345,15 @@ def _report_bounds(data: dict) -> dict:
             raise ValueError(
                 f"inequality {i} needs string {', '.join(_ROW_STRINGS)} and bool pass"
             )
+    if "overall" in bounds and bounds["overall"] is not all(row["pass"] for row in rows):
+        raise ValueError("overall must be the bool conjunction of the rows' pass")
     return bounds
 
 
 def _cmd_report(args) -> int:
     bounds = _parse_file(args.report_path, _report_bounds)
     rows = bounds.get("inequalities", [])
+    overall = all(row["pass"] for row in rows)
     if args.csv is not None:
         lines = ["name,relation,lhs,rhs,pass"]
         for row in rows:
@@ -368,10 +372,8 @@ def _cmd_report(args) -> int:
             sys.stdout.write(
                 f"{status} {row['name']}: {row['lhs']} {row['relation']} {row['rhs']}\n"
             )
-        sys.stdout.write(
-            f"overall: {'PASS' if bounds.get('overall') else 'FAIL'}\n"
-        )
-    return EXIT_OK if bounds.get("overall", True) else EXIT_CHECK_FAILED
+        sys.stdout.write(f"overall: {'PASS' if overall else 'FAIL'}\n")
+    return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {

@@ -38,11 +38,7 @@ from .errors import (
 )
 from .hypergraph import Bipartite, Instance, PartiteHypergraph
 from .jsonio import frac_str, parse_fraction
-from .octopus import (
-    eps_good_threshold,
-    leg_count,
-    relaxed_count_table,
-)
+from .octopus import eps_good_threshold, relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import SplitMix64
 from .sumsets import iterated_sumset, restricted_sumset
@@ -238,6 +234,14 @@ def _shuffled(count: int, seed: int) -> list[int]:
     return order
 
 
+def _low_partners(adj: Sequence[int], u: Sequence[int], threshold: Fraction) -> list[int]:
+    """For each v in u, how many w in u, v itself included, have codegree
+    |N(v) & N(w)| below threshold; adj holds the neighborhood bitmasks."""
+    limit = math.ceil(threshold)  # an integer count is below t iff below ceil(t)
+    masks = [adj[v] for v in u]
+    return [sum((a & b).bit_count() < limit for b in masks) for a in masks]
+
+
 def drc_extract(
     g: Bipartite, k: Fraction, eps: Fraction, pivot_seed: int | None = None
 ) -> DrcOutcome:
@@ -277,9 +281,7 @@ def drc_extract(
         u = g.left_neighbors(pivot)
         deletions = 0
         while Fraction(len(u)) >= size_floor:
-            row_bad = [
-                sum(1 for w in u if g.codegree(v, w) < cothreshold) for v in u
-            ]
+            row_bad = _low_partners(g.adj, u, cothreshold)
             bad = sum(row_bad)
             pairs = len(u) * len(u)
             if Fraction(bad) <= eps * pairs:
@@ -298,7 +300,7 @@ def drc_extract(
             worst = None
             worst_score = -1
             for idx, v in enumerate(u):
-                diag = 1 if g.codegree(v, v) < cothreshold else 0
+                diag = 1 if g.adj[v].bit_count() < cothreshold else 0
                 score = 2 * row_bad[idx] - diag
                 if score > worst_score:
                     worst_score = score
@@ -357,12 +359,7 @@ def iterate_extract(
         raise NoWitnessError("selected subset is below its size floor")
     leg_threshold = eps * z_size / (2 * k * k)
     pairs = len(u) * len(u)
-    good = sum(
-        1
-        for v in u
-        for w in u
-        if flat.codegree(v, w) >= leg_threshold
-    )
+    good = pairs - sum(_low_partners(flat.adj, u, leg_threshold))
     if Fraction(good) < (1 - eps) * pairs:
         raise NoWitnessError("good ordered-pair fraction fell below 1 - eps")
     if any(flat.degree(v) < degree_floor for v in u):
@@ -466,15 +463,14 @@ def octopus_extract(
 
         leg_floor = eps_good_threshold(r, p, eps, k, ambient)
         partner_cap = 2 * eps * len(a_tilde)
-        kept = []
-        a_tilde_list = list(a_tilde)
-        for v in a_tilde_list:
-            bad = 0
-            for w in a_tilde_list:
-                if w != v and leg_count(h, p, v, w) < leg_floor:
-                    bad += 1
-            if Fraction(bad) <= partner_cap:
-                kept.append(v)
+        adj = h.flatten(p).adj
+        low = _low_partners(adj, a_tilde, leg_floor)
+        # v is its own good partner: discount the (v, v) pair when it is low
+        kept = [
+            v
+            for v, n_low in zip(a_tilde, low)
+            if n_low - (adj[v].bit_count() < leg_floor) <= partner_cap
+        ]
         if not kept:
             raise NoWitnessError(f"partner filter emptied part {p}")
         trace.append(
@@ -483,7 +479,7 @@ def octopus_extract(
                 "part": p,
                 "leg_floor": frac_str(leg_floor),
                 "partner_cap": frac_str(partner_cap),
-                "candidates": list(a_tilde_list),
+                "candidates": list(a_tilde),
                 "kept": list(kept),
             }
         )

@@ -165,10 +165,6 @@ class PartiteHypergraph:
     def _flat_cache(self) -> dict:
         return {}
 
-    @cached_property
-    def _leg_cache(self) -> dict:
-        return {}
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -14,7 +14,9 @@ The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
 
-Leg counts are cached per (part, v, w) with symmetric keys.
+Indices are validated once per public call (a support, a subset box, or a
+leg pair); the counting loops then read the flattenings' adjacency masks
+directly.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ def leg_count(h: PartiteHypergraph, part: int, v: int, w: int) -> int:
         raise SameVertexError(f"leg pair needs distinct vertices, got {v} twice")
     h._check_vertex(part, v)
     h._check_vertex(part, w)
-    key = (part, v, w) if v < w else (part, w, v)
-    cached = h._leg_cache.get(key)
-    if cached is None:
-        flat = h.flatten(part)
-        cached = flat.codegree(v, w)
-        h._leg_cache[key] = cached
-    return cached
+    return h.flatten(part).codegree(v, w)
 
 
 def _check_support(h: PartiteHypergraph, support: Sequence[int]) -> tuple[int, ...]:
@@ -68,17 +64,14 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     No disjointness between legs is enforced beyond w_i != v_i.
     """
     sup = _check_support(h, support)
-    r = h.r
-    last = r - 1
+    last = h.r - 1
+    adjs = [h.flatten(i).adj for i in range(last)]
     total = 0
     for edge in h.edges_through(last, sup[last]):
-        mates = edge[:last]
-        if any(mates[i] == sup[i] for i in range(last)):
-            continue
         prod = 1
-        for i in range(last):
-            prod *= leg_count(h, i, sup[i], mates[i])
-            if prod == 0:
+        for adj, v, w in zip(adjs, sup, edge):
+            prod = 0 if w == v else prod * (adj[v] & adj[w]).bit_count()
+            if not prod:
                 break
         total += prod
     return total

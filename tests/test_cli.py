@@ -143,6 +143,16 @@ def test_report_command(tmp_path, capsys):
     assert len(lines) > 1
 
 
+_FAILING_ROW = {"name": "a", "relation": ">=", "lhs": "0", "rhs": "1", "pass": False}
+
+
+def test_report_judges_rows_without_overall(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"inequalities": [_FAILING_ROW]}))
+    assert run_cli(["report", "--report", str(path)]) == 2
+    assert capsys.readouterr().out.endswith("overall: FAIL\n")
+
+
 def test_exit_code_usage():
     assert run_cli(["--bogus-flag"]) == 64
     assert run_cli(["extract", "--no-such"]) == 64
@@ -170,10 +180,13 @@ def test_exit_code_error(tmp_path):
             {"name": "a", "relation": ">=", "lhs": "1", "rhs": "0"}]}}),
         ("report", {"inequalities": "abc"}),
         ("report", []),
+        ("report", {"inequalities": [_FAILING_ROW], "overall": True}),
+        ("report", {"inequalities": [_FAILING_ROW], "overall": "false"}),
     ],
     ids=["no-group", "bad-modulus", "result-without-subsets", "set-without-elems",
          "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
-         "k-not-a-string", "row-without-pass", "rows-not-a-list", "report-not-an-object"],
+         "k-not-a-string", "row-without-pass", "rows-not-a-list", "report-not-an-object",
+         "overall-true-over-failing-row", "overall-not-a-bool"],
 )
 def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from bsgkit import extraction
 from bsgkit.errors import (
     DensityTooLowError,
     EpsilonTooLargeError,
@@ -24,8 +25,9 @@ from bsgkit.extraction import (
 )
 from bsgkit.hypergraph import PartiteHypergraph, build_hypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
-from bsgkit.octopus import octopus_count_relaxed
-from oracles import brute_codegree
+from bsgkit.jsonio import parse_fraction
+from bsgkit.octopus import eps_good_threshold, octopus_count_relaxed
+from oracles import brute_codegree, oracle_leg_count
 
 
 def test_drc_complete():
@@ -144,6 +146,63 @@ def test_octopus_extract_planted_posthoc_recount():
         )
     for sup in product(*res.subsets):
         assert Fraction(octopus_count_relaxed(h, sup)) >= floor
+
+
+@pytest.mark.parametrize("raised", [False, True], ids=["derived-floor", "raised-floor"])
+def test_partner_filter_against_oracle(monkeypatch, raised):
+    """Each markov entry's kept set equals the candidates with at most
+    partner_cap other candidates below leg_floor, by brute-force leg counts."""
+    if raised:
+        # The derived floor is below 1 at these sizes, so nothing is dropped;
+        # |Z|/8 makes the filter drop vertices.
+        monkeypatch.setattr(
+            extraction,
+            "eps_good_threshold",
+            lambda r, part, eps, k, ambient: Fraction(math.prod(ambient), 8 * ambient[part]),
+        )
+    dropped = 0
+    for seed in range(24):
+        inst = gen_instance(
+            GenConfig.make(r=3, n=6, family="random-density", seed=seed, k=Fraction(2))
+        )
+        h = inst.hypergraph
+        for entry in octopus_extract(inst, Fraction(2)).trace:
+            if entry["kind"] != "markov":
+                continue
+            floor = parse_fraction(entry["leg_floor"])
+            cap = parse_fraction(entry["partner_cap"])
+            cands = entry["candidates"]
+            expect = [
+                v
+                for v in cands
+                if sum(
+                    1 for w in cands
+                    if w != v and oracle_leg_count(h, entry["part"], v, w) < floor
+                ) <= cap
+            ]
+            assert entry["kept"] == expect
+            dropped += len(cands) - len(expect)
+    assert dropped > 0 or not raised
+
+
+def test_partner_filter_keeps_a_lone_candidate(monkeypatch):
+    """A vertex is its own good partner, so a lone candidate survives even a
+    floor above its degree."""
+    inst = gen_instance(
+        GenConfig.make(r=3, n=5, family="random-density", seed=0, k=Fraction(8))
+    )
+    monkeypatch.setattr(
+        extraction,
+        "eps_good_threshold",
+        lambda r, part, eps, k, ambient: (
+            Fraction(math.prod(ambient)) if part == 1
+            else eps_good_threshold(r, part, eps, k, ambient)
+        ),
+    )
+    trace = octopus_extract(inst, Fraction(8)).trace
+    entry = [e for e in trace if e["kind"] == "markov" and e["part"] == 1][0]
+    assert len(entry["candidates"]) == 1
+    assert entry["kept"] == entry["candidates"]
 
 
 def test_dense_extract_complete():

@@ -1,0 +1,118 @@
+"""Byte identity of gen, extract and verify outputs on a fixed set of runs.
+
+Each run goes gen -> extract -> verify through the CLI in-process, and the
+SHA-256 of each of the three output files is compared with a recorded
+digest. The set covers general mode at r = 2, 3 and 4, a sampled sweep
+(complete r = 2, n = 128), the dense and almost-all modes, and an explicit
+claimed C. After a deliberate change of output bytes, re-record the table
+with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bsgkit.cli import main
+
+RUNS = {
+    "general-r2": (
+        ["--family", "random-density", "--r", "2", "--n", "24", "--seed", "2", "--K", "3"],
+        ["--mode", "general", "--K", "3"],
+    ),
+    "general-r3": (
+        ["--family", "random-density", "--r", "3", "--n", "10", "--seed", "1", "--K", "2"],
+        ["--mode", "general", "--K", "2"],
+    ),
+    "general-r4": (
+        ["--family", "random-density", "--r", "4", "--n", "6", "--seed", "1", "--K", "2"],
+        ["--mode", "general", "--K", "2"],
+    ),
+    "sampled-complete-r2": (
+        ["--family", "complete", "--r", "2", "--n", "128", "--seed", "1"],
+        ["--mode", "general"],
+    ),
+    "dense": (
+        ["--family", "dense", "--r", "2", "--n", "10", "--seed", "2", "--delta", "1/500"],
+        ["--mode", "dense", "--eps", "1/25"],
+    ),
+    "almost-all": (
+        ["--family", "dense", "--r", "3", "--n", "10", "--seed", "1", "--delta", "1/1500"],
+        ["--mode", "almost-all", "--eps", "1/40"],
+    ),
+    "claimed-c": (
+        ["--family", "planted", "--r", "2", "--n", "12", "--seed", "9",
+         "--ap-fraction", "1/2", "--target-C", "2"],
+        ["--mode", "general", "--C", "64"],
+    ),
+}
+
+# (instance, extract report, verify report) digests per run
+GOLDEN = {
+    'general-r2': (
+        '149c4c5527678675a313db5d1c98470f39b7e598486fa1ed2a22cb810f594b45',
+        '7b28b47e1d4694624c46a93a9dd88e5f0edf9507c1043c355f8cafdf4d624e10',
+        '186a3dd2c93e8af9ab49b6aace03a7079cb4a4bdfec7f955715d90e131b3b2a3',
+    ),
+    'general-r3': (
+        '179e6815de275289f6857cc73a6afebf23e6e9536459fe751cd1bddd26de3dc4',
+        '7bab1e51e593788aa7ca89f709eae602e7cb0887ec1f2f6d8d4003a819babb0f',
+        '1aed75afc7ce7d2f210ab0ac5ac393f9eae0e9271dd14050ac5f79bfbb7ca2b7',
+    ),
+    'general-r4': (
+        '9414a31274c4f354863c83c39d1968f9b58457bd23f4f10d72b911fe2f1bf3dd',
+        '1c22cf4c2ec459ee0d1992262b04a326aeb03ef3ab14fe6d3d63a69c5ab17dfa',
+        'f2b1b95318c18d40b2ff14939ada12b59af89eb310cd196839ecf5a374366a8c',
+    ),
+    'sampled-complete-r2': (
+        '250c45559e1203c08e278b83b12394a9d947b8537f0b93bc640937609014e4cd',
+        '4e9b15c1f89c51f43ee55d6fc0282746bfd6725b87d2cd3e30febdc4c8ef820a',
+        '73b6203efbdd69ed28a7cc5890f851c36a68becdbf9df6aef49b8a844e3a4b95',
+    ),
+    'dense': (
+        '6d9faae7c27fdb11ea853ace47085cc26daaac87471a610261a54b60c589ad9e',
+        '5fdd63dd8581edebbfb87405d7df382ba78f5129fbce13bb61e8ac5d4ec9b123',
+        'ce1f4ff22077de62db803b97562a97d055d7a41ffcd883a6e301fc717beb8d6d',
+    ),
+    'almost-all': (
+        'd31eb0870cb898761dd092d85c08491f821c572a72d487a0321983c5bc734e79',
+        '742cb0d9c26cf2971fadba824ffb4df17b7642047b8dea1664a233d6678611a7',
+        '6fe2ae22c382fea2aace427c4232f4ba875d10b01a6d15e040bb753a808249f4',
+    ),
+    'claimed-c': (
+        '9bc82cfb2ac7eeba88217c1d550408c1cf53fa9d2cbe6ab470aa71d8aa9657be',
+        'cb074111ba12af34ed301a1a33258407712b12a30197988da13250c67bc5453f',
+        '16d39ec79351d43b520932b97b02f71925371c4a5a2bd325ea45ade8d4256bef',
+    ),
+}
+
+
+def run_digests(workdir: Path, name: str) -> tuple[str, str, str]:
+    gen, extract = RUNS[name]
+    mode = extract[extract.index("--mode") + 1]
+    inst, report, verdict = (workdir / f"{name}-{kind}.json"
+                             for kind in ("instance", "report", "verdict"))
+    assert main(["gen", *gen, "--out", str(inst)]) == 0
+    assert main(["extract", "--instance", str(inst), *extract, "--out", str(report)]) == 0
+    assert main(["verify", "--instance", str(inst), "--result", str(report),
+                 "--mode", mode, "--out", str(verdict)]) == 0
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (inst, report, verdict))
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_outputs_match_golden_digests(tmp_path, name):
+    assert run_digests(tmp_path, name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("GOLDEN = {\n")
+        for name in RUNS:
+            digests = run_digests(Path(tmp), name)
+            sys.stdout.write(f"    {name!r}: (\n")
+            for digest in digests:
+                sys.stdout.write(f"        {digest!r},\n")
+            sys.stdout.write("    ),\n")
+        sys.stdout.write("}\n")

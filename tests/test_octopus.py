@@ -12,7 +12,12 @@ from itertools import product
 
 import pytest
 
-from bsgkit.errors import BudgetExceededError, ConfigInvalidError, SameVertexError
+from bsgkit.errors import (
+    BudgetExceededError,
+    ConfigInvalidError,
+    IndexOutOfRangeError,
+    SameVertexError,
+)
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import PartiteHypergraph, build_hypergraph
 from bsgkit.instances import GenConfig, gen_instance
@@ -79,6 +84,31 @@ def test_leg_count_examples():
     assert leg_count(h, 0, 0, 1) == 2
     with pytest.raises(SameVertexError):
         leg_count(h, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: leg_count(h, 3, 0, 1),
+        lambda h: leg_count(h, -1, 0, 1),
+        lambda h: leg_count(h, 0, -1, 1),
+        lambda h: leg_count(h, 0, 0, 3),
+        lambda h: octopus_count_relaxed(h, (0, 0)),
+        lambda h: octopus_count_relaxed(h, (0, 0, 0, 0)),
+        lambda h: octopus_count_relaxed(h, (-1, 0, 0)),
+        lambda h: octopus_count_relaxed(h, (0, 0, 5)),
+        lambda h: relaxed_count_table(h, [[0], [-1], [0]]),
+    ],
+    ids=[
+        "leg-part-too-large", "leg-part-negative", "leg-vertex-negative",
+        "leg-vertex-too-large", "support-too-short", "support-too-long",
+        "support-vertex-negative", "support-vertex-too-large", "table-vertex-negative",
+    ],
+)
+def test_indices_are_validated_at_the_api_boundary(call):
+    # a negative vertex would silently wrap in the counting loops' list indexing
+    with pytest.raises(IndexOutOfRangeError):
+        call(PartiteHypergraph.complete((3, 4, 5)))
 
 
 def test_leg_count_symmetry_and_oracle():
