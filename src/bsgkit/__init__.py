@@ -36,8 +36,8 @@ from .extraction import (
     octopus_extract,
     verify_relaxed_counts,
 )
-from .groups import GroupElem, GroupSpec, add, make_group, neg, sum_tuple
-from .hypergraph import Bipartite, Instance, PartiteHypergraph, build_hypergraph
+from .groups import GroupElem, GroupSpec, make_group
+from .hypergraph import Bipartite, Instance, PartiteHypergraph
 from .instances import (
     GenConfig,
     Measurement,

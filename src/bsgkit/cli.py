@@ -293,7 +293,7 @@ def _cmd_extract(args) -> int:
         params["delta"] = args.delta if isinstance(args.delta, str) else frac_str(args.delta)
         if args.mode == "dense":
             result = dense_extract(inst, args.eps, args.delta)
-            report = recorded_report(inst, result)
+            report = recorded_report(inst, result, None)
         else:
             params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
             result, report = almost_all_extract(inst, args.C, args.eps, args.delta)
@@ -399,9 +399,6 @@ def main(argv=None) -> int:
     except BsgkitError as exc:
         print(f"bsgkit: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-run_cli = main
 
 
 if __name__ == "__main__":

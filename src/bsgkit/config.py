@@ -4,7 +4,8 @@ Each cap has one value. The enumeration budget and the convolution cell cap
 can be overridden only through the BSGKIT_CAPS environment variable, e.g.
 ``BSGKIT_CAPS="enum=500000,conv=1000000"``, which applies to the CLI and to
 library calls alike; they guard memory and runtime and never change computed
-values. The exhaustive support cap and the sample count are fixed.
+values. The tuple cap, the exhaustive support cap and the sample count are
+fixed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from .errors import ConfigInvalidError
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 DEFAULT_CONV_CELL_CAP = 100_000_000
+
+# Largest product of part sizes a hypergraph or generated instance may span;
+# building a complete 100^3 hypergraph (10^6 tuples) peaks at 86 MB RSS on
+# CPython 3.11, x86-64.
+TUPLE_CAP = 1_000_000
 
 # Exhaustive support verification switches to sampling above this many tuples.
 DEFAULT_EXHAUSTIVE_CAP = 10_000

@@ -99,7 +99,7 @@ class HypothesisViolatedError(BsgkitError):
 
 
 class TooLargeError(BsgkitError):
-    """Brute-force search space exceeds the hard guard."""
+    """A brute-force search space or an index-tuple product exceeds its hard guard."""
 
 
 class ModeMismatchError(BsgkitError):

@@ -55,28 +55,19 @@ class DrcOutcome:
     u: tuple[int, ...]
     bad_pair_fraction: Fraction
     codegree_threshold: Fraction
-    size_floor: Fraction
 
 
 @dataclass(frozen=True)
 class IterateOutcome:
-    """Result of one prune-then-select round on a single part.
+    """Result of one prune-then-select round on a single part."""
 
-    ``pruned`` is the bipartite view after low-degree pruning: left vertices
-    are the survivors in order, the right side is the untouched product of
-    the other parts.
-    """
-
-    part: int
     u: tuple[int, ...]
     survivors: tuple[int, ...]
-    z_size: int
     k_prime: Fraction
     degree_floor: Fraction
     leg_threshold: Fraction
     good_fraction: Fraction
     drc: DrcOutcome
-    pruned: Bipartite
 
 
 @dataclass(frozen=True)
@@ -147,10 +138,6 @@ class SweepOutcome:
     @property
     def failures(self) -> int:
         return len(self.failing_supports)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.failures == 0
 
     def to_trace(self) -> dict:
         return {
@@ -271,7 +258,7 @@ def drc_extract(
     cothreshold = eps * b_size / (2 * k * k)
 
     if a_size == 0:
-        return DrcOutcome(-1, False, 0, (), Fraction(0), cothreshold, size_floor)
+        return DrcOutcome(-1, False, 0, (), Fraction(0), cothreshold)
 
     if pivot_seed is None:
         order = sorted(range(b_size), key=lambda z: (-g.right_degree(z), z))
@@ -293,7 +280,6 @@ def drc_extract(
                     u=tuple(u),
                     bad_pair_fraction=fraction,
                     codegree_threshold=cothreshold,
-                    size_floor=size_floor,
                 )
             if Fraction(len(u)) <= size_floor:
                 break
@@ -340,15 +326,15 @@ def iterate_extract(
             f"{h.edge_count} edges is below {total}/{k}"
         )
     flat = h.flatten(part)
-    z_size = flat.right_size
-    degree_floor = Fraction(z_size) / (2 * k)
+    right_size = flat.right_size
+    degree_floor = Fraction(right_size) / (2 * k)
     survivors = [
         v for v in range(h.part_sizes[part]) if flat.degree(v) >= degree_floor
     ]
     e_prime = sum(flat.degree(v) for v in survivors)
     if not survivors or e_prime == 0:
         raise NoWitnessError("pruning removed every vertex; precondition violated")
-    k_prime = Fraction(len(survivors) * z_size, e_prime)
+    k_prime = Fraction(len(survivors) * right_size, e_prime)
     g_prime = Bipartite(
         len(survivors), flat.right_shape, tuple(flat.adj[v] for v in survivors)
     )
@@ -357,7 +343,7 @@ def iterate_extract(
 
     if Fraction(len(u)) < Fraction(h.part_sizes[part]) / (4 * k):
         raise NoWitnessError("selected subset is below its size floor")
-    leg_threshold = eps * z_size / (2 * k * k)
+    leg_threshold = eps * right_size / (2 * k * k)
     pairs = len(u) * len(u)
     good = pairs - sum(_low_partners(flat.adj, u, leg_threshold))
     if Fraction(good) < (1 - eps) * pairs:
@@ -365,16 +351,13 @@ def iterate_extract(
     if any(flat.degree(v) < degree_floor for v in u):
         raise NoWitnessError("a selected vertex is below the degree floor")
     return IterateOutcome(
-        part=part,
         u=u,
         survivors=tuple(survivors),
-        z_size=z_size,
         k_prime=k_prime,
         degree_floor=degree_floor,
         leg_threshold=leg_threshold,
         good_fraction=Fraction(good, pairs),
         drc=drc,
-        pruned=g_prime,
     )
 
 
@@ -719,16 +702,19 @@ def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
 
 
 def ledger(
-    inst: Instance, result: ExtractionResult, min_count: int, checked: int, exhaustive: bool
+    inst: Instance, result: ExtractionResult, restricted_size: int | None,
+    min_count: int, checked: int, exhaustive: bool,
 ) -> BoundReport:
     """Every inequality row of the result's mode, in report order.
 
     The two routes differ only in the count they pass: the minimum relaxed
     count over the checked supports, as a pipeline recorded it or as
-    check_bounds recounted it. Sizes and sumsets come from the instance and
-    the chosen subsets. The run parameters come from the ambient trace
-    entry: k, or eps and delta, and the claimed C if the run recorded one;
-    else the measured C, which the restricted sumset meets with equality.
+    check_bounds recounted it. Each route computes the restricted sumset
+    once and passes its size (None in dense mode, which has no sumset rows);
+    the sumset of the chosen subsets is computed here. The run parameters
+    come from the ambient trace entry: k, or eps and delta, and the claimed
+    C if the run recorded one; else the measured C, which the restricted
+    sumset meets with equality.
 
     general: edge-density-floor, restricted-sumset-cap, one
     subset-size-floor-p per part, octopus-count-floor, sumset-growth-bound.
@@ -746,7 +732,6 @@ def ledger(
     edge_count = Fraction(inst.hypergraph.edge_count)
     cap = _claimed_cap(mode, r, ambient.get("c", "measured"))
     if mode != "dense":
-        restricted_size = len(restricted_sumset(inst))
         sumset_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
 
     def count_row(floor: Fraction, floor_name: str) -> Inequality:
@@ -832,12 +817,14 @@ def ledger(
     return BoundReport(tuple(rows))
 
 
-def recorded_report(inst: Instance, result: ExtractionResult) -> BoundReport:
-    """The ledger of a pipeline result, from the count its trace recorded."""
+def recorded_report(
+    inst: Instance, result: ExtractionResult, restricted_size: int | None
+) -> BoundReport:
+    """The ledger of a pipeline result, from the count its trace recorded and
+    the restricted sumset size the pipeline computed."""
     sweep = result.trace_entry("count-verify")
-    return ledger(
-        inst, result, int(sweep["min_count"]), sweep["checked"], sweep["exhaustive"]
-    )
+    count = int(sweep["min_count"])
+    return ledger(inst, result, restricted_size, count, sweep["checked"], sweep["exhaustive"])
 
 
 def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> ExtractionResult:
@@ -871,17 +858,16 @@ def bsg_extract(
     if Fraction(h.edge_count) < Fraction(total) / k_eff:
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
     cap = _claimed_cap("general", r, c)
-    if cap is not None:
-        osize = len(restricted_sumset(inst))
-        if Fraction(osize**r) > cap * total:
-            raise HypothesisViolatedError(
-                "restricted-sumset-cap",
-                f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
-            )
+    osize = len(restricted_sumset(inst))
+    if cap is not None and Fraction(osize**r) > cap * total:
+        raise HypothesisViolatedError(
+            "restricted-sumset-cap",
+            f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
+        )
 
     result = octopus_extract(inst, k_eff, pivot_seed=pivot_seed)
     result = _as_claimed(result, "general", c)
-    return result, recorded_report(inst, result)
+    return result, recorded_report(inst, result, osize)
 
 
 def almost_all_extract(
@@ -899,14 +885,13 @@ def almost_all_extract(
     if n == 0:
         raise EmptyPartError("parts are empty")
     cap = _claimed_cap("almost-all", inst.r, c)
-    if cap is not None:
-        osize = len(restricted_sumset(inst))
-        if osize > cap * n:
-            raise HypothesisViolatedError(
-                "restricted-sumset-cap",
-                f"|restricted sumset| = {osize} exceeds {cap} * {n}",
-            )
+    osize = len(restricted_sumset(inst))
+    if cap is not None and osize > cap * n:
+        raise HypothesisViolatedError(
+            "restricted-sumset-cap",
+            f"|restricted sumset| = {osize} exceeds {cap} * {n}",
+        )
 
     result = dense_extract(inst, eps, delta)
     result = _as_claimed(result, "almost-all", c)
-    return result, recorded_report(inst, result)
+    return result, recorded_report(inst, result, osize)

@@ -47,11 +47,6 @@ class GroupSpec:
             )
         return tuple(c % m if m else c for c, m in zip(coords, self.moduli))
 
-    def is_canonical(self, elem: Sequence[int]) -> bool:
-        if len(elem) != self.width:
-            return False
-        return all(m == 0 or 0 <= c < m for c, m in zip(elem, self.moduli))
-
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         if len(a) != self.width or len(b) != self.width:
             raise ShapeMismatchError(
@@ -88,18 +83,6 @@ class GroupSpec:
 def make_group(moduli: Sequence[int]) -> GroupSpec:
     """Build a GroupSpec, rejecting any modulus that is 1 or negative."""
     return GroupSpec(tuple(int(m) for m in moduli))
-
-
-def add(spec: GroupSpec, a: GroupElem, b: GroupElem) -> GroupElem:
-    return spec.add(a, b)
-
-
-def neg(spec: GroupSpec, a: GroupElem) -> GroupElem:
-    return spec.neg(a)
-
-
-def sum_tuple(spec: GroupSpec, elems: Iterable[GroupElem]) -> GroupElem:
-    return spec.sum(elems)
 
 
 def elem_to_json(elem: GroupElem) -> list:

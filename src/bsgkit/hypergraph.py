@@ -2,30 +2,58 @@
 
 Vertices are identified by (part, position); equal group elements sitting in
 different parts are distinct vertices. Edges are ordered index tuples, stored
-lexicographically sorted for deterministic iteration plus a hash set for
-membership. The bipartite flattening against one part uses integer bitmasks
-over the mixed-radix index space of the remaining parts, which makes degree
-and codegree queries single popcounts. Everything is immutable after build,
-so all queries are safe to run concurrently.
+lexicographically sorted for deterministic iteration. The bipartite
+flattening against one part uses integer bitmasks over the mixed-radix index
+space of the remaining parts, which makes degree and codegree queries single
+popcounts; ``_strides`` is the one definition of that layout. No hypergraph
+may span more than TUPLE_CAP index tuples; the check runs before any tuple is
+allocated.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .config import TUPLE_CAP
 from .errors import (
     ArityMismatchError,
     ConfigInvalidError,
     EmptyPartError,
     IndexOutOfRangeError,
     NoEdgesError,
+    TooLargeError,
 )
 from .groups import GroupElem, GroupSpec, elem_from_json
 from .jsonio import decode_coord
 from .sumsets import ElemSet
+
+
+def tuple_total(sizes: Sequence[int]) -> int:
+    """Number of index tuples over parts of these sizes; raises TooLargeError
+    above TUPLE_CAP, so callers check before they allocate."""
+    total = math.prod(sizes)
+    if total > TUPLE_CAP:
+        raise TooLargeError(
+            f"part sizes {tuple(sizes)} span {total} index tuples, above the cap of {TUPLE_CAP}"
+        )
+    return total
+
+
+def _strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix place values over shape, most significant digit first, so
+    the i-th tuple t of itertools.product(*map(range, shape)) has index
+    sum(v * st for v, st in zip(t, strides)) == i."""
+    strides = []
+    acc = 1
+    for s in reversed(shape):
+        strides.append(acc)
+        acc *= s
+    return tuple(reversed(strides))
 
 
 @dataclass(frozen=True)
@@ -43,26 +71,15 @@ class Bipartite:
 
     @property
     def right_size(self) -> int:
-        n = 1
-        for s in self.right_shape:
-            n *= s
-        return n
+        return math.prod(self.right_shape)
 
     @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        strides = []
-        acc = 1
-        for s in reversed(self.right_shape):
-            strides.append(acc)
-            acc *= s
-        return tuple(reversed(strides))
-
-    def right_index(self, label: Sequence[int]) -> int:
-        return sum(v * st for v, st in zip(label, self._strides))
+    def _right_strides(self) -> tuple[int, ...]:
+        return _strides(self.right_shape)
 
     def right_label(self, index: int) -> tuple[int, ...]:
         out = []
-        for st in self._strides:
+        for st in self._right_strides:
             out.append(index // st)
             index %= st
         return tuple(out)
@@ -125,6 +142,7 @@ class PartiteHypergraph:
         sizes = tuple(int(s) for s in part_sizes)
         if len(sizes) != r:
             raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
+        tuple_total(sizes)
         seen = set()
         for raw in edge_list:
             e = tuple(int(v) for v in raw)
@@ -141,14 +159,8 @@ class PartiteHypergraph:
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
         sizes = tuple(int(s) for s in part_sizes)
-        edges = [()]
-        for s in sizes:
-            edges = [e + (v,) for e in edges for v in range(s)]
-        return cls(len(sizes), sizes, tuple(sorted(tuple(e) for e in edges)))
-
-    @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        tuple_total(sizes)
+        return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
 
     @cached_property
     def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -171,10 +183,7 @@ class PartiteHypergraph:
 
     @property
     def total_tuples(self) -> int:
-        n = 1
-        for s in self.part_sizes:
-            n *= s
-        return n
+        return math.prod(self.part_sizes)
 
     def _check_part(self, i: int) -> None:
         if not 0 <= i < self.r:
@@ -209,15 +218,6 @@ class PartiteHypergraph:
         for idx in self._incidence[i][v]:
             yield self.edges[idx]
 
-    def link(self, i: int, v: int) -> "PartiteHypergraph":
-        """Edges through v at coordinate i, with coordinate i removed."""
-        self._check_vertex(i, v)
-        sizes = self.part_sizes[:i] + self.part_sizes[i + 1 :]
-        edges = tuple(
-            sorted(e[:i] + e[i + 1 :] for e in self.edges_through(i, v))
-        )
-        return PartiteHypergraph(self.r - 1, sizes, edges)
-
     def flatten(self, i: int) -> Bipartite:
         """Bipartite view: part i against the full product of the other parts."""
         self._check_part(i)
@@ -225,12 +225,7 @@ class PartiteHypergraph:
         if cached is not None:
             return cached
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
-        strides = []
-        acc = 1
-        for s in reversed(right_shape):
-            strides.append(acc)
-            acc *= s
-        strides = tuple(reversed(strides))
+        strides = _strides(right_shape)
         masks = [0] * self.part_sizes[i]
         for e in self.edges:
             rest = e[:i] + e[i + 1 :]
@@ -239,22 +234,6 @@ class PartiteHypergraph:
         flat = Bipartite(self.part_sizes[i], right_shape, tuple(masks))
         self._flat_cache[i] = flat
         return flat
-
-    def prune_low_degree(
-        self, i: int, threshold: Fraction
-    ) -> tuple["PartiteHypergraph", tuple[int, ...]]:
-        """Induced subhypergraph on part-i vertices of degree >= threshold."""
-        self._check_part(i)
-        if threshold < 0:
-            raise ConfigInvalidError("threshold must be >= 0")
-        survivors = tuple(
-            v for v in range(self.part_sizes[i]) if self.degree(i, v) >= threshold
-        )
-        subsets = [
-            survivors if j == i else tuple(range(s))
-            for j, s in enumerate(self.part_sizes)
-        ]
-        return self.induce(subsets), survivors
 
     def induce(self, subsets: Sequence[Sequence[int]]) -> "PartiteHypergraph":
         """Edges with all coordinates inside the chosen per-part subsets.
@@ -289,12 +268,6 @@ class PartiteHypergraph:
 
     def is_complete(self) -> bool:
         return self.edge_count == self.total_tuples and self.edge_count > 0
-
-
-def build_hypergraph(
-    r: int, part_sizes: Sequence[int], edge_list: Iterable[Sequence[int]]
-) -> PartiteHypergraph:
-    return PartiteHypergraph.build(r, part_sizes, edge_list)
 
 
 @dataclass(frozen=True)

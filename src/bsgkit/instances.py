@@ -29,7 +29,7 @@ from .extraction import (
     verification_supports,
 )
 from .groups import GroupElem, GroupSpec, make_group
-from .hypergraph import Instance, PartiteHypergraph
+from .hypergraph import Instance, PartiteHypergraph, tuple_total
 from .jsonio import frac_str
 from .octopus import octopus_count_relaxed
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
@@ -152,20 +152,16 @@ def _random_element(spec: GroupSpec, rng: SplitMix64, free_span: int) -> GroupEl
     return tuple(coords)
 
 
-def _lex_tuple(shape: Sequence[int], index: int) -> tuple[int, ...]:
-    out = []
-    for s in reversed(shape):
-        out.append(index % s)
-        index //= s
-    return tuple(reversed(out))
-
-
 def gen_instance(cfg: GenConfig) -> Instance:
-    """Deterministically generate the configured instance."""
+    """Deterministically generate the configured instance.
+
+    Index tuples come from one lexicographic stream, product over the part
+    ranges; the dense family removes tuples by their position in it.
+    """
     cfg.validate()
+    total = tuple_total(cfg.sizes)
     spec = make_group(cfg.moduli)
     rng = SplitMix64(cfg.seed)
-    total = math.prod(cfg.sizes)
 
     if cfg.family in ("complete", "random-density", "dense"):
         parts = [
@@ -189,43 +185,38 @@ def gen_instance(cfg: GenConfig) -> Instance:
             parts.append(ElemSet(spec, tuple(sorted(elems))))
 
     sizes = tuple(len(p) for p in parts)
+    ranges = tuple(map(range, sizes))
     if cfg.family == "complete":
         hg = PartiteHypergraph.complete(sizes)
     elif cfg.family == "random-density":
         target = math.ceil(Fraction(total) / cfg.k)
         keep_num, keep_den = (1 / cfg.k).numerator, (1 / cfg.k).denominator
-        kept = []
-        for idx in range(total):
-            u = rng.next_u64()
-            # keep with probability 1/k, exactly: u/2^64 < 1/k
-            if u * keep_den < (1 << 64) * keep_num:
-                kept.append(idx)
-        kept_set = set(kept)
-        if len(kept) > target:
-            kept = kept[: target]  # drop lex-largest kept tuples
-        elif len(kept) < target:
-            for idx in range(total):
-                if idx not in kept_set:
-                    kept.append(idx)
-                    if len(kept) == target:
+        # keep with probability 1/k, exactly: u/2^64 < 1/k
+        edges = [
+            e for e in product(*ranges) if rng.next_u64() * keep_den < (1 << 64) * keep_num
+        ]
+        if len(edges) > target:
+            edges = edges[:target]  # drop lex-largest kept tuples
+        elif len(edges) < target:
+            kept = set(edges)
+            for e in product(*ranges):
+                if e not in kept:
+                    edges.append(e)
+                    if len(edges) == target:
                         break
-            kept.sort()
-        edges = [_lex_tuple(sizes, idx) for idx in kept]
         hg = PartiteHypergraph.build(cfg.r, sizes, edges)
     elif cfg.family == "planted":
         window = math.ceil(cfg.target_c * max(cfg.sizes))
         target_set = {_ap_element(spec, j) for j in range(window)}
-        edges = []
-        for idx in range(total):
-            e = _lex_tuple(sizes, idx)
-            s = spec.sum(parts[i].elems[v] for i, v in enumerate(e))
-            if s in target_set:
-                edges.append(e)
+        edges = [
+            e
+            for e in product(*ranges)
+            if spec.sum(parts[i].elems[v] for i, v in enumerate(e)) in target_set
+        ]
         floor = math.ceil(total * cfg.ap_fraction**cfg.r)
         if len(edges) < floor:
             present = set(edges)
-            for idx in range(total):
-                e = _lex_tuple(sizes, idx)
+            for e in product(*ranges):
                 if e not in present:
                     edges.append(e)
                     if len(edges) >= floor:
@@ -236,9 +227,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
         removed: set[int] = set()
         while len(removed) < remove_count:
             removed.add(rng.next_below(total))
-        edges = [
-            _lex_tuple(sizes, idx) for idx in range(total) if idx not in removed
-        ]
+        edges = [e for idx, e in enumerate(product(*ranges)) if idx not in removed]
         hg = PartiteHypergraph.build(cfg.r, sizes, edges)
 
     return Instance(spec, tuple(parts), hg, meta=cfg.meta())
@@ -340,7 +329,8 @@ def check_bounds(
 
     supports, exhaustive = verification_supports(result.subsets)
     counts = [octopus_count_relaxed(h, sup) for sup in supports]
-    return ledger(inst, result, min(counts), len(counts), exhaustive)
+    restricted_size = None if mode == "dense" else len(restricted_sumset(inst))
+    return ledger(inst, result, restricted_size, min(counts), len(counts), exhaustive)
 
 
 def check_representations(
@@ -380,13 +370,13 @@ def check_representations(
     per_s_rhs_pow = l_param**r * Fraction(total) ** (2 * r - 2)
     rows: list[Inequality] = []
     worst: tuple[int, GroupElem] | None = None
-    all_pass = True
+    all_reach = True
     for s in sorted(reps):
         count = table.get(s, 0)
         if worst is None or count < worst[0]:
             worst = (count, s)
         if Fraction(count) ** r < per_s_rhs_pow:
-            all_pass = False
+            all_reach = False
     assert worst is not None
     rows.append(
         check_ge(
@@ -399,7 +389,7 @@ def check_representations(
     rows.append(
         check_eq(
             "representation-count-all-pass",
-            1 if all_pass else 0,
+            1 if all_reach else 0,
             1,
             "every per-sum count reached the floor",
         )

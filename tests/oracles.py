@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the test modules.
 
 Nothing here reuses production counting code: legs are recounted by scanning
-full index grids against the edge set, octopuses by enumerating every
+full index grids against a set of the edges, built once per call, octopuses by enumerating every
 candidate (mates, interiors) combination with explicit (part, vertex) set
 checks, and codegrees by scanning all right tuples.
 """
@@ -10,6 +10,10 @@ from itertools import product
 
 
 def oracle_leg_count(h, part, v, w):
+    return _leg_count(h, frozenset(h.edges), part, v, w)
+
+
+def _leg_count(h, edges, part, v, w):
     ranges = [range(s) for i, s in enumerate(h.part_sizes) if i != part]
     count = 0
     for rest in product(*ranges):
@@ -23,28 +27,29 @@ def oracle_leg_count(h, part, v, w):
                 u = next(it)
                 edge_v.append(u)
                 edge_w.append(u)
-        if tuple(edge_v) in h.edge_set and tuple(edge_w) in h.edge_set:
+        if tuple(edge_v) in edges and tuple(edge_w) in edges:
             count += 1
     return count
 
 
 def oracle_relaxed(h, support):
     r = h.r
+    edges = frozenset(h.edges)
     total = 0
     ranges = [range(s) for s in h.part_sizes[: r - 1]]
     for mates in product(*ranges):
-        if tuple(mates) + (support[-1],) not in h.edge_set:
+        if tuple(mates) + (support[-1],) not in edges:
             continue
         if any(mates[i] == support[i] for i in range(r - 1)):
             continue
         prod_val = 1
         for i in range(r - 1):
-            prod_val *= oracle_leg_count(h, i, support[i], mates[i])
+            prod_val *= _leg_count(h, edges, i, support[i], mates[i])
         total += prod_val
     return total
 
 
-def _leg_fills(h, part, v, w):
+def _leg_fills(h, edges, part, v, w):
     grids = [range(h.part_sizes[j]) for j in range(h.r) if j != part]
     valid = []
     for fill in product(*grids):
@@ -52,7 +57,7 @@ def _leg_fills(h, part, v, w):
         ev = tuple(v if j == part else next(it) for j in range(h.r))
         it = iter(fill)
         ew = tuple(w if j == part else next(it) for j in range(h.r))
-        if ev in h.edge_set and ew in h.edge_set:
+        if ev in edges and ew in edges:
             valid.append(fill)
     return valid
 
@@ -60,17 +65,20 @@ def _leg_fills(h, part, v, w):
 def oracle_exact(h, support, mode):
     """Recursive enumerator over every candidate witness."""
     r = h.r
+    edges = frozenset(h.edges)
     count = 0
     mate_ranges = [range(s) for s in h.part_sizes[: r - 1]]
     for mates in product(*mate_ranges):
-        if tuple(mates) + (support[-1],) not in h.edge_set:
+        if tuple(mates) + (support[-1],) not in edges:
             continue
         if any(mates[i] == support[i] for i in range(r - 1)):
             continue
         named = {(i, support[i]) for i in range(r)} | {
             (i, mates[i]) for i in range(r - 1)
         }
-        fill_lists = [_leg_fills(h, i, support[i], mates[i]) for i in range(r - 1)]
+        fill_lists = [
+            _leg_fills(h, edges, i, support[i], mates[i]) for i in range(r - 1)
+        ]
 
         def leg_set(i, fill):
             vs = {(i, support[i]), (i, mates[i])}
@@ -102,12 +110,13 @@ def oracle_exact(h, support, mode):
 
 
 def brute_codegree(h, part, v, w):
+    edges = frozenset(h.edges)
     count = 0
     ranges = [range(s) for i, s in enumerate(h.part_sizes) if i != part]
     for rest in product(*ranges):
         def with_vertex(x):
             it = iter(rest)
             return tuple(x if i == part else next(it) for i in range(h.r))
-        if with_vertex(v) in h.edge_set and with_vertex(w) in h.edge_set:
+        if with_vertex(v) in edges and with_vertex(w) in edges:
             count += 1
     return count

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,6 @@ import bsgkit
 import bsgkit.cli
 from bsgkit.cli import main
 from bsgkit.jsonio import canonical_dumps
-
-
-def run_cli(args):
-    return main(list(args))
 
 
 def gen_args(tmp_path, name="inst.json", family="complete", r=2, n=4, seed=1, extra=()):
@@ -28,11 +25,11 @@ def gen_args(tmp_path, name="inst.json", family="complete", r=2, n=4, seed=1, ex
 
 def test_gen_and_measure(tmp_path, capsys):
     args, out = gen_args(tmp_path)
-    assert run_cli(args) == 0
+    assert main(args) == 0
     payload = json.loads(out.read_text())
     assert payload["edges"] == "complete"
     assert payload["meta"]["algorithm"] == "splitmix64"
-    assert run_cli(["measure", "--instance", str(out)]) == 0
+    assert main(["measure", "--instance", str(out)]) == 0
     measured = json.loads(capsys.readouterr().out)
     assert measured["K"] == "1"
 
@@ -42,16 +39,16 @@ def test_gen_deterministic_bytes(tmp_path):
                            n=8, seed=3, extra=("--K", "2"))
     args2, out2 = gen_args(tmp_path, "b.json", family="random-density",
                            n=8, seed=3, extra=("--K", "2"))
-    assert run_cli(args1) == 0
-    assert run_cli(args2) == 0
+    assert main(args1) == 0
+    assert main(args2) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_extract_verify_roundtrip(tmp_path, capsys):
     args, inst = gen_args(tmp_path)
-    run_cli(args)
+    main(args)
     report = tmp_path / "report.json"
-    code = run_cli([
+    code = main([
         "extract", "--instance", str(inst), "--mode", "general",
         "--K", "1", "--out", str(report),
     ])
@@ -62,7 +59,7 @@ def test_extract_verify_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
     verdict = tmp_path / "verdict.json"
-    code = run_cli([
+    code = main([
         "verify", "--instance", str(inst), "--result", str(report),
         "--mode", "general", "--out", str(verdict),
     ])
@@ -73,7 +70,7 @@ def test_extract_verify_roundtrip(tmp_path, capsys):
 def test_extract_dense_and_almost_all(tmp_path, monkeypatch):
     args, inst = gen_args(tmp_path, family="dense", n=10, seed=2,
                           extra=("--delta", "1/500"))
-    run_cli(args)
+    main(args)
 
     # every extract report comes from the quantities the pipeline recorded
     def refuse(*args, **kwargs):
@@ -82,7 +79,7 @@ def test_extract_dense_and_almost_all(tmp_path, monkeypatch):
     monkeypatch.setattr(bsgkit.cli, "check_bounds", refuse)
     for mode in ("dense", "almost-all"):
         report = tmp_path / f"{mode}.json"
-        code = run_cli([
+        code = main([
             "extract", "--instance", str(inst), "--mode", mode,
             "--eps", "1/25", "--delta", "auto", "--out", str(report),
         ])
@@ -92,11 +89,11 @@ def test_extract_dense_and_almost_all(tmp_path, monkeypatch):
 
 def test_count_command(tmp_path, capsys):
     args, inst = gen_args(tmp_path, n=3)
-    run_cli(args)
-    assert run_cli(["count", "--instance", str(inst), "--support", "0,0"]) == 0
+    main(args)
+    assert main(["count", "--instance", str(inst), "--support", "0,0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"relaxed": "6"}
-    assert run_cli([
+    assert main([
         "count", "--instance", str(inst), "--support", "0,0", "--exact", "full",
     ]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -109,15 +106,15 @@ def test_energy_and_sumset_commands(tmp_path, capsys):
     setfile.write_text(canonical_dumps(
         {"group": {"moduli": [0]}, "elems": [[0], [1], [2]]}
     ))
-    assert run_cli(["energy", "--set", str(setfile)]) == 0
+    assert main(["energy", "--set", str(setfile)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"doubling": "5/3", "energy": "19", "size": 5}
 
-    assert run_cli(["sumset", "--set", str(setfile), "--set", str(setfile)]) == 0
+    assert main(["sumset", "--set", str(setfile), "--set", str(setfile)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["size"] == 5  # {0..4}
     combined = tmp_path / "combined.json"
-    assert run_cli([
+    assert main([
         "sumset", "--set", str(setfile), "--set", str(setfile),
         "--out", str(combined),
     ]) == 0
@@ -128,16 +125,16 @@ def test_energy_and_sumset_commands(tmp_path, capsys):
 
 def test_report_command(tmp_path, capsys):
     args, inst = gen_args(tmp_path)
-    run_cli(args)
+    main(args)
     report = tmp_path / "report.json"
-    run_cli([
+    main([
         "extract", "--instance", str(inst), "--K", "1", "--out", str(report),
     ])
-    assert run_cli(["report", "--report", str(report)]) == 0
+    assert main(["report", "--report", str(report)]) == 0
     text = capsys.readouterr().out
     assert "overall: PASS" in text
     csv_path = tmp_path / "rows.csv"
-    assert run_cli(["report", "--report", str(report), "--csv", str(csv_path)]) == 0
+    assert main(["report", "--report", str(report), "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "name,relation,lhs,rhs,pass"
     assert len(lines) > 1
@@ -149,17 +146,42 @@ _FAILING_ROW = {"name": "a", "relation": ">=", "lhs": "0", "rhs": "1", "pass": F
 def test_report_judges_rows_without_overall(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"inequalities": [_FAILING_ROW]}))
-    assert run_cli(["report", "--report", str(path)]) == 2
+    assert main(["report", "--report", str(path)]) == 2
     assert capsys.readouterr().out.endswith("overall: FAIL\n")
 
 
 def test_exit_code_usage():
-    assert run_cli(["--bogus-flag"]) == 64
-    assert run_cli(["extract", "--no-such"]) == 64
+    assert main(["--bogus-flag"]) == 64
+    assert main(["extract", "--no-such"]) == 64
 
 
 def test_exit_code_error(tmp_path):
-    assert run_cli(["measure", "--instance", str(tmp_path / "missing.json")]) == 1
+    assert main(["measure", "--instance", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("source", ["instance-file", "gen"])
+def test_tuple_cap_fails_typed_before_allocating(tmp_path, capsys, source):
+    # 101^3 = 1,030,301 index tuples, just above the 10^6 cap
+    out = tmp_path / "out.json"
+    if source == "gen":
+        argv = ["gen", "--family", "complete", "--r", "3", "--n", "101",
+                "--seed", "1", "--out", str(out)]
+    else:
+        inst = tmp_path / "big.json"
+        parts = [[[v] for v in range(101)] for _ in range(3)]
+        inst.write_text(json.dumps(
+            {"group": {"moduli": [0]}, "parts": parts, "edges": "complete"}))
+        argv = ["measure", "--instance", str(inst), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "bsgkit: error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 10 * 2**20  # bytes; building the tuples would take ~100 MB
 
 
 @pytest.mark.parametrize(
@@ -193,7 +215,7 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     bad.write_text(json.dumps(payload))
     if command == "verify":
         args, inst = gen_args(tmp_path)
-        run_cli(args)
+        main(args)
         argv = ["verify", "--instance", str(inst), "--result", str(bad),
                 "--mode", "general"]
     elif command == "energy":
@@ -203,7 +225,7 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     else:
         argv = ["measure", "--instance", str(bad)]
     capsys.readouterr()
-    assert run_cli(argv) == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("bsgkit: error:") and str(bad) in err
     assert "Traceback" not in err
@@ -211,9 +233,9 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
 
 def test_exit_code_check_failed(tmp_path, capsys):
     args, inst = gen_args(tmp_path)
-    run_cli(args)
+    main(args)
     report = tmp_path / "report.json"
-    run_cli(["extract", "--instance", str(inst), "--K", "1", "--out", str(report)])
+    main(["extract", "--instance", str(inst), "--K", "1", "--out", str(report)])
     capsys.readouterr()
     # tamper with the stored subsets so verification of sizes fails
     payload = json.loads(report.read_text())
@@ -222,15 +244,15 @@ def test_exit_code_check_failed(tmp_path, capsys):
     bad.write_text(canonical_dumps(payload))
     # n=4 gives floor 4/8 < 1, so shrink the instance check instead: use n=16
     args16, inst16 = gen_args(tmp_path, name="i16.json", n=16)
-    run_cli(args16)
+    main(args16)
     rep16 = tmp_path / "r16.json"
-    run_cli(["extract", "--instance", str(inst16), "--K", "1", "--out", str(rep16)])
+    main(["extract", "--instance", str(inst16), "--K", "1", "--out", str(rep16)])
     capsys.readouterr()
     payload = json.loads(rep16.read_text())
     payload["result"]["subsets"][0] = [0]
     bad16 = tmp_path / "t16.json"
     bad16.write_text(canonical_dumps(payload))
-    code = run_cli([
+    code = main([
         "verify", "--instance", str(inst16), "--result", str(bad16),
         "--mode", "general",
     ])
@@ -239,19 +261,19 @@ def test_exit_code_check_failed(tmp_path, capsys):
 
 def test_rejects_decimal_rationals(tmp_path):
     args, inst = gen_args(tmp_path)
-    run_cli(args)
-    code = run_cli(["extract", "--instance", str(inst), "--K", "0.5"])
+    main(args)
+    code = main(["extract", "--instance", str(inst), "--K", "0.5"])
     assert code == 64
 
 
 def test_workers_do_not_change_bytes(tmp_path):
     args, inst = gen_args(tmp_path, family="random-density", n=12, seed=5,
                           extra=("--K", "2"))
-    run_cli(args)
+    main(args)
     outs = []
     for workers in (1, 4):
         report = tmp_path / f"w{workers}.json"
-        code = run_cli([
+        code = main([
             "extract", "--instance", str(inst), "--K", "2",
             "--workers", str(workers), "--out", str(report),
         ])
@@ -262,7 +284,7 @@ def test_workers_do_not_change_bytes(tmp_path):
 
 def test_module_entry_point(tmp_path):
     args, inst = gen_args(tmp_path)
-    run_cli(args)
+    main(args)
     # `-m` searches the working directory first: run this process's bsgkit
     proc = subprocess.run(
         [sys.executable, "-m", "bsgkit", "measure", "--instance", str(inst)],

@@ -16,7 +16,7 @@ import bsgkit
 from bsgkit.cli import main as cli_main
 from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
-from bsgkit.hypergraph import PartiteHypergraph, build_hypergraph
+from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.octopus import octopus_count_relaxed, relaxed_count_table
 
@@ -40,7 +40,7 @@ def test_table_matches_counter(r):
         e for e in itertools.product(*(range(s) for s in sizes))
         if e[-1] != isolated and rng.random() < 0.6
     ]
-    h = build_hypergraph(r, sizes, edges)
+    h = PartiteHypergraph.build(r, sizes, edges)
     subsets = [range(0, s, 2) for s in sizes]
     table = relaxed_count_table(h, subsets)
     assert len(table) == math.prod(len(sub) for sub in subsets)
@@ -92,7 +92,7 @@ def _lopsided_bipartite():
     # 1..12; left 6 and 7 see only the hub, so their pairs have codegree 1.
     edges = [(v, 0) for v in range(8)]
     edges += [(v, z) for v in range(6) for z in range(1, 13)]
-    return build_hypergraph(2, (8, 16), edges).flatten(0)
+    return PartiteHypergraph.build(2, (8, 16), edges).flatten(0)
 
 
 def test_drc_deletion_repair_fires_and_verifies():

@@ -23,7 +23,7 @@ from bsgkit.extraction import (
     octopus_extract,
     verify_relaxed_counts,
 )
-from bsgkit.hypergraph import PartiteHypergraph, build_hypergraph
+from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
 from bsgkit.octopus import eps_good_threshold, octopus_count_relaxed
@@ -39,14 +39,14 @@ def test_drc_complete():
 
 
 def test_drc_density_too_low():
-    g = build_hypergraph(2, (4, 4), [(0, 0)]).flatten(0)
+    g = PartiteHypergraph.build(2, (4, 4), [(0, 0)]).flatten(0)
     with pytest.raises(DensityTooLowError):
         drc_extract(g, Fraction(2), Fraction(1, 4))
 
 
 def test_drc_k66_minus_matching():
     edges = [(i, j) for i in range(6) for j in range(6) if i != j]
-    g = build_hypergraph(2, (6, 6), edges).flatten(0)
+    g = PartiteHypergraph.build(2, (6, 6), edges).flatten(0)
     out = drc_extract(g, Fraction(6, 5), Fraction(1, 4))
     assert len(out.u) >= 3
     # independent verification of both conditions
@@ -62,7 +62,7 @@ def test_drc_k66_minus_matching():
 
 
 def g_to_h(edges):
-    return build_hypergraph(2, (6, 6), edges)
+    return PartiteHypergraph.build(2, (6, 6), edges)
 
 
 def test_iterate_complete():
@@ -73,7 +73,7 @@ def test_iterate_complete():
 
 
 def test_iterate_density_too_low():
-    h = build_hypergraph(3, (3, 3, 3), [(0, 0, 0)])
+    h = PartiteHypergraph.build(3, (3, 3, 3), [(0, 0, 0)])
     with pytest.raises(DensityTooLowError):
         iterate_extract(h, 0, Fraction(2), Fraction(1, 4))
 
@@ -116,7 +116,7 @@ def test_octopus_extract_complete_r2():
 
 
 def test_octopus_extract_density_too_low():
-    h = build_hypergraph(2, (4, 4), [(0, 0), (1, 1)])
+    h = PartiteHypergraph.build(2, (4, 4), [(0, 0), (1, 1)])
     inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
     from bsgkit.hypergraph import Instance
 
@@ -254,6 +254,28 @@ def test_bsg_extract_hypothesis_violated():
     inst = gen_instance(GenConfig.make(r=2, n=10, family="complete", seed=0))
     with pytest.raises(HypothesisViolatedError):
         bsg_extract(inst, Fraction(1), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "c_general, c_linear",
+    [("measured", "measured"), (Fraction(64), Fraction(8))],
+    ids=["measured", "claimed"],
+)
+def test_pipelines_compute_the_restricted_sumset_once(monkeypatch, c_general, c_linear):
+    calls = []
+    real = extraction.restricted_sumset
+
+    def counted(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(extraction, "restricted_sumset", counted)
+    inst = gen_instance(GenConfig.make(r=2, n=10, family="complete", seed=0))
+    bsg_extract(inst, Fraction(1), c_general)
+    assert len(calls) == 1
+    calls.clear()
+    almost_all_extract(inst, c_linear, Fraction(1, 25))
+    assert len(calls) == 1
 
 
 def test_bsg_extract_planted_margins():

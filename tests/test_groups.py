@@ -6,15 +6,7 @@ import random
 import pytest
 
 from bsgkit.errors import InvalidModulusError, ShapeMismatchError
-from bsgkit.groups import (
-    GroupSpec,
-    add,
-    elem_from_json,
-    elem_to_json,
-    make_group,
-    neg,
-    sum_tuple,
-)
+from bsgkit.groups import GroupSpec, elem_from_json, elem_to_json, make_group
 
 SPEC_FAMILIES = [
     (5,),
@@ -40,32 +32,32 @@ def test_make_group_examples():
 
 def test_add_examples():
     z5 = make_group([5])
-    assert add(z5, (3,), (4,)) == (2,)
+    assert z5.add((3,), (4,)) == (2,)
     z = make_group([0])
-    assert add(z, (7,), (-7,)) == (0,)
+    assert z.add((7,), (-7,)) == (0,)
     z2z = make_group([2, 0])
-    assert add(z2z, (1, 3), (1, 4)) == (0, 7)
+    assert z2z.add((1, 3), (1, 4)) == (0, 7)
     with pytest.raises(ShapeMismatchError):
-        add(z5, (1, 2), (0,))
+        z5.add((1, 2), (0,))
 
 
 def test_neg_examples():
     z5 = make_group([5])
-    assert neg(z5, (2,)) == (3,)
+    assert z5.neg((2,)) == (3,)
     z = make_group([0])
-    assert neg(z, (0,)) == (0,)
+    assert z.neg((0,)) == (0,)
     z2z = make_group([2, 0])
-    assert neg(z2z, (1, -4)) == (1, 4)
+    assert z2z.neg((1, -4)) == (1, 4)
     with pytest.raises(ShapeMismatchError):
-        neg(z5, (1, 2))
+        z5.neg((1, 2))
 
 
 def test_sum_tuple_examples():
     z7 = make_group([7])
-    assert sum_tuple(z7, [(1,), (2,), (3,)]) == (6,)
-    assert sum_tuple(z7, []) == (0,)
+    assert z7.sum([(1,), (2,), (3,)]) == (6,)
+    assert z7.sum([]) == (0,)
     z5 = make_group([5])
-    assert sum_tuple(z5, [(4,), (4,), (4,)]) == (2,)
+    assert z5.sum([(4,), (4,), (4,)]) == (2,)
 
 
 def _random_elem(spec, rnd):
@@ -93,7 +85,6 @@ def test_group_laws_randomized(moduli):
         # results already canonical: re-canonicalization is a no-op
         s = spec.add(a, b)
         assert spec.canon(s) == s
-        assert spec.is_canonical(s)
 
 
 def test_canonical_form_maintained():

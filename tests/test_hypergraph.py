@@ -1,20 +1,23 @@
-"""Hypergraph storage and queries: build, density, degree, link, flattening,
-codegree, pruning, inducing, and the instance JSON format."""
+"""Hypergraph storage and queries: build, density, degree, flattening,
+codegree, inducing, the tuple cap, and the instance JSON format."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from bsgkit.config import TUPLE_CAP
 from bsgkit.errors import (
     ArityMismatchError,
     ConfigInvalidError,
     EmptyPartError,
     IndexOutOfRangeError,
     NoEdgesError,
+    TooLargeError,
 )
 from bsgkit.groups import make_group
-from bsgkit.hypergraph import Instance, PartiteHypergraph, build_hypergraph
+from bsgkit.hypergraph import Instance, PartiteHypergraph, tuple_total
 from bsgkit.instances import GenConfig, gen_instance
 from bsgkit.jsonio import canonical_dumps
 from bsgkit.sumsets import ElemSet
@@ -23,30 +26,30 @@ Z = make_group([0])
 
 
 def k22():
-    return build_hypergraph(2, (2, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
+    return PartiteHypergraph.build(2, (2, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_build_examples():
     h = k22()
     assert h.edge_count == 4
-    dup = build_hypergraph(2, (2, 2), [(0, 0), (0, 0)])
+    dup = PartiteHypergraph.build(2, (2, 2), [(0, 0), (0, 0)])
     assert dup.edge_count == 1
     with pytest.raises(IndexOutOfRangeError):
-        build_hypergraph(2, (2, 2), [(0, 5)])
+        PartiteHypergraph.build(2, (2, 2), [(0, 5)])
     with pytest.raises(ArityMismatchError):
-        build_hypergraph(2, (2, 2), [(0, 0, 0)])
+        PartiteHypergraph.build(2, (2, 2), [(0, 0, 0)])
     with pytest.raises(ArityMismatchError):
-        build_hypergraph(1, (2,), [])
+        PartiteHypergraph.build(1, (2,), [])
 
 
 def test_density_and_measured_k():
     h = k22()
     assert h.density() == 1
     assert h.measured_k() == 1
-    minus = build_hypergraph(2, (2, 2), [(0, 0), (0, 1), (1, 0)])
+    minus = PartiteHypergraph.build(2, (2, 2), [(0, 0), (0, 1), (1, 0)])
     assert minus.density() == Fraction(3, 4)
     assert minus.measured_k() == Fraction(4, 3)
-    empty = build_hypergraph(2, (2, 2), [])
+    empty = PartiteHypergraph.build(2, (2, 2), [])
     with pytest.raises(NoEdgesError):
         empty.measured_k()
     degenerate = PartiteHypergraph(2, (0, 2), ())
@@ -58,7 +61,7 @@ def test_degree_examples():
     comp = PartiteHypergraph.complete((3, 4, 5))
     assert comp.degree(0, 1) == 20
     assert comp.degree(2, 0) == 12
-    single = build_hypergraph(3, (3, 4, 5), [(1, 2, 3)])
+    single = PartiteHypergraph.build(3, (3, 4, 5), [(1, 2, 3)])
     assert single.degree(0, 1) == 1
     assert single.degree(0, 0) == 0
     with pytest.raises(IndexOutOfRangeError):
@@ -74,22 +77,8 @@ def test_degree_sum_invariant():
         assert sum(h.degree(i, v) for v in range(h.part_sizes[i])) == h.edge_count
 
 
-def test_link_examples():
-    comp = PartiteHypergraph.complete((2, 3, 4))
-    lk = comp.link(1, 0)
-    assert lk.r == 2
-    assert lk.part_sizes == (2, 4)
-    assert lk.edge_count == 8  # complete on the remaining parts
-    # r=2: link is the neighborhood set
-    h = build_hypergraph(2, (3, 3), [(0, 1), (0, 2), (1, 1)])
-    nbrs = h.link(0, 0)
-    assert nbrs.edges == ((1,), (2,))
-    empty = build_hypergraph(2, (3, 3), [])
-    assert empty.link(0, 0).edge_count == 0
-
-
 def test_flatten_examples():
-    h = build_hypergraph(2, (2, 3), [(0, 1), (1, 2)])
+    h = PartiteHypergraph.build(2, (2, 3), [(0, 1), (1, 2)])
     flat = h.flatten(1)
     assert flat.left_size == 3
     assert flat.right_shape == (2,)
@@ -98,7 +87,7 @@ def test_flatten_examples():
     f0 = comp.flatten(0)
     assert f0.right_size == 4
     assert all(f0.degree(v) == 4 for v in range(2))
-    single = build_hypergraph(3, (2, 2, 2), [(1, 0, 1)])
+    single = PartiteHypergraph.build(3, (2, 2, 2), [(1, 0, 1)])
     fs = single.flatten(0)
     assert fs.edge_count == 1
     assert fs.degree(1) == 1 and fs.degree(0) == 0
@@ -116,19 +105,24 @@ def test_flatten_preserves_edge_count_random():
 def test_flatten_label_roundtrip():
     comp = PartiteHypergraph.complete((2, 3, 4))
     flat = comp.flatten(1)
-    for idx in range(flat.right_size):
-        assert flat.right_index(flat.right_label(idx)) == idx
-    assert flat.right_label(0) == (0, 0)
-
+    labels = list(itertools.product(range(2), range(4)))
+    assert [flat.right_label(idx) for idx in range(flat.right_size)] == labels
+    # flatten sets the bit whose label is the edge without its part-1 vertex
+    h = PartiteHypergraph.build(3, (2, 3, 4), [(1, 0, 2), (0, 2, 3)])
+    flat = h.flatten(1)
+    for e in h.edges:
+        mask = flat.adj[e[1]]
+        bits = [flat.right_label(i) for i in range(flat.right_size) if mask >> i & 1]
+        assert bits == [(e[0], e[2])]
 
 def test_codegree_examples():
     knm = PartiteHypergraph.complete((4, 3)).flatten(0)
     assert knm.codegree(0, 2) == 3
-    matching = build_hypergraph(2, (3, 3), [(i, i) for i in range(3)]).flatten(0)
+    matching = PartiteHypergraph.build(2, (3, 3), [(i, i) for i in range(3)]).flatten(0)
     assert matching.codegree(0, 1) == 0
     k23 = [(i, j) for i in range(2) for j in range(3)]
     k23.remove((0, 2))
-    g = build_hypergraph(2, (2, 3), k23).flatten(0)
+    g = PartiteHypergraph.build(2, (2, 3), k23).flatten(0)
     assert g.codegree(0, 1) == 2
     assert g.codegree(1, 0) == 2  # symmetry
     assert g.codegree(1, 1) == g.degree(1)
@@ -144,35 +138,6 @@ def test_codegree_symmetry_random():
     for v in range(8):
         for w in range(8):
             assert flat.codegree(v, w) == flat.codegree(w, v)
-
-
-def test_prune_examples():
-    h = build_hypergraph(2, (2, 2), [(0, 0), (0, 1), (1, 0)])
-    same, survivors = h.prune_low_degree(0, Fraction(0))
-    assert survivors == (0, 1)
-    assert same.edges == h.edges
-    pruned, survivors = h.prune_low_degree(0, Fraction(2))
-    assert survivors == (0,)
-    assert pruned.part_sizes == (1, 2)
-    assert pruned.edge_count == 2
-    gone, survivors = h.prune_low_degree(0, Fraction(99))
-    assert survivors == ()
-    assert gone.edge_count == 0
-
-
-def test_prune_density_never_decreases():
-    for seed in range(6):
-        inst = gen_instance(
-            GenConfig.make(r=2, n=8, family="random-density", seed=seed, k=Fraction(2))
-        )
-        h = inst.hypergraph
-        base = h.density()
-        flat = h.flatten(0)
-        z = flat.right_size
-        threshold = Fraction(z, 2 * 2)  # prune below |Z|/(2K) with K=2
-        pruned, survivors = h.prune_low_degree(0, threshold)
-        if survivors and all(s > 0 for s in pruned.part_sizes):
-            assert pruned.density() >= base
 
 
 def test_induce_examples():
@@ -193,8 +158,27 @@ def _small_instance():
         ElemSet.from_iterable(Z, [(v,) for v in vals])
         for vals in ([0, 1, 3], [0, 2])
     )
-    hg = build_hypergraph(2, (3, 2), [(0, 0), (2, 1)])
+    hg = PartiteHypergraph.build(2, (3, 2), [(0, 0), (2, 1)])
     return Instance(Z, parts, hg)
+
+
+def test_tuple_cap_is_checked_before_allocation():
+    assert tuple_total((TUPLE_CAP,)) == TUPLE_CAP
+    over = (1001, 1000)  # just above the 10^6 cap
+    with pytest.raises(TooLargeError):
+        tuple_total(over)
+    with pytest.raises(TooLargeError):
+        PartiteHypergraph.complete(over)
+    with pytest.raises(TooLargeError):
+        PartiteHypergraph.build(2, over, [])  # the declared product counts
+    for family, params in [
+        ("complete", {}),
+        ("random-density", {"k": Fraction(2)}),
+        ("planted", {"ap_fraction": Fraction(1, 2), "target_c": Fraction(2)}),
+        ("dense", {"delta": Fraction(1, 100)}),
+    ]:
+        with pytest.raises(TooLargeError):
+            gen_instance(GenConfig.make(r=2, n=over, family=family, seed=1, **params))
 
 
 def test_instance_validation():
@@ -240,5 +224,5 @@ def test_instance_json_rejects_unsorted_parts():
 
 
 def test_canonical_edge_order():
-    h = build_hypergraph(2, (3, 3), [(2, 1), (0, 2), (0, 1)])
+    h = PartiteHypergraph.build(2, (3, 3), [(2, 1), (0, 2), (0, 1)])
     assert h.edges == ((0, 1), (0, 2), (2, 1))

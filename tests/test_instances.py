@@ -21,7 +21,7 @@ from bsgkit.extraction import (
     dense_extract,
 )
 from bsgkit.groups import make_group
-from bsgkit.hypergraph import Instance, PartiteHypergraph, build_hypergraph
+from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.instances import (
     GenConfig,
     brute_force_best_subsets,
@@ -172,7 +172,7 @@ def test_check_bounds_recounts_instead_of_trusting_the_trace():
         ElemSet.from_iterable(spec, [(v,) for v in range(n)]) for _ in range(2)
     )
     edges = [(i, j) for i in range(n) for j in range(n - 1)]
-    inst = Instance(spec, parts, build_hypergraph(2, (n, n), edges))
+    inst = Instance(spec, parts, PartiteHypergraph.build(2, (n, n), edges))
     res, report = bsg_extract(inst, "measured", "measured")
     assert report.overall and n - 1 not in res.subsets[1]
     tampered = ExtractionResult(

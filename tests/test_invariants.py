@@ -20,16 +20,13 @@ from bsgkit.sumsets import restricted_sumset
 
 def walk_count_r2(h, v1, v2):
     """Walks v1 - u - w1 - v2 with v1 != w1 and all three edges present."""
+    edges = frozenset(h.edges)
     count = 0
     for u in range(h.part_sizes[1]):
         for w1 in range(h.part_sizes[0]):
             if w1 == v1:
                 continue
-            if (
-                (v1, u) in h.edge_set
-                and (w1, u) in h.edge_set
-                and (w1, v2) in h.edge_set
-            ):
+            if (v1, u) in edges and (w1, u) in edges and (w1, v2) in edges:
                 count += 1
     return count
 

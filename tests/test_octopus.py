@@ -19,7 +19,7 @@ from bsgkit.errors import (
     SameVertexError,
 )
 from bsgkit.groups import make_group
-from bsgkit.hypergraph import PartiteHypergraph, build_hypergraph
+from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, gen_instance
 from bsgkit.octopus import (
     enumerate_octopus_witnesses,
@@ -76,11 +76,11 @@ def suite_instances():
 def test_leg_count_examples():
     comp = PartiteHypergraph.complete((3, 4, 5))
     assert leg_count(comp, 0, 0, 1) == 20
-    single = build_hypergraph(2, (3, 3), [(0, 0)])
+    single = PartiteHypergraph.build(2, (3, 3), [(0, 0)])
     assert leg_count(single, 0, 0, 1) == 0
     k33_minus = [(i, j) for i in range(3) for j in range(3)]
     k33_minus.remove((0, 2))
-    h = build_hypergraph(2, (3, 3), k33_minus)
+    h = PartiteHypergraph.build(2, (3, 3), k33_minus)
     assert leg_count(h, 0, 0, 1) == 2
     with pytest.raises(SameVertexError):
         leg_count(h, 0, 1, 1)
@@ -125,7 +125,7 @@ def test_leg_count_symmetry_and_oracle():
 
 def test_relaxed_examples():
     assert octopus_count_relaxed(k33(), (0, 0)) == 6
-    isolated = build_hypergraph(2, (3, 3), [(0, 0)])
+    isolated = PartiteHypergraph.build(2, (3, 3), [(0, 0)])
     assert octopus_count_relaxed(isolated, (0, 1)) == 0
     tiny = PartiteHypergraph.complete((1, 1))
     assert octopus_count_relaxed(tiny, (0, 0)) == 0
@@ -135,7 +135,7 @@ def test_exact_examples():
     h = k33()
     assert octopus_count_exact(h, (0, 0), mode="full") == 4
     assert octopus_count_exact(h, (0, 0), mode="named-only") == 6
-    single = build_hypergraph(2, (3, 3), [(0, 0)])
+    single = PartiteHypergraph.build(2, (3, 3), [(0, 0)])
     assert octopus_count_exact(single, (0, 0), mode="full") == 0
     assert octopus_count_exact(single, (0, 0), mode="named-only") == 0
     with pytest.raises(ConfigInvalidError):
@@ -177,10 +177,11 @@ def test_relaxed_table_matches_per_support():
 def test_witness_edges_and_validity():
     for inst in suite_instances()[:4]:
         h = inst.hypergraph
+        edges = frozenset(h.edges)
         sup = tuple(0 for _ in range(h.r))
         for wit in enumerate_octopus_witnesses(h, sup, mode="named-only"):
             for edge in wit.all_edges():
-                assert edge in h.edge_set
+                assert edge in edges
             for i in range(h.r - 1):
                 assert wit.support[i] != wit.mates[i]
 
