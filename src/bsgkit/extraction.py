@@ -409,7 +409,6 @@ def octopus_extract(
     if pivot_seed is not None:
         ambient_entry["pivot_seed"] = pivot_seed
     trace: list[dict] = [ambient_entry]
-    cur_maps: list[tuple[int, ...]] = [tuple(range(s)) for s in ambient]
     h_cur = h
     subsets: list[tuple[int, ...] | None] = [None] * r
 
@@ -417,14 +416,13 @@ def octopus_extract(
         p = stage
         k_param = (2**stage) * k
         it = iterate_extract(h_cur, p, k_param, eps, pivot_seed=pivot_seed)
-        local_map = cur_maps[p]
-        a_tilde = sorted(local_map[v] for v in it.u)
+        a_tilde = it.u
         trace.append(
             {
                 "kind": "prune",
                 "part": p,
                 "degree_floor": frac_str(it.degree_floor),
-                "survivors": sorted(local_map[v] for v in it.survivors),
+                "survivors": list(it.survivors),
             }
         )
         trace.append(
@@ -468,17 +466,10 @@ def octopus_extract(
         )
         subsets[p] = tuple(kept)
 
-        kept_set = set(kept)
-        kept_local = [
-            i for i, orig in enumerate(cur_maps[p]) if orig in kept_set
-        ]
+        # part p is still at its ambient size, so kept indexes h_cur too
         h_cur = h_cur.induce(
-            [
-                kept_local if j == p else list(range(h_cur.part_sizes[j]))
-                for j in range(r)
-            ]
+            [kept if j == p else range(h_cur.part_sizes[j]) for j in range(r)]
         )
-        cur_maps[p] = tuple(kept)
         stage_floor = Fraction(math.prod(h_cur.part_sizes)) / (
             2 ** (stage + 1) * k
         )

@@ -264,7 +264,8 @@ class PartiteHypergraph:
                 out.append(k)
             else:
                 new_edges.append(tuple(out))
-        return PartiteHypergraph(self.r, tuple(sizes), tuple(sorted(new_edges)))
+        # rank maps are increasing, so the kept edges stay lexicographic
+        return PartiteHypergraph(self.r, tuple(sizes), tuple(new_edges))
 
     def is_complete(self) -> bool:
         return self.edge_count == self.total_tuples and self.edge_count > 0

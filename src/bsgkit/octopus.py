@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .config import enum_budget
+from .config import DEFAULT_ENUM_BUDGET
 from .errors import (
     BudgetExceededError,
     ConfigInvalidError,
@@ -212,14 +212,13 @@ def enumerate_octopus_witnesses(
     vertex-disjoint; a leg interior vertex in the last part may coincide
     with the last anchor. full: additionally forbids that coincidence.
     Raises BudgetExceededError before enumerating if the candidate estimate
-    exceeds config.enum_budget(), which BSGKIT_CAPS can override.
+    exceeds DEFAULT_ENUM_BUDGET.
     """
     if mode not in _MODES:
         raise ConfigInvalidError(f"mode must be one of {_MODES}, got {mode!r}")
     sup = _check_support(h, support)
     r = h.r
     last = r - 1
-    cap = enum_budget()
 
     mate_edges = []
     for edge in h.edges_through(last, sup[last]):
@@ -229,8 +228,8 @@ def enumerate_octopus_witnesses(
 
     # The relaxed count bounds the witnesses before disjointness is enforced.
     estimate = octopus_count_relaxed(h, sup)
-    if estimate > cap:
-        raise BudgetExceededError(estimate, cap)
+    if estimate > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(estimate, DEFAULT_ENUM_BUDGET)
 
     other_parts = {i: [j for j in range(r) if j != i] for i in range(last)}
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .config import conv_cell_cap
+from .config import DEFAULT_CONV_CELL_CAP
 from .errors import EmptySetError, SpecMismatchError, UnsupportedGroupError
 from .groups import GroupElem, GroupSpec, elem_from_json, elem_to_json
 
@@ -112,11 +112,11 @@ def doubling_constant(a: ElemSet) -> Fraction:
 def sum_stats(a: ElemSet) -> SumStats:
     if len(a) == 0:
         raise EmptySetError("statistics of the empty set")
-    double = sumset(a, a)
+    hist = sum_histogram(a)
     return SumStats(
-        sumset_size=len(double),
-        doubling=Fraction(len(double), len(a)),
-        energy=additive_energy(a),
+        sumset_size=len(hist),
+        doubling=Fraction(len(hist), len(a)),
+        energy=sum(c * c for c in hist.values()),
     )
 
 
@@ -164,8 +164,7 @@ def representation_table(
 
     Computed by r plus-convolutions and r-1 minus-convolutions of the set's
     indicator histogram. Raises UnsupportedGroupError when free coordinates
-    make the bounding box of attainable sums exceed config.conv_cell_cap(),
-    which BSGKIT_CAPS can override.
+    make the bounding box of attainable sums exceed DEFAULT_CONV_CELL_CAP.
     """
     if r < 2:
         raise ValueError(f"arity must be >= 2, got {r}")
@@ -178,11 +177,10 @@ def representation_table(
     if not elems:
         return {}
     if any(m == 0 for m in spec.moduli):
-        cap = conv_cell_cap()
         cells = _free_box_cells(spec, elems, r)
-        if cells > cap:
+        if cells > DEFAULT_CONV_CELL_CAP:
             raise UnsupportedGroupError(
-                f"convolution bounding box has {cells} cells, cap is {cap}"
+                f"convolution bounding box has {cells} cells, cap is {DEFAULT_CONV_CELL_CAP}"
             )
     plus = {e: 1 for e in elems}
     minus = {spec.neg(e): 1 for e in elems}

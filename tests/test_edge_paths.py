@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bsgkit
+from bsgkit import octopus
 from bsgkit.cli import main as cli_main
 from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
@@ -113,33 +114,48 @@ def test_drc_deletion_repair_fires_and_verifies():
     assert Fraction(len(out.u)) >= Fraction(g.left_size) / (2 * k)
 
 
-def test_enum_budget_env_wiring(tmp_path, capsys, monkeypatch):
+def _count_exact_full(inst_path):
+    return cli_main([
+        "count", "--instance", str(inst_path),
+        "--support", "0,0,0", "--exact", "full",
+    ])
+
+
+def test_enum_budget_cli_wiring(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "inst.json"
     assert cli_main([
         "gen", "--family", "complete", "--r", "3", "--n", "6",
         "--seed", "1", "--out", str(inst_path),
     ]) == 0
-    monkeypatch.setenv("BSGKIT_CAPS", "enum=5")
-    code = cli_main([
-        "count", "--instance", str(inst_path),
-        "--support", "0,0,0", "--exact", "full",
-    ])
-    assert code == 1
+    with monkeypatch.context() as m:
+        m.setattr(octopus, "DEFAULT_ENUM_BUDGET", 5)
+        assert _count_exact_full(inst_path) == 1
     assert "budget" in capsys.readouterr().err
-    monkeypatch.delenv("BSGKIT_CAPS")
+    assert _count_exact_full(inst_path) == 0
+
+
+def test_caps_ignore_the_environment(tmp_path, capsys, monkeypatch):
+    # the caps are constants: a stray BSGKIT_CAPS changes neither the exit
+    # code nor a byte of the output
+    inst_path = tmp_path / "inst.json"
     assert cli_main([
-        "count", "--instance", str(inst_path),
-        "--support", "0,0,0", "--exact", "full",
+        "gen", "--family", "complete", "--r", "3", "--n", "4",
+        "--seed", "1", "--out", str(inst_path),
     ]) == 0
+    capsys.readouterr()
+    assert _count_exact_full(inst_path) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("BSGKIT_CAPS", "enum=bad")
+    assert _count_exact_full(inst_path) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out
 
 
 def test_exact_budget_estimate_is_reported(monkeypatch):
     comp = PartiteHypergraph.complete((5, 5, 5))
-    monkeypatch.setenv("BSGKIT_CAPS", "enum=10")
+    monkeypatch.setattr(octopus, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(BudgetExceededError) as err:
-        from bsgkit.octopus import octopus_count_exact
-
-        octopus_count_exact(comp, (0, 0, 0))
+        octopus.octopus_count_exact(comp, (0, 0, 0))
     assert err.value.estimate > err.value.budget == 10
 
 

@@ -3,6 +3,7 @@ codegree, inducing, the tuple cap, and the instance JSON format."""
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,9 +149,31 @@ def test_induce_examples():
     assert empty.edge_count == 0
     smaller = comp.induce([[0, 2], [1, 2]])
     assert smaller.part_sizes == (2, 2)
-    assert smaller.edge_count == 4
+    assert smaller.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
     with pytest.raises(IndexOutOfRangeError):
         comp.induce([[5], [0]])
+
+
+def test_induce_matches_brute_force_reindex():
+    rnd = random.Random(11)
+    for seed in range(6):
+        inst = gen_instance(
+            GenConfig.make(r=3, n=6, family="random-density", seed=seed, k=Fraction(2))
+        )
+        h = inst.hypergraph
+        # unsorted subsets with repeats; induce sorts and deduplicates them
+        subsets = [
+            [rnd.randrange(s) for _ in range(s)] for s in h.part_sizes
+        ]
+        ranks = [{v: i for i, v in enumerate(sorted(set(sub)))} for sub in subsets]
+        expected = sorted(
+            tuple(ranks[i][v] for i, v in enumerate(e))
+            for e in h.edges
+            if all(v in ranks[i] for i, v in enumerate(e))
+        )
+        smaller = h.induce(subsets)
+        assert smaller.part_sizes == tuple(len(m) for m in ranks)
+        assert list(smaller.edges) == expected
 
 
 def _small_instance():

@@ -1,15 +1,11 @@
 """Cross-cutting invariants: trace-level density floors, the path-walk view
-of exact counts at arity 2, sumset monotonicity under inducing, cap
-overrides, and the repair path on the pinned degenerate instance."""
+of exact counts at arity 2, sumset monotonicity under inducing, and the
+repair path on the pinned degenerate instance."""
 
 import json
 from fractions import Fraction
 
-import pytest
-
 from bsgkit.cli import main as cli_main
-from bsgkit.config import conv_cell_cap, enum_budget
-from bsgkit.errors import ConfigInvalidError
 from bsgkit.extraction import bsg_extract, octopus_extract
 from bsgkit.hypergraph import Instance
 from bsgkit.instances import GenConfig, gen_instance
@@ -64,18 +60,6 @@ def test_restricted_sumset_shrinks_under_induce():
     sub_parts = inst.subset_elemsets([range(5), range(6)])
     sub = Instance(inst.spec, sub_parts, sub_h)
     assert set(restricted_sumset(sub).elems) <= set(restricted_sumset(inst).elems)
-
-
-def test_caps_env_override(monkeypatch):
-    monkeypatch.setenv("BSGKIT_CAPS", "enum=123,conv=456")
-    assert enum_budget() == 123
-    assert conv_cell_cap() == 456
-    monkeypatch.setenv("BSGKIT_CAPS", "enum=bad")
-    with pytest.raises(ConfigInvalidError):
-        enum_budget()
-    monkeypatch.setenv("BSGKIT_CAPS", "mystery=1")
-    with pytest.raises(ConfigInvalidError):
-        enum_budget()
 
 
 def test_repair_on_pinned_degenerate_instance():

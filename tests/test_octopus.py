@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from bsgkit import octopus
 from bsgkit.errors import (
     BudgetExceededError,
     ConfigInvalidError,
@@ -144,7 +145,7 @@ def test_exact_examples():
 
 def test_exact_budget(monkeypatch):
     comp = PartiteHypergraph.complete((4, 4, 4))
-    monkeypatch.setenv("BSGKIT_CAPS", "enum=5")
+    monkeypatch.setattr(octopus, "DEFAULT_ENUM_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
         octopus_count_exact(comp, (0, 0, 0))
 

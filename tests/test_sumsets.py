@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from bsgkit import sumsets
 from bsgkit.errors import EmptySetError, SpecMismatchError, UnsupportedGroupError
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
@@ -211,11 +212,11 @@ def test_representation_matches_enumeration():
 
 def test_representation_cell_cap(monkeypatch):
     wide = zset(0, 10**6)
-    monkeypatch.setenv("BSGKIT_CAPS", "conv=1000")
+    monkeypatch.setattr(sumsets, "DEFAULT_CONV_CELL_CAP", 1000)
     with pytest.raises(UnsupportedGroupError):
         representation_count(Z, wide, (0,), 2)
     # modular groups never hit the cap
-    monkeypatch.setenv("BSGKIT_CAPS", "conv=1")
+    monkeypatch.setattr(sumsets, "DEFAULT_CONV_CELL_CAP", 1)
     assert representation_count(Z5, z5set(0, 1), (0,), 2) == 3
 
 
