@@ -414,7 +414,19 @@ def brute_force_best_subsets(
     Since sumsets are monotone under inclusion, the optimum over subsets of
     size at least the floor is attained at exactly the floor; combinations
     are enumerated in lexicographic order and the first minimizer is kept.
-    Guarded to instances whose total part size is at most 24.
+    Floors must be ints (bool is rejected). Guarded to instances whose total
+    part size is at most 24.
+
+    No group addition happens per combination. The level-i sums are the
+    distinct values of a level-(i-1) sum plus a part-i element, where level
+    -1 is the identity alone. Each is computed once with ``GroupSpec.add``
+    and given an id in order of first appearance, so that a set of level-i
+    sums is an int bitmask of ids; that is sum over i of |level i-1| *
+    |part i| additions in all. The walk keeps the mask of level-(i-1) sums
+    that the chosen prefix reaches. Column v of part i is the OR, over that
+    mask's sums, of the bit of the sum plus element v; a combination's mask
+    is the OR of its columns, and at the last part its popcount is
+    |A_0 + ... + A_{r-1}|.
     """
     sizes = inst.part_sizes
     if sum(sizes) > BRUTE_FORCE_SIZE_GUARD:
@@ -423,28 +435,50 @@ def brute_force_best_subsets(
         )
     if len(min_sizes) != inst.r:
         raise ConfigInvalidError(f"{len(min_sizes)} floors for {inst.r} parts")
-    floors = [int(m) for m in min_sizes]
-    for i, m in enumerate(floors):
+    for i, m in enumerate(min_sizes):
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ConfigInvalidError(f"floor {m!r} for part {i} is not an integer")
         if not 1 <= m <= sizes[i]:
             raise ConfigInvalidError(
                 f"floor {m} for part {i} is out of range [1, {sizes[i]}]"
             )
 
+    spec = inst.spec
+    # bits[i][u][v] = 1 << id of (level-(i-1) sum u) + (element v of part i)
+    bits: list[list[list[int]]] = []
+    level: list[GroupElem] = [spec.identity()]
+    for part in inst.parts:
+        ids: dict[GroupElem, int] = {}
+        bits.append([
+            [1 << ids.setdefault(spec.add(s, x), len(ids)) for x in part.elems]
+            for s in level
+        ])
+        level = list(ids)
+    combos = [list(combinations(range(n), m)) for n, m in zip(sizes, min_sizes)]
+    last = inst.r - 1
     best: tuple[tuple[tuple[int, ...], ...], int] | None = None
 
-    def rec(i: int, chosen: list[tuple[int, ...]]):
+    def walk(i: int, state: int, chosen: list[tuple[int, ...]]):
         nonlocal best
-        if i == inst.r:
-            elem_sets = inst.subset_elemsets(chosen)
-            size = len(iterated_sumset(elem_sets))
-            if best is None or size < best[1]:
-                best = (tuple(chosen), size)
-            return
-        for combo in combinations(range(sizes[i]), floors[i]):
+        cols = [0] * sizes[i]
+        rows = bits[i]
+        while state:
+            low = state & -state
+            cols = [c | b for c, b in zip(cols, rows[low.bit_length() - 1])]
+            state ^= low
+        for combo in combos[i]:
+            mask = 0
+            for v in combo:
+                mask |= cols[v]
             chosen.append(combo)
-            rec(i + 1, chosen)
+            if i < last:
+                walk(i + 1, mask, chosen)
+            else:
+                size = mask.bit_count()
+                if best is None or size < best[1]:
+                    best = (tuple(chosen), size)
             chosen.pop()
 
-    rec(0, [])
+    walk(0, 1, [])  # level -1 is the identity alone, id 0
     assert best is not None
     return best

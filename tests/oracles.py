@@ -3,10 +3,11 @@
 Nothing here reuses production counting code: legs are recounted by scanning
 full index grids against a set of the edges, built once per call, octopuses by enumerating every
 candidate (mates, interiors) combination with explicit (part, vertex) set
-checks, and codegrees by scanning all right tuples.
+checks, codegrees by scanning all right tuples, and best subsets by summing
+plain coordinate tuples for every combination.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 def oracle_leg_count(h, part, v, w):
@@ -120,3 +121,26 @@ def brute_codegree(h, part, v, w):
         if with_vertex(v) in edges and with_vertex(w) in edges:
             count += 1
     return count
+
+
+def oracle_best_subsets(moduli, parts, floors):
+    """First lexicographic minimizer of |A_0 + ... + A_{r-1}| over subsets of
+    exactly the floor sizes; parts are lists of coordinate tuples.
+
+    Sums are per-coordinate integer additions, reduced mod m on cyclic
+    coordinates (m > 0), over the full product of chosen elements.
+    """
+    best = None
+    choices = [list(combinations(range(len(p)), f)) for p, f in zip(parts, floors)]
+    for chosen in product(*choices):
+        sums = set()
+        for picks in product(*(
+            [parts[i][v] for v in combo] for i, combo in enumerate(chosen)
+        )):
+            sums.add(tuple(
+                sum(coords) % m if m else sum(coords)
+                for coords, m in zip(zip(*picks), moduli)
+            ))
+        if best is None or len(sums) < best[1]:
+            best = (chosen, len(sums))
+    return best

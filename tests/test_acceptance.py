@@ -356,6 +356,7 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_brute_force_frontier():
+    t0 = time.monotonic()
     ok = True
     runs = 0
     for seed in range(10):
@@ -376,4 +377,7 @@ def test_criterion_8_brute_force_frontier():
             ok &= pipeline_size >= best
             runs += 1
     ok &= runs >= 20
-    _report("8", f"pipeline never beats the brute-force optimum, {runs} runs", ok)
+    elapsed = time.monotonic() - t0
+    ok &= elapsed < 5
+    _report("8", f"pipeline never beats the brute-force optimum, {runs} runs, "
+                 f"{elapsed:.1f}s", ok)

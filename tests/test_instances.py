@@ -33,7 +33,9 @@ from bsgkit.instances import (
 )
 from bsgkit.jsonio import canonical_dumps
 from bsgkit.octopus import octopus_count_relaxed
+from bsgkit.rng import SplitMix64
 from bsgkit.sumsets import ElemSet, iterated_sumset
+from oracles import oracle_best_subsets
 
 
 def test_gen_complete_example():
@@ -295,6 +297,38 @@ def test_brute_force_examples():
     assert (subsets[0], subsets[1]) == best[1]
 
 
+_PLANTED = dict(family="planted", ap_fraction=Fraction(1, 2), target_c=Fraction(2))
+_ORACLE_CASES = {
+    "Z-r2": dict(r=2, n=7, moduli=(0,), **_PLANTED),
+    "Z11-r2": dict(r=2, n=7, moduli=(11,), **_PLANTED),
+    "ZxZ5-r2": dict(r=2, n=7, moduli=(0, 5), **_PLANTED),
+    "Z-r3": dict(r=3, n=5, moduli=(0,), **_PLANTED),
+    "Z7xZ-r3": dict(r=3, n=5, moduli=(7, 0), **_PLANTED),
+    # every pair of same-difference progressions in Z_7 ties at the optimum
+    "complete-Z7-r2": dict(r=2, n=7, moduli=(7,), family="complete"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_brute_force_matches_independent_oracle(case):
+    for seed in range(3):
+        inst = gen_instance(GenConfig.make(seed=seed, **_ORACLE_CASES[case]))
+        rng = SplitMix64(seed)
+        floors = [2 + rng.next_below(n - 2) for n in inst.part_sizes]
+        parts = [list(p.elems) for p in inst.parts]
+        expected = oracle_best_subsets(inst.spec.moduli, parts, floors)
+        assert brute_force_best_subsets(inst, floors) == expected
+
+
+@pytest.mark.parametrize(
+    "floor", [Fraction(5, 2), 2.9, True, "x"], ids=["fraction", "float", "bool", "str"]
+)
+def test_brute_force_rejects_non_integer_floor(floor):
+    inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
+    with pytest.raises(ConfigInvalidError):
+        brute_force_best_subsets(inst, [2, floor])
+
+
 def test_brute_force_too_large():
     inst = gen_instance(GenConfig.make(r=2, n=16, family="complete", seed=0))
     with pytest.raises(TooLargeError):
@@ -311,3 +345,14 @@ def test_pipeline_never_beats_brute_force():
         _, best = brute_force_best_subsets(inst, floors)
         pipeline_size = len(iterated_sumset(inst.subset_elemsets(res.subsets)))
         assert pipeline_size >= best
+
+
+def test_pipeline_never_beats_brute_force_r3():
+    # the planted floors come out as (4, 4, 4): 70^3 combinations
+    for seed in range(3):
+        for variant in (dict(family="random-density", k=Fraction(2)), _PLANTED):
+            inst = gen_instance(GenConfig.make(r=3, n=8, seed=seed, **variant))
+            res, _ = bsg_extract(inst, "measured", "measured")
+            _, best = brute_force_best_subsets(inst, res.sizes())
+            pipeline_size = len(iterated_sumset(inst.subset_elemsets(res.subsets)))
+            assert pipeline_size >= best
