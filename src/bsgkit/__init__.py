@@ -12,7 +12,6 @@ from .errors import (
     EpsilonTooLargeError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
-    InfeasibleEpsilonError,
     InvalidModulusError,
     ModeMismatchError,
     NoEdgesError,

@@ -182,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--delta", type=_fraction_or_auto, default="auto")
     p_extract.add_argument("--workers", type=int, default=1,
                            help="accepted for compatibility; has no effect")
-    p_extract.add_argument("--random-pivots", type=int, default=None,
-                           metavar="SEED", dest="random_pivots",
-                           help="scan pivots in a seeded random order")
     p_extract.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="recheck a result against an instance")
@@ -283,9 +280,7 @@ def _cmd_extract(args) -> int:
     if args.mode == "general":
         params["K"] = args.K if isinstance(args.K, str) else frac_str(args.K)
         params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
-        if args.random_pivots is not None:
-            params["pivot_seed"] = args.random_pivots
-        result, report = bsg_extract(inst, args.K, args.C, pivot_seed=args.random_pivots)
+        result, report = bsg_extract(inst, args.K, args.C)
     else:
         if args.eps is None:
             raise ConfigInvalidError(f"--eps is required for mode {args.mode}")

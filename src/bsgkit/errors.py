@@ -75,10 +75,6 @@ class NoWitnessError(BsgkitError):
     violated or the density parameter was understated."""
 
 
-class InfeasibleEpsilonError(BsgkitError):
-    """Derived pair-quality parameter left its admissible range."""
-
-
 class EpsilonTooLargeError(BsgkitError):
     """Dense extraction requires the slack parameter below 1/(10r)."""
 

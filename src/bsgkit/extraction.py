@@ -31,7 +31,6 @@ from .errors import (
     EmptyPartError,
     EpsilonTooLargeError,
     HypothesisViolatedError,
-    InfeasibleEpsilonError,
     ModeMismatchError,
     NoWitnessError,
     UnequalPartsError,
@@ -212,15 +211,6 @@ def verify_relaxed_counts(
     )
 
 
-def _shuffled(count: int, seed: int) -> list[int]:
-    order = list(range(count))
-    rng = SplitMix64(seed)
-    for i in range(count - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def _low_partners(adj: Sequence[int], u: Sequence[int], threshold: Fraction) -> list[int]:
     """For each v in u, how many w in u, v itself included, have codegree
     |N(v) & N(w)| below threshold; adj holds the neighborhood bitmasks."""
@@ -229,9 +219,7 @@ def _low_partners(adj: Sequence[int], u: Sequence[int], threshold: Fraction) -> 
     return [sum((a & b).bit_count() < limit for b in masks) for a in masks]
 
 
-def drc_extract(
-    g: Bipartite, k: Fraction, eps: Fraction, pivot_seed: int | None = None
-) -> DrcOutcome:
+def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
     """Find a left subset in which almost all ordered pairs have high codegree.
 
     Requires edge count >= left*right/k. Scans right pivots in descending
@@ -239,8 +227,8 @@ def drc_extract(
     the subset stays above its size floor deletes the vertex participating
     in the most bad ordered pairs. Both claimed conditions are verified
     before returning; ordered pairs include (v, v), whose codegree is the
-    degree of v. pivot_seed switches the scan to a seeded random order, for
-    scale experiments; results are still verified and deterministic per seed.
+    degree of v. Any pivot that passes is a valid witness; the first one in
+    scan order is returned, so identical inputs give identical outcomes.
     """
     k = Fraction(k)
     eps = Fraction(eps)
@@ -260,11 +248,7 @@ def drc_extract(
     if a_size == 0:
         return DrcOutcome(-1, False, 0, (), Fraction(0), cothreshold)
 
-    if pivot_seed is None:
-        order = sorted(range(b_size), key=lambda z: (-g.right_degree(z), z))
-    else:
-        order = _shuffled(b_size, pivot_seed)
-    for pivot in order:
+    for pivot in sorted(range(b_size), key=lambda z: (-g.right_degree(z), z)):
         u = g.left_neighbors(pivot)
         deletions = 0
         while Fraction(len(u)) >= size_floor:
@@ -300,11 +284,7 @@ def drc_extract(
 
 
 def iterate_extract(
-    h: PartiteHypergraph,
-    part: int,
-    k: Fraction,
-    eps: Fraction,
-    pivot_seed: int | None = None,
+    h: PartiteHypergraph, part: int, k: Fraction, eps: Fraction
 ) -> IterateOutcome:
     """Prune low-degree vertices of one part, then select a verified subset.
 
@@ -338,7 +318,7 @@ def iterate_extract(
     g_prime = Bipartite(
         len(survivors), flat.right_shape, tuple(flat.adj[v] for v in survivors)
     )
-    drc = drc_extract(g_prime, k_prime, eps, pivot_seed=pivot_seed)
+    drc = drc_extract(g_prime, k_prime, eps)
     u = tuple(sorted(survivors[i] for i in drc.u))
 
     if Fraction(len(u)) < Fraction(h.part_sizes[part]) / (4 * k):
@@ -365,15 +345,12 @@ def _derived_eps(r: int, k: Fraction) -> Fraction:
     return Fraction(1) / ((r - 1) * 2 ** (r + 3) * k)
 
 
-def octopus_extract(
-    inst: Instance,
-    k: Fraction,
-    *,
-    pivot_seed: int | None = None,
-) -> ExtractionResult:
+def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     """Select per-part subsets so that every support carries many octopuses.
 
-    Runs one prune-and-select round per part below the last, each followed by
+    The pair-quality parameter is eps = 1/((r-1) 2^(r+3) k); since k >= 1 is
+    required, eps <= 1/32. Runs one prune-and-select round per part below
+    the last (drc_extract, pivots in descending degree), each followed by
     a partner filter that keeps vertices forming good pairs with all but a
     2*eps fraction of the selected set, then keeps last-part vertices of high
     degree in the filtered hypergraph. Partner counting treats the vertex
@@ -396,26 +373,23 @@ def octopus_extract(
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
     ambient = h.part_sizes
     eps = _derived_eps(r, k)
-    if eps >= Fraction(1, 4):
-        raise InfeasibleEpsilonError(f"derived eps {eps} is not below 1/4")
 
-    ambient_entry = {
-        "kind": "ambient",
-        "mode": "general",
-        "sizes": list(ambient),
-        "k": frac_str(k),
-        "epsilon": frac_str(eps),
-    }
-    if pivot_seed is not None:
-        ambient_entry["pivot_seed"] = pivot_seed
-    trace: list[dict] = [ambient_entry]
+    trace: list[dict] = [
+        {
+            "kind": "ambient",
+            "mode": "general",
+            "sizes": list(ambient),
+            "k": frac_str(k),
+            "epsilon": frac_str(eps),
+        }
+    ]
     h_cur = h
     subsets: list[tuple[int, ...] | None] = [None] * r
 
     for stage in range(r - 1):
         p = stage
         k_param = (2**stage) * k
-        it = iterate_extract(h_cur, p, k_param, eps, pivot_seed=pivot_seed)
+        it = iterate_extract(h_cur, p, k_param, eps)
         a_tilde = it.u
         trace.append(
             {
@@ -831,8 +805,6 @@ def bsg_extract(
     inst: Instance,
     k: Fraction | str = "measured",
     c: Fraction | str = "measured",
-    *,
-    pivot_seed: int | None = None,
 ) -> tuple[ExtractionResult, BoundReport]:
     """Full pipeline: subset extraction plus the exact sumset growth report.
 
@@ -856,7 +828,7 @@ def bsg_extract(
             f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
         )
 
-    result = octopus_extract(inst, k_eff, pivot_seed=pivot_seed)
+    result = octopus_extract(inst, k_eff)
     result = _as_claimed(result, "general", c)
     return result, recorded_report(inst, result, osize)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .config import TUPLE_CAP
 from .errors import (
@@ -163,14 +163,14 @@ class PartiteHypergraph:
         return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
 
     @cached_property
-    def _incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        # _incidence[i][v] = indices into self.edges of edges with e[i] == v
-        inc: list[list[list[int]]] = [
+    def _incidence(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        # _incidence[i][v] = the edges with e[i] == v, in lexicographic order
+        inc: list[list[list[tuple[int, ...]]]] = [
             [[] for _ in range(s)] for s in self.part_sizes
         ]
-        for idx, e in enumerate(self.edges):
+        for e in self.edges:
             for i, v in enumerate(e):
-                inc[i][v].append(idx)
+                inc[i][v].append(e)
         return tuple(tuple(tuple(lst) for lst in part) for part in inc)
 
     @cached_property
@@ -213,10 +213,10 @@ class PartiteHypergraph:
         self._check_vertex(i, v)
         return len(self._incidence[i][v])
 
-    def edges_through(self, i: int, v: int) -> Iterator[tuple[int, ...]]:
+    def edges_through(self, i: int, v: int) -> tuple[tuple[int, ...], ...]:
+        """The edges through vertex v of part i, in lexicographic order."""
         self._check_vertex(i, v)
-        for idx in self._incidence[i][v]:
-            yield self.edges[idx]
+        return self._incidence[i][v]
 
     def flatten(self, i: int) -> Bipartite:
         """Bipartite view: part i against the full product of the other parts."""

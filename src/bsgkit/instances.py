@@ -46,13 +46,20 @@ FAMILIES = ("complete", "random-density", "planted", "dense")
 BRUTE_FORCE_SIZE_GUARD = 24
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Seeded description of one generated instance.
 
     sizes: one size per part, or a single size repeated r times.
     family parameters: k for random-density, ap_fraction and target_c for
-    planted, delta for dense. Unused parameters must stay None.
+    planted, delta for dense. Unused parameters must stay None. r, sizes,
+    moduli and seed are ints and the family parameters ints or Fractions;
+    validate rejects anything else (bool and float included) rather than
+    rounding it.
     """
 
     r: int
@@ -78,20 +85,23 @@ class GenConfig:
         target_c: Fraction | None = None,
         delta: Fraction | None = None,
     ) -> "GenConfig":
-        sizes = tuple([int(n)] * r) if isinstance(n, int) else tuple(int(v) for v in n)
+        # a non-int r is left for validate to reject by name
+        sizes = tuple(n) if isinstance(n, Sequence) else (n,) * (r if _is_int(r) else 1)
         return cls(
-            r=r,
-            sizes=sizes,
-            moduli=tuple(int(m) for m in moduli),
-            seed=int(seed),
-            family=family,
-            k=None if k is None else Fraction(k),
-            ap_fraction=None if ap_fraction is None else Fraction(ap_fraction),
-            target_c=None if target_c is None else Fraction(target_c),
-            delta=None if delta is None else Fraction(delta),
+            r=r, sizes=sizes, moduli=tuple(moduli), seed=seed, family=family,
+            k=k, ap_fraction=ap_fraction, target_c=target_c, delta=delta,
         )
 
     def validate(self) -> None:
+        for name in ("r", "sizes", "moduli", "seed"):
+            value = getattr(self, name)
+            values = value if name in ("sizes", "moduli") else (value,)
+            if not isinstance(values, tuple) or not all(map(_is_int, values)):
+                raise ConfigInvalidError(f"{name} must be int, got {value!r}")
+        for name in ("k", "ap_fraction", "target_c", "delta"):
+            value = getattr(self, name)
+            if not (value is None or _is_int(value) or isinstance(value, Fraction)):
+                raise ConfigInvalidError(f"{name} must be an int or Fraction, got {value!r}")
         if self.r < 2:
             raise ConfigInvalidError(f"r must be >= 2, got {self.r}")
         if len(self.sizes) != self.r:
@@ -190,7 +200,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
         hg = PartiteHypergraph.complete(sizes)
     elif cfg.family == "random-density":
         target = math.ceil(Fraction(total) / cfg.k)
-        keep_num, keep_den = (1 / cfg.k).numerator, (1 / cfg.k).denominator
+        keep_den, keep_num = cfg.k.as_integer_ratio()
         # keep with probability 1/k, exactly: u/2^64 < 1/k
         edges = [
             e for e in product(*ranges) if rng.next_u64() * keep_den < (1 << 64) * keep_num
@@ -250,12 +260,12 @@ def _nth_root_floor(x: int, n: int) -> int:
     return guess
 
 
-def root_decimal(value: Fraction, n: int, digits: int = 6) -> str:
-    """Decimal approximation (rounded down) of the n-th root of a rational."""
-    scaled = value.numerator * 10 ** (digits * n) // value.denominator
+def root_decimal(value: Fraction, n: int) -> str:
+    """The n-th root of a rational, rounded down to 6 decimal places."""
+    scaled = value.numerator * 10 ** (6 * n) // value.denominator
     root = _nth_root_floor(scaled, n)
-    whole, frac = divmod(root, 10**digits)
-    return f"{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(root, 10**6)
+    return f"{whole}.{frac:06d}"
 
 
 @dataclass(frozen=True)
@@ -436,7 +446,7 @@ def brute_force_best_subsets(
     if len(min_sizes) != inst.r:
         raise ConfigInvalidError(f"{len(min_sizes)} floors for {inst.r} parts")
     for i, m in enumerate(min_sizes):
-        if isinstance(m, bool) or not isinstance(m, int):
+        if not _is_int(m):
             raise ConfigInvalidError(f"floor {m!r} for part {i} is not an integer")
         if not 1 <= m <= sizes[i]:
             raise ConfigInvalidError(

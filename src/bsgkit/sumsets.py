@@ -154,13 +154,9 @@ def _convolve(spec: GroupSpec, acc: dict, hist: dict) -> dict:
     return out
 
 
-def representation_table(
-    spec: GroupSpec,
-    s_set: ElemSet | Iterable[GroupElem],
-    r: int,
-) -> dict[GroupElem, int]:
+def representation_table(spec: GroupSpec, s_set: ElemSet, r: int) -> dict[GroupElem, int]:
     """Histogram of c_1 + ... + c_{r-1} - c_r - ... - c_{2r-2} + c_{2r-1}
-    over all (2r-1)-tuples from the given set.
+    over all (2r-1)-tuples from s_set, which must belong to spec.
 
     Computed by r plus-convolutions and r-1 minus-convolutions of the set's
     indicator histogram. Raises UnsupportedGroupError when free coordinates
@@ -168,12 +164,9 @@ def representation_table(
     """
     if r < 2:
         raise ValueError(f"arity must be >= 2, got {r}")
-    if isinstance(s_set, ElemSet):
-        if s_set.spec != spec:
-            raise SpecMismatchError("set belongs to a different group")
-        elems = list(s_set.elems)
-    else:
-        elems = sorted({spec.canon(tuple(e)) for e in s_set})
+    if s_set.spec != spec:
+        raise SpecMismatchError("set belongs to a different group")
+    elems = s_set.elems
     if not elems:
         return {}
     if any(m == 0 for m in spec.moduli):
@@ -192,12 +185,7 @@ def representation_table(
     return _convolve(spec, acc, plus)
 
 
-def representation_count(
-    spec: GroupSpec,
-    s_set: ElemSet | Iterable[GroupElem],
-    s: GroupElem,
-    r: int,
-) -> int:
+def representation_count(spec: GroupSpec, s_set: ElemSet, s: GroupElem, r: int) -> int:
     """Number of (2r-1)-tuples from the set whose signed sum equals s."""
     table = representation_table(spec, s_set, r)
     return table.get(spec.canon(tuple(s)), 0)

@@ -153,6 +153,7 @@ def test_report_judges_rows_without_overall(tmp_path, capsys):
 def test_exit_code_usage():
     assert main(["--bogus-flag"]) == 64
     assert main(["extract", "--no-such"]) == 64
+    assert main(["extract", "--instance", "x.json", "--random-pivots", "1"]) == 64
 
 
 def test_exit_code_error(tmp_path):

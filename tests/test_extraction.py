@@ -61,6 +61,25 @@ def test_drc_k66_minus_matching():
     assert Fraction(len(out.u)) >= Fraction(6) / (2 * Fraction(6, 5))
 
 
+def test_drc_returns_highest_degree_pivot():
+    # right vertex 2 meets every left vertex; pivot 0 would also pass, so
+    # only the descending-degree scan returns pivot 2
+    edges = [(0, 0), (1, 0), (2, 1)] + [(v, 2) for v in range(4)]
+    g = PartiteHypergraph.build(2, (4, 3), edges).flatten(0)
+    out = drc_extract(g, Fraction(2), Fraction(1, 4))
+    assert out.pivot == 2
+    assert out.u == (0, 1, 2, 3)
+
+
+def test_drc_degree_tie_lower_index_wins():
+    # right vertices 1 and 2 both have degree 3 and both pass
+    edges = [(0, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]
+    g = PartiteHypergraph.build(2, (4, 3), edges).flatten(0)
+    out = drc_extract(g, Fraction(2), Fraction(1, 4))
+    assert out.pivot == 1
+    assert out.u == (0, 1, 2)
+
+
 def g_to_h(edges):
     return PartiteHypergraph.build(2, (6, 6), edges)
 

@@ -109,6 +109,23 @@ def test_gen_config_validation():
         gen_instance(GenConfig.make(r=2, n=9, family="complete", seed=0, moduli=(5,)))
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(n=[Fraction(9, 2), 3.7], seed=True, moduli=[7.9]), "sizes"),
+        (dict(n=[4, 3], seed=1, moduli=[7.9]), "moduli"),
+        (dict(n=[4, 3], seed=True), "seed"),
+        (dict(n=4, seed=1, r=2.0), "r"),
+        (dict(n=4, seed=1, family="random-density", k=0.1), "k"),
+    ],
+)
+def test_gen_config_rejects_non_exact_fields(kwargs, field):
+    # each must be rejected, not rounded to an int or a binary fraction
+    cfg = GenConfig.make(**{"r": 2, "family": "complete", **kwargs})
+    with pytest.raises(ConfigInvalidError, match=f"^{field} must be"):
+        gen_instance(cfg)
+
+
 def test_measure_examples():
     inst = gen_instance(GenConfig.make(r=2, n=10, family="complete", seed=0))
     m = measure_instance(inst)

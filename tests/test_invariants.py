@@ -80,21 +80,6 @@ def test_repair_on_pinned_degenerate_instance():
         assert row["pass"]
 
 
-def test_random_pivot_mode_still_verified():
-    inst = gen_instance(
-        GenConfig.make(r=2, n=12, family="random-density", seed=6, k=Fraction(2))
-    )
-    base, base_report = bsg_extract(inst, Fraction(2), "measured")
-    assert base_report.overall
-    for seed in (1, 99):
-        res, report = bsg_extract(inst, Fraction(2), "measured", pivot_seed=seed)
-        assert report.overall
-        assert res.trace[0]["pivot_seed"] == seed
-        # same seed twice is identical
-        again, _ = bsg_extract(inst, Fraction(2), "measured", pivot_seed=seed)
-        assert again.subsets == res.subsets and again.trace == res.trace
-
-
 def test_cli_roundtrip_every_family(tmp_path, capsys):
     family_args = {
         "complete": [],

@@ -176,6 +176,9 @@ def test_representation_count_examples():
     for s in range(5):
         assert representation_count(Z5, full, (s,), 2) == 25
 
+    with pytest.raises(SpecMismatchError):
+        representation_count(Z, s01, (0,), 2)
+
 
 def test_representation_total_is_power():
     rnd = random.Random(3)
