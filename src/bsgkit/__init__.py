@@ -59,8 +59,7 @@ from .report import BoundReport, Inequality
 from .sumsets import (
     ElemSet,
     SumStats,
-    additive_energy,
-    doubling_constant,
+    index_sum,
     iterated_sumset,
     representation_count,
     representation_table,

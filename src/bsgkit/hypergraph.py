@@ -28,7 +28,7 @@ from .errors import (
     NoEdgesError,
     TooLargeError,
 )
-from .groups import GroupElem, GroupSpec, elem_from_json
+from .groups import GroupSpec, elem_from_json
 from .jsonio import decode_coord
 from .sumsets import ElemSet
 
@@ -303,9 +303,6 @@ class Instance:
     @property
     def part_sizes(self) -> tuple[int, ...]:
         return self.hypergraph.part_sizes
-
-    def edge_sum(self, edge: Sequence[int]) -> GroupElem:
-        return self.spec.sum(self.parts[i].elems[v] for i, v in enumerate(edge))
 
     def subset_elemsets(self, subsets: Sequence[Sequence[int]]) -> tuple[ElemSet, ...]:
         """Index subsets per part, materialized as element sets."""

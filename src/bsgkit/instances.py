@@ -36,6 +36,7 @@ from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
 from .sumsets import (
     ElemSet,
+    index_sum,
     iterated_sumset,
     representation_table,
     restricted_sumset,
@@ -221,7 +222,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
         edges = [
             e
             for e in product(*ranges)
-            if spec.sum(parts[i].elems[v] for i, v in enumerate(e)) in target_set
+            if index_sum(spec, parts, e) in target_set
         ]
         floor = math.ceil(total * cfg.ap_fraction**cfg.r)
         if len(edges) < floor:
@@ -372,7 +373,7 @@ def check_representations(
     # every support, so the product is streamed with no cap.
     reps: dict[GroupElem, tuple[int, ...]] = {}
     for sup in product(*result.subsets):
-        s = spec.sum(inst.parts[i].elems[v] for i, v in enumerate(sup))
+        s = index_sum(spec, inst.parts, sup)
         if s not in reps:
             reps[s] = sup
 

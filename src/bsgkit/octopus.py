@@ -34,6 +34,7 @@ from .errors import (
     SameVertexError,
 )
 from .hypergraph import Instance, PartiteHypergraph
+from .sumsets import index_sum
 
 
 def leg_count(h: PartiteHypergraph, part: int, v: int, w: int) -> int:
@@ -172,14 +173,14 @@ class OctopusWitness:
 
     def representation_sums(self, inst: Instance):
         """Edge sums (xs, ys, z) with sum(support elems) = sum(xs) - sum(ys) + z."""
-        spec = inst.spec
+        spec, parts = inst.spec, inst.parts
         xs = []
         ys = []
         for i in range(len(self.mates)):
             ev, ew = self.leg_edges(i)
-            xs.append(inst.edge_sum(ev))
-            ys.append(inst.edge_sum(ew))
-        z = inst.edge_sum(self.closing_edge())
+            xs.append(index_sum(spec, parts, ev))
+            ys.append(index_sum(spec, parts, ew))
+        z = index_sum(spec, parts, self.closing_edge())
         return tuple(xs), tuple(ys), z
 
 

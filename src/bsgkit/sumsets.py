@@ -1,17 +1,19 @@
 """Finite subsets of a group: sumsets, doubling, additive energy, and
 signed representation counting.
 
-Every quantity here is exact. Energy and representation counts are computed
-through integer histograms (sum-representation functions), never floats, and
-counters are Python ints so they cannot overflow.
+Every quantity here is exact. Each job has one implementation: ``sumset``
+is the set-based kernel for unweighted sums, ``_convolve`` the one
+histogram kernel (|A+A|, doubling and energy in ``sum_stats``, signed
+representation counts in ``representation_table``), and ``index_sum`` the
+one sum of the elements at an index tuple. Histograms hold Python ints, so
+counts cannot overflow and no float is involved.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP
@@ -87,32 +89,20 @@ def iterated_sumset(sets: Sequence[ElemSet]) -> ElemSet:
     return acc
 
 
-def sum_histogram(a: ElemSet) -> Counter:
-    """Counter mapping s to the number of ordered pairs (x, y) in a^2 with x+y = s."""
-    spec = a.spec
-    hist: Counter = Counter()
-    for x in a.elems:
-        for y in a.elems:
-            hist[spec.add(x, y)] += 1
-    return hist
-
-
-def additive_energy(a: ElemSet) -> int:
-    """Ordered quadruples (x, y, x', y') in a^4 with x + y = x' + y'."""
-    return sum(c * c for c in sum_histogram(a).values())
-
-
-def doubling_constant(a: ElemSet) -> Fraction:
-    """|A+A| / |A| as an exact rational."""
-    if len(a) == 0:
-        raise EmptySetError("doubling constant of the empty set")
-    return Fraction(len(sumset(a, a)), len(a))
+def index_sum(spec: GroupSpec, parts: Sequence[ElemSet], index: Sequence[int]) -> GroupElem:
+    """parts[0].elems[index[0]] + ... + parts[-1].elems[index[-1]], folded
+    from the first element, so r parts take r - 1 additions."""
+    return reduce(spec.add, [part.elems[v] for part, v in zip(parts, index)])
 
 
 def sum_stats(a: ElemSet) -> SumStats:
+    """|A+A|, |A+A|/|A| and the additive energy, the number of ordered
+    quadruples (x, y, x', y') in A^4 with x + y = x' + y', from one pair
+    histogram."""
     if len(a) == 0:
         raise EmptySetError("statistics of the empty set")
-    hist = sum_histogram(a)
+    ones = dict.fromkeys(a.elems, 1)
+    hist = _convolve(a.spec, ones, ones)
     return SumStats(
         sumset_size=len(hist),
         doubling=Fraction(len(hist), len(a)),
@@ -124,9 +114,7 @@ def restricted_sumset(inst: "Instance") -> ElemSet:
     """Sums over edges of the instance hypergraph only."""
     spec = inst.spec
     parts = inst.parts
-    out = set()
-    for edge in inst.hypergraph.edges:
-        out.add(spec.sum(parts[i].elems[v] for i, v in enumerate(edge)))
+    out = {index_sum(spec, parts, edge) for edge in inst.hypergraph.edges}
     return ElemSet(spec, tuple(sorted(out)))
 
 

@@ -28,10 +28,10 @@ from bsgkit.octopus import (
 from bsgkit.rng import SplitMix64
 from bsgkit.sumsets import (
     ElemSet,
-    additive_energy,
     iterated_sumset,
     representation_table,
     restricted_sumset,
+    sum_stats,
 )
 from oracles import brute_codegree, oracle_exact, oracle_relaxed
 
@@ -148,11 +148,11 @@ def test_criterion_2_energy_closed_form():
             if spec.add(x, y) == spec.add(xp, yp)
         )
         ok &= brute == (2 * n**3 + n) // 3
-        ok &= additive_energy(ap) == brute
-    ok &= additive_energy(ElemSet.from_iterable(spec, [(v,) for v in range(3)])) == 19
+        ok &= sum_stats(ap).energy == brute
+    ok &= sum_stats(ElemSet.from_iterable(spec, [(v,) for v in range(3)])).energy == 19
     for n in range(1, 51):
         ap = ElemSet.from_iterable(spec, [(v,) for v in range(n)])
-        ok &= additive_energy(ap) == (2 * n**3 + n) // 3
+        ok &= sum_stats(ap).energy == (2 * n**3 + n) // 3
     elapsed = time.monotonic() - t0
     ok &= elapsed < 5
     _report("2", f"additive energy closed form n<=50, {elapsed:.1f}s", ok)

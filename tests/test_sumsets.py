@@ -16,12 +16,12 @@ from bsgkit.groups import make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.sumsets import (
     ElemSet,
-    additive_energy,
-    doubling_constant,
     iterated_sumset,
     representation_count,
     representation_table,
+    index_sum,
     restricted_sumset,
+    sum_stats,
     sumset,
 )
 
@@ -84,8 +84,8 @@ def test_iterated_sumset_examples():
 
 
 def test_energy_examples():
-    assert additive_energy(zset(0)) == 1
-    assert additive_energy(zset(0, 1, 2)) == 19
+    assert sum_stats(zset(0)).energy == 1
+    assert sum_stats(zset(0, 1, 2)).energy == 19
     assert brute_energy(zset(0, 1, 2)) == 19
 
 
@@ -95,7 +95,7 @@ def test_energy_closed_form_small():
         ap = zset(*range(n))
         expected = (2 * n**3 + n) // 3
         assert brute_energy(ap) == expected
-        assert additive_energy(ap) == expected
+        assert sum_stats(ap).energy == expected
 
 
 def test_energy_matches_enumeration_random():
@@ -103,11 +103,11 @@ def test_energy_matches_enumeration_random():
     for _ in range(10):
         vals = rnd.sample(range(-20, 40), rnd.randint(1, 7))
         a = zset(*vals)
-        assert additive_energy(a) == brute_energy(a)
+        assert sum_stats(a).energy == brute_energy(a)
     for _ in range(5):
         vals = [rnd.randrange(5) for _ in range(rnd.randint(1, 5))]
         a = z5set(*vals)
-        assert additive_energy(a) == brute_energy(a)
+        assert sum_stats(a).energy == brute_energy(a)
 
 
 def test_energy_bounds_random_sets():
@@ -115,7 +115,7 @@ def test_energy_bounds_random_sets():
     for _ in range(20):
         vals = rnd.sample(range(100), rnd.randint(1, 10))
         a = zset(*vals)
-        e = additive_energy(a)
+        e = sum_stats(a).energy
         assert len(a) ** 2 <= e <= len(a) ** 3
 
 
@@ -123,16 +123,47 @@ def test_sidon_set_energy_is_minimal():
     # all pairwise sums distinct: only (x,y,x,y) and (x,y,y,x) quadruples
     sidon = zset(1, 2, 5, 11)
     n = len(sidon)
-    assert additive_energy(sidon) == 2 * n**2 - n
+    assert sum_stats(sidon).energy == 2 * n**2 - n
     assert brute_energy(sidon) == 2 * n**2 - n
 
 
 def test_doubling_examples():
-    assert doubling_constant(zset(*range(10))) == Fraction(19, 10)
-    assert doubling_constant(z5set(0, 1, 2, 3, 4)) == 1
-    assert doubling_constant(zset(1, 2, 5, 11)) == Fraction(10, 4)
+    assert sum_stats(zset(*range(10))).doubling == Fraction(19, 10)
+    assert sum_stats(z5set(0, 1, 2, 3, 4)).doubling == 1
+    assert sum_stats(zset(1, 2, 5, 11)).doubling == Fraction(10, 4)
     with pytest.raises(EmptySetError):
-        doubling_constant(ElemSet.from_iterable(Z, []))
+        sum_stats(ElemSet.from_iterable(Z, []))
+
+
+def test_sum_stats_size_matches_set_sumset():
+    # the histogram kernel and the set-based sumset are two routes to |A+A|
+    rnd = random.Random(23)
+    for spec_moduli, span in (((0,), 40), ((6,), 6), ((3, 0), 9)):
+        spec = make_group(spec_moduli)
+        for _ in range(5):
+            size = rnd.randint(1, 8)
+            elems = [tuple(rnd.randrange(span) for _ in spec_moduli) for _ in range(size)]
+            a = ElemSet.from_iterable(spec, elems)
+            stats = sum_stats(a)
+            assert stats.sumset_size == len(sumset(a, a))
+            assert stats.doubling == Fraction(len(sumset(a, a)), len(a))
+
+
+def test_index_sum_matches_group_sum():
+    rnd = random.Random(29)
+    for spec_moduli in ((0,), (7,), (4, 0)):
+        spec = make_group(spec_moduli)
+        for r in (1, 2, 3):
+            parts = [
+                ElemSet.from_iterable(
+                    spec, [tuple(rnd.randrange(-9, 9) for _ in spec_moduli) for _ in range(4)]
+                )
+                for _ in range(r)
+            ]
+            for _ in range(5):
+                index = tuple(rnd.randrange(len(p)) for p in parts)
+                expected = spec.sum(p.elems[v] for p, v in zip(parts, index))
+                assert index_sum(spec, parts, index) == expected
 
 
 def _instance(parts_vals, edges):
