@@ -377,10 +377,8 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     trace: list[dict] = [
         {
             "kind": "ambient",
-            "mode": "general",
             "sizes": list(ambient),
             "k": frac_str(k),
-            "epsilon": frac_str(eps),
         }
     ]
     h_cur = h
@@ -578,9 +576,7 @@ def dense_extract(
     trace: list[dict] = [
         {
             "kind": "ambient",
-            "mode": "dense",
             "sizes": list(h.part_sizes),
-            "epsilon": frac_str(eps),
             "delta": frac_str(delta_val),
             "delta_auto": delta_auto,
         }

@@ -15,6 +15,7 @@ from bsgkit.errors import (
     UnequalPartsError,
 )
 from bsgkit.extraction import (
+    ExtractionResult,
     almost_all_extract,
     bsg_extract,
     dense_extract,
@@ -322,6 +323,32 @@ def test_almost_all_extract_complete():
     assert report.overall
     target = math.ceil((1 - eps) * 12)
     assert all(len(s) == target for s in res.subsets)
+
+
+def test_ambient_entry_records_each_run_fact_once():
+    # the result's own mode and epsilon are the only copies
+    inst = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))
+    res, _ = almost_all_extract(inst, "measured", Fraction(1, 25), "auto")
+    assert res.mode == "almost-all" and res.epsilon == Fraction(1, 25)
+    assert "mode" not in res.trace[0] and "epsilon" not in res.trace[0]
+    res, _ = bsg_extract(inst, Fraction(1), "measured")
+    assert "mode" not in res.trace[0] and "epsilon" not in res.trace[0]
+
+
+@pytest.mark.parametrize("mode", ["general", "almost-all"])
+def test_result_with_old_ambient_fields_still_loads(mode):
+    inst = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))
+    if mode == "general":
+        res, _ = bsg_extract(inst, Fraction(1), "measured")
+    else:
+        res, _ = almost_all_extract(inst, "measured", Fraction(1, 25), "auto")
+    data = res.to_json()
+    # files written before the cleanup repeated both facts in the ambient entry
+    old_mode = "general" if mode == "general" else "dense"
+    data["trace"][0] = dict(data["trace"][0], mode=old_mode, epsilon=data["epsilon"])
+    old = ExtractionResult.from_json(data)
+    assert (old.mode, old.subsets, old.epsilon) == (res.mode, res.subsets, res.epsilon)
+    assert check_bounds(old, inst, mode) == check_bounds(res, inst, mode)
 
 
 def test_almost_all_density_too_low():

@@ -53,37 +53,37 @@ RUNS = {
 GOLDEN = {
     'general-r2': (
         '149c4c5527678675a313db5d1c98470f39b7e598486fa1ed2a22cb810f594b45',
-        '7b28b47e1d4694624c46a93a9dd88e5f0edf9507c1043c355f8cafdf4d624e10',
+        '505f558b82c3f15dcbda9431a35501333a88c3e47f36fed862667c08c816bb9e',
         '186a3dd2c93e8af9ab49b6aace03a7079cb4a4bdfec7f955715d90e131b3b2a3',
     ),
     'general-r3': (
         '179e6815de275289f6857cc73a6afebf23e6e9536459fe751cd1bddd26de3dc4',
-        '7bab1e51e593788aa7ca89f709eae602e7cb0887ec1f2f6d8d4003a819babb0f',
+        '4dd887f796df2295f2730a7dd6734d3f6831b0cecde41709ec04786410bfe973',
         '1aed75afc7ce7d2f210ab0ac5ac393f9eae0e9271dd14050ac5f79bfbb7ca2b7',
     ),
     'general-r4': (
         '9414a31274c4f354863c83c39d1968f9b58457bd23f4f10d72b911fe2f1bf3dd',
-        '1c22cf4c2ec459ee0d1992262b04a326aeb03ef3ab14fe6d3d63a69c5ab17dfa',
+        '52b2cd80f19e29df6518a41068ab46007a52016316ba0ffb4c73ab566b915289',
         'f2b1b95318c18d40b2ff14939ada12b59af89eb310cd196839ecf5a374366a8c',
     ),
     'sampled-complete-r2': (
         '250c45559e1203c08e278b83b12394a9d947b8537f0b93bc640937609014e4cd',
-        '4e9b15c1f89c51f43ee55d6fc0282746bfd6725b87d2cd3e30febdc4c8ef820a',
+        '8837032ff5992055130d38ecbd5bce614b1691180da38d4a2dedbc0f19c087ab',
         '73b6203efbdd69ed28a7cc5890f851c36a68becdbf9df6aef49b8a844e3a4b95',
     ),
     'dense': (
         '6d9faae7c27fdb11ea853ace47085cc26daaac87471a610261a54b60c589ad9e',
-        '5fdd63dd8581edebbfb87405d7df382ba78f5129fbce13bb61e8ac5d4ec9b123',
+        'b8ec7bc2636a7bcb7df4873bb502e363ffe3a888ecc5eb2b7cf99343e34a97d7',
         'ce1f4ff22077de62db803b97562a97d055d7a41ffcd883a6e301fc717beb8d6d',
     ),
     'almost-all': (
         'd31eb0870cb898761dd092d85c08491f821c572a72d487a0321983c5bc734e79',
-        '742cb0d9c26cf2971fadba824ffb4df17b7642047b8dea1664a233d6678611a7',
+        'f99335ec8afd48f1fd52c8f392be9df30ad15b09e8bb1898ac2e4e2d0e3bf8b3',
         '6fe2ae22c382fea2aace427c4232f4ba875d10b01a6d15e040bb753a808249f4',
     ),
     'claimed-c': (
         '9bc82cfb2ac7eeba88217c1d550408c1cf53fa9d2cbe6ab470aa71d8aa9657be',
-        'cb074111ba12af34ed301a1a33258407712b12a30197988da13250c67bc5453f',
+        '2ab248515edfa57a32a9c020f0d6c7bad1756935860fd9061300d5efd9962dc0',
         '16d39ec79351d43b520932b97b02f71925371c4a5a2bd325ea45ade8d4256bef',
     ),
 }
