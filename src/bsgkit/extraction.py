@@ -36,7 +36,7 @@ from .errors import (
     UnequalPartsError,
 )
 from .hypergraph import Bipartite, Instance, PartiteHypergraph
-from .jsonio import frac_str, parse_fraction
+from .jsonio import exact_param, frac_str, parse_fraction
 from .octopus import eps_good_threshold, relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import SplitMix64
@@ -230,8 +230,8 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
     degree of v. Any pivot that passes is a valid witness; the first one in
     scan order is returned, so identical inputs give identical outcomes.
     """
-    k = Fraction(k)
-    eps = Fraction(eps)
+    k = exact_param("k", k, None)
+    eps = exact_param("eps", eps, None)
     if not 0 < eps < 1:
         raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps}")
     if k <= 0:
@@ -295,8 +295,8 @@ def iterate_extract(
     pairs with leg count at least eps|Z|/(2k^2), and minimum degree at
     least |Z|/(2k).
     """
-    k = Fraction(k)
-    eps = Fraction(eps)
+    k = exact_param("k", k, None)
+    eps = exact_param("eps", eps, None)
     h._check_part(part)
     if any(s == 0 for s in h.part_sizes):
         raise EmptyPartError("all parts must be non-empty")
@@ -363,7 +363,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     """
     h = inst.hypergraph
     r = inst.r
-    k = Fraction(k)
+    k = exact_param("k", k, None)
     if k < 1:
         raise ConfigInvalidError(f"density parameter must be >= 1, got {k}")
     if any(s == 0 for s in h.part_sizes):
@@ -553,20 +553,16 @@ def dense_extract(
     n = h.part_sizes[0]
     if n == 0:
         raise EmptyPartError("parts are empty")
-    eps = Fraction(eps)
+    eps = exact_param("eps", eps, None)
     if eps <= 0:
         raise ConfigInvalidError(f"eps must be positive, got {eps}")
     if eps >= Fraction(1, 10 * r):
         raise EpsilonTooLargeError(f"eps {eps} is not below 1/(10*{r})")
-    delta_auto = isinstance(delta, str)
-    if delta_auto:
-        if delta != "auto":
-            raise ConfigInvalidError(f"delta must be a rational or 'auto', got {delta!r}")
-        delta_val = eps / (10 * r)
-    else:
-        delta_val = Fraction(delta)
-        if delta_val < 0:
-            raise ConfigInvalidError(f"delta must be >= 0, got {delta_val}")
+    delta = exact_param("delta", delta, "auto")
+    delta_auto = delta == "auto"
+    delta_val = eps / (10 * r) if delta_auto else delta
+    if delta_val < 0:
+        raise ConfigInvalidError(f"delta must be >= 0, got {delta_val}")
     total = h.total_tuples
     if Fraction(h.edge_count) < (1 - delta_val) * total:
         raise DensityTooLowError(
@@ -659,7 +655,7 @@ def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
     dense modes; None when c is "measured"."""
     if c == "measured":
         return None
-    return Fraction(c) ** r if mode == "general" else Fraction(c)
+    return c**r if mode == "general" else c
 
 
 def ledger(
@@ -691,7 +687,8 @@ def ledger(
     r = inst.r
     total = math.prod(part_sizes)
     edge_count = Fraction(inst.hypergraph.edge_count)
-    cap = _claimed_cap(mode, r, ambient.get("c", "measured"))
+    claimed = ambient.get("c")
+    cap = _claimed_cap(mode, r, "measured" if claimed is None else parse_fraction(claimed))
     if mode != "dense":
         sumset_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
 
@@ -793,7 +790,7 @@ def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> Extra
     entry so that check_bounds rechecks the same cap."""
     trace = result.trace
     if c != "measured":
-        trace = (dict(trace[0], c=frac_str(Fraction(c))),) + trace[1:]
+        trace = (dict(trace[0], c=frac_str(c)),) + trace[1:]
     return dataclasses.replace(result, mode=mode, trace=trace)
 
 
@@ -804,16 +801,18 @@ def bsg_extract(
 ) -> tuple[ExtractionResult, BoundReport]:
     """Full pipeline: subset extraction plus the exact sumset growth report.
 
-    k and c may be exact rationals or "measured" to derive them from the
-    instance. c is carried as the exact rational c^r throughout, and the
+    k and c may be ints or Fractions, or "measured" to derive them from the
+    instance; anything else raises ConfigInvalidError. c is carried as the exact rational c^r throughout, and the
     growth bound is compared after raising both sides to the r-th power so
     no irrational arithmetic occurs. A claimed c is recorded in the ambient
     trace entry.
     """
+    k = exact_param("k", k, "measured")
+    c = exact_param("c", c, "measured")
     h = inst.hypergraph
     r = inst.r
     total = h.total_tuples
-    k_eff = h.measured_k() if isinstance(k, str) and k == "measured" else Fraction(k)
+    k_eff = h.measured_k() if k == "measured" else k
     if Fraction(h.edge_count) < Fraction(total) / k_eff:
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
     cap = _claimed_cap("general", r, c)
@@ -837,6 +836,9 @@ def almost_all_extract(
 ) -> tuple[ExtractionResult, BoundReport]:
     """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n. A claimed c
     is recorded in the ambient trace entry."""
+    c = exact_param("c", c, "measured")
+    eps = exact_param("eps", eps, None)
+    delta = exact_param("delta", delta, "auto")
     h = inst.hypergraph
     if len(set(h.part_sizes)) != 1:
         raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")

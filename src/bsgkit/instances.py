@@ -30,7 +30,7 @@ from .extraction import (
 )
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
-from .jsonio import frac_str
+from .jsonio import exact_param, frac_str
 from .octopus import octopus_count_relaxed
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
@@ -101,8 +101,8 @@ class GenConfig:
                 raise ConfigInvalidError(f"{name} must be int, got {value!r}")
         for name in ("k", "ap_fraction", "target_c", "delta"):
             value = getattr(self, name)
-            if not (value is None or _is_int(value) or isinstance(value, Fraction)):
-                raise ConfigInvalidError(f"{name} must be an int or Fraction, got {value!r}")
+            if value is not None:
+                exact_param(name, value, None)
         if self.r < 2:
             raise ConfigInvalidError(f"r must be >= 2, got {self.r}")
         if len(self.sizes) != self.r:

@@ -9,6 +9,7 @@ import pytest
 
 from bsgkit import extraction
 from bsgkit.errors import (
+    ConfigInvalidError,
     DensityTooLowError,
     EpsilonTooLargeError,
     HypothesisViolatedError,
@@ -323,6 +324,45 @@ def test_almost_all_extract_complete():
     assert report.overall
     target = math.ceil((1 - eps) * 12)
     assert all(len(s) == target for s in res.subsets)
+
+
+_COMPLETE_12 = GenConfig.make(r=2, n=12, family="complete", seed=0)
+_EPS = Fraction(1, 25)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda inst: bsg_extract(inst, "x"), "k"),
+        (lambda inst: bsg_extract(inst, 1.1), "k"),
+        (lambda inst: bsg_extract(inst, True), "k"),
+        (lambda inst: bsg_extract(inst, "measured", "x"), "c"),
+        (lambda inst: bsg_extract(inst, "measured", 8.0), "c"),
+        (lambda inst: bsg_extract(inst, "auto"), "k"),
+        (lambda inst: almost_all_extract(inst, "x", _EPS), "c"),
+        (lambda inst: almost_all_extract(inst, "measured", 0.04), "eps"),
+        (lambda inst: almost_all_extract(inst, "measured", _EPS, "x"), "delta"),
+        (lambda inst: almost_all_extract(inst, "measured", _EPS, "measured"), "delta"),
+        (lambda inst: dense_extract(inst, "1/25"), "eps"),
+        (lambda inst: dense_extract(inst, _EPS, 0.001), "delta"),
+        (lambda inst: octopus_extract(inst, "2"), "k"),
+        (lambda inst: iterate_extract(inst.hypergraph, 0, 2.0, Fraction(1, 4)), "k"),
+        (lambda inst: iterate_extract(inst.hypergraph, 0, Fraction(2), 0.25), "eps"),
+        (lambda inst: drc_extract(inst.hypergraph.flatten(0), Fraction(2), "1/4"), "eps"),
+        (lambda inst: drc_extract(inst.hypergraph.flatten(0), None, Fraction(1, 4)), "k"),
+    ],
+    ids=[
+        "bsg-k-text", "bsg-k-float", "bsg-k-bool", "bsg-c-text", "bsg-c-float",
+        "bsg-k-auto", "almost-all-c-text", "almost-all-eps-float", "almost-all-delta-text",
+        "almost-all-delta-measured", "dense-eps-text", "dense-delta-float",
+        "octopus-k-text", "iterate-k-float", "iterate-eps-float", "drc-eps-text",
+        "drc-k-none",
+    ],
+)
+def test_pipeline_parameter_must_be_exact(call, name):
+    # rejected by name with a typed error, never rounded or parsed from text
+    with pytest.raises(ConfigInvalidError, match=f"^{name} must be an int or Fraction"):
+        call(gen_instance(_COMPLETE_12))
 
 
 def test_ambient_entry_records_each_run_fact_once():
