@@ -232,6 +232,21 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     assert "Traceback" not in err
 
 
+def test_verify_empty_subset_fails_typed(tmp_path, capsys):
+    args, inst = gen_args(tmp_path)
+    main(args)
+    report = tmp_path / "report.json"
+    assert main(["extract", "--instance", str(inst), "--K", "1", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    payload["result"]["subsets"][1] = []
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["verify", "--instance", str(inst), "--result", str(report),
+                 "--mode", "general"])
+    assert code == 1
+    assert capsys.readouterr().err == "bsgkit: error: chosen subset for part 1 is empty\n"
+
+
 def test_exit_code_check_failed(tmp_path, capsys):
     args, inst = gen_args(tmp_path)
     main(args)

@@ -13,6 +13,7 @@ from bsgkit.errors import (
     DensityTooLowError,
     EpsilonTooLargeError,
     HypothesisViolatedError,
+    NoWitnessError,
     UnequalPartsError,
 )
 from bsgkit.extraction import (
@@ -204,6 +205,18 @@ def test_partner_filter_against_oracle(monkeypatch, raised):
             assert entry["kept"] == expect
             dropped += len(cands) - len(expect)
     assert dropped > 0 or not raised
+
+
+def test_partner_filter_that_drops_every_candidate_raises(monkeypatch):
+    # a floor above every leg count makes every other candidate a bad partner
+    monkeypatch.setattr(
+        extraction, "eps_good_threshold", lambda r, part, eps, k, ambient: Fraction(10**9)
+    )
+    inst = gen_instance(
+        GenConfig.make(r=3, n=6, family="random-density", seed=0, k=Fraction(2))
+    )
+    with pytest.raises(NoWitnessError, match="^partner filter emptied part 0$"):
+        octopus_extract(inst, Fraction(2))
 
 
 def test_partner_filter_keeps_a_lone_candidate(monkeypatch):
