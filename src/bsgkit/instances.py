@@ -30,7 +30,7 @@ from .extraction import (
 )
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
-from .jsonio import exact_param, frac_str
+from .jsonio import exact_param, frac_str, is_int
 from .octopus import octopus_count_relaxed
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
@@ -45,10 +45,6 @@ from .sumsets import (
 FAMILIES = ("complete", "random-density", "planted", "dense")
 
 BRUTE_FORCE_SIZE_GUARD = 24
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class GenConfig:
         delta: Fraction | None = None,
     ) -> "GenConfig":
         # a non-int r is left for validate to reject by name
-        sizes = tuple(n) if isinstance(n, Sequence) else (n,) * (r if _is_int(r) else 1)
+        sizes = tuple(n) if isinstance(n, Sequence) else (n,) * (r if is_int(r) else 1)
         return cls(
             r=r, sizes=sizes, moduli=tuple(moduli), seed=seed, family=family,
             k=k, ap_fraction=ap_fraction, target_c=target_c, delta=delta,
@@ -97,7 +93,7 @@ class GenConfig:
         for name in ("r", "sizes", "moduli", "seed"):
             value = getattr(self, name)
             values = value if name in ("sizes", "moduli") else (value,)
-            if not isinstance(values, tuple) or not all(map(_is_int, values)):
+            if not isinstance(values, tuple) or not all(map(is_int, values)):
                 raise ConfigInvalidError(f"{name} must be int, got {value!r}")
         for name in ("k", "ap_fraction", "target_c", "delta"):
             value = getattr(self, name)
@@ -447,7 +443,7 @@ def brute_force_best_subsets(
     if len(min_sizes) != inst.r:
         raise ConfigInvalidError(f"{len(min_sizes)} floors for {inst.r} parts")
     for i, m in enumerate(min_sizes):
-        if not _is_int(m):
+        if not is_int(m):
             raise ConfigInvalidError(f"floor {m!r} for part {i} is not an integer")
         if not 1 <= m <= sizes[i]:
             raise ConfigInvalidError(

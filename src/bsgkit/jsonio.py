@@ -63,14 +63,18 @@ def parse_fraction(text: str) -> Fraction:
         raise ConfigInvalidError(f"cannot parse rational {text!r}") from exc
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def exact_param(name: str, value, sentinel: str | None) -> Fraction | str:
-    """A rational parameter as a Fraction. An int (bool excluded) or a
-    Fraction is accepted, and the sentinel string ("measured" or "auto"),
-    when there is one, passes through unchanged; anything else, a float
-    included, raises ConfigInvalidError naming the parameter."""
+    """An int or Fraction parameter as a Fraction; the sentinel string
+    ("measured" or "auto"), if any, passes through. Anything else, a bool
+    or float included, raises ConfigInvalidError naming the parameter."""
     if sentinel is not None and value == sentinel:
         return value
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+    if isinstance(value, Fraction) or is_int(value):
         return Fraction(value)
     also = f" or {sentinel!r}" if sentinel is not None else ""
     raise ConfigInvalidError(f"{name} must be an int or Fraction{also}, got {value!r}")
