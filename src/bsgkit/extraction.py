@@ -102,7 +102,8 @@ class ExtractionResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtractionResult":
-        """Parse a result, checking the ambient entry fields ledger reads."""
+        """Parse a result, checking the ambient entry fields ledger reads and
+        that no chosen subset is empty."""
         mode = data["mode"]
         trace = tuple(data.get("trace", []))
         ambient = trace[0] if trace else None
@@ -114,10 +115,14 @@ class ExtractionResult:
             parse_fraction(ambient["delta"])
         if "c" in ambient:
             parse_fraction(ambient["c"])
+        subsets = tuple(tuple(int(v) for v in s) for s in data["subsets"])
+        for i, sub in enumerate(subsets):
+            if not sub:
+                raise ConfigInvalidError(f"chosen subset for part {i} is empty")
         eps = data.get("epsilon")
         return cls(
             mode=mode,
-            subsets=tuple(tuple(int(v) for v in s) for s in data["subsets"]),
+            subsets=subsets,
             epsilon=None if eps is None else parse_fraction(eps),
             trace=trace,
         )

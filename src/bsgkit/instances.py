@@ -4,9 +4,10 @@ brute-force oracles.
 Generators are fully determined by their seed via SplitMix64; the algorithm
 identifier, family and parameters are recorded inside the instance JSON so
 files can be regenerated bit-identically. Verification here recomputes every
-quantity from scratch (per-support counters, fresh sumsets) rather than
-trusting anything a pipeline recorded, so it serves as the second,
-independent route for every reported inequality.
+quantity from scratch (relaxed counts by elimination over leg rows built from
+the edge list, fresh sumsets) rather than trusting anything a pipeline
+recorded, so it serves as the second, independent route for every reported
+inequality.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Sequence
 
 from .errors import (
@@ -31,7 +32,6 @@ from .extraction import (
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
 from .jsonio import exact_param, frac_str, is_int
-from .octopus import octopus_count_relaxed
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
 from .sumsets import (
@@ -316,10 +316,12 @@ def check_bounds(
     """Recompute every inequality of the relevant mode from scratch.
 
     Uses the run parameters recorded in the result (k, or eps and delta,
-    and the claimed sumset cap C when the run was given one). Counts are
-    recomputed with the per-support counter, sumsets from the chosen
-    elements; nothing else the pipeline recorded is trusted. The rows come
-    from the same ledger as the pipeline's.
+    and the claimed sumset cap C when the run was given one). Relaxed counts
+    are recomputed by _elimination_counts over the supports that
+    verification_supports picks (the whole subset box, or one singleton box
+    per sampled support), sumsets from the chosen elements; nothing else the
+    pipeline recorded is trusted. The rows come from the same ledger as the
+    pipeline's.
     """
     if result.mode != mode:
         raise ModeMismatchError(f"result mode {result.mode!r} != requested {mode!r}")
@@ -335,9 +337,82 @@ def check_bounds(
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
     supports, exhaustive = verification_supports(result.subsets)
-    counts = [octopus_count_relaxed(h, sup) for sup in supports]
+    supports = list(supports)
+    # the whole box, or one singleton box per distinct sampled support
+    boxes = (
+        [result.subsets] if exhaustive
+        else [[(v,) for v in sup] for sup in dict.fromkeys(supports)]
+    )
+    table = _elimination_counts(h, boxes)
+    counts = [table[s] for s in supports]
     restricted_size = None if mode == "dense" else len(restricted_sumset(inst))
     return ledger(inst, result, restricted_size, min(counts), len(counts), exhaustive)
+
+
+def _elimination_counts(
+    h: PartiteHypergraph, boxes: Sequence[Sequence[Sequence[int]]]
+) -> dict[tuple[int, ...], int]:
+    """Relaxed counts of every support in each box (one index subset per part).
+
+    The verifier's own counter, built from h.edges alone. For each part
+    i < r-1, every edge is keyed by its tuple with coordinate i dropped, the
+    keys are numbered in first-seen order, and each part-i vertex gets the
+    int mask of its key ids; the leg count at (v, w) is the popcount of
+    mask[v] & mask[w], and 0 when w == v. The leg row of each distinct
+    vertex the boxes use is built once. Per last-part vertex of a box, the
+    closing edges are then contracted part 0 first, up to part r-2, which
+    is the reverse of relaxed_count_table's order; every order gives the
+    same sum.
+    """
+    last = h.r - 1
+    for box in boxes:
+        for i, sub in enumerate(box):
+            for v in sub:
+                h._check_vertex(i, v)
+    rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
+    for i in range(last):
+        ids: dict[tuple[int, ...], int] = {}
+        masks = [0] * h.part_sizes[i]
+        for e in h.edges:
+            masks[e[i]] |= 1 << ids.setdefault(e[:i] + e[i + 1 :], len(ids))
+        rows.append({
+            v: [0 if w == v else (masks[v] & m).bit_count() for w, m in enumerate(masks)]
+            for v in {v for box in boxes for v in box[i]}
+        })
+    out: dict[tuple[int, ...], int] = {}
+    for box in boxes:
+        box_rows = [[rows[i][v] for v in box[i]] for i in range(last)]
+        # the final vectors are row-major with part r-2 most significant
+        heads = [head[::-1] for head in product(*box[last - 1 :: -1])]
+        for v_last in box[last]:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for e in h.edges_through(last, v_last):
+                groups.setdefault(e[1:last], []).append(e[0])
+            # vecs[suffix][j]: the count at the j-th tuple of the product of
+            # the contracted parts' subsets, over closing edges whose mates
+            # after those parts are the suffix
+            vecs = {
+                suffix: [sum(row[w] for w in ws) for row in box_rows[0]]
+                for suffix, ws in groups.items()
+            }
+            for p in range(1, last):
+                terms: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+                for suffix, vec in vecs.items():
+                    terms.setdefault(suffix[1:], []).append((suffix[0], vec))
+                vecs = {}
+                for suffix, pairs in terms.items():
+                    flat: list[int] = []
+                    for row in box_rows[p]:
+                        acc = [0] * len(pairs[0][1])
+                        for w, vec in pairs:
+                            c = row[w]
+                            if c:
+                                acc = [a + c * x for a, x in zip(acc, vec)]
+                        flat.extend(acc)
+                    vecs[suffix] = flat
+            for head, count in zip(heads, vecs.get((), repeat(0))):
+                out[head + (v_last,)] = count
+    return out
 
 
 def check_representations(

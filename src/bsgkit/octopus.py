@@ -9,7 +9,10 @@ part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 The relaxed count multiplies leg counts over each closing edge, enforcing
 only w_i != v_i; every bound check uses it. The pipelines count a whole
 box of supports with relaxed_count_table, one elimination kernel for every
-arity; the verifier counts one support at a time with octopus_count_relaxed.
+arity. The verifier (check_bounds in instances.py) counts by elimination over
+its own leg rows, built from the edge list in the other part order, and uses
+none of this module's counters; octopus_count_relaxed counts one support for
+``bsgkit count`` and the witness-budget estimate.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.

@@ -15,6 +15,7 @@ from bsgkit.extraction import bsg_extract, almost_all_extract, iterate_extract
 from bsgkit.groups import make_group
 from bsgkit.instances import (
     GenConfig,
+    _elimination_counts,
     brute_force_best_subsets,
     check_representations,
     gen_instance,
@@ -134,6 +135,21 @@ def test_criterion_1_octopus_oracle_equivalence():
     ok &= elapsed < 60
     _report("1", f"octopus counter oracle equivalence, {len(instances)} instances, "
                  f"{elapsed:.1f}s", ok)
+
+
+def test_verifier_counter_oracle_equivalence():
+    # check_bounds' own elimination counter on the criterion 1 suite: one
+    # small box per instance, where every support must match, plus two
+    # singleton boxes, counted in one call as in the sampled branch
+    rng = SplitMix64(2025)
+    for inst in _counting_suite():
+        h = inst.hypergraph
+        box = [sorted({rng.next_below(s) for _ in range(2)}) for s in h.part_sizes]
+        singles = [tuple(rng.next_below(s) for s in h.part_sizes) for _ in range(2)]
+        table = _elimination_counts(h, [box] + [[(v,) for v in sup] for sup in singles])
+        assert table.keys() == set(product(*box)) | set(singles)
+        for sup, count in table.items():
+            assert count == oracle_relaxed(h, sup), (inst.meta, sup)
 
 
 def test_criterion_2_energy_closed_form():

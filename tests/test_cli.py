@@ -244,7 +244,10 @@ def test_verify_empty_subset_fails_typed(tmp_path, capsys):
     code = main(["verify", "--instance", str(inst), "--result", str(report),
                  "--mode", "general"])
     assert code == 1
-    assert capsys.readouterr().err == "bsgkit: error: chosen subset for part 1 is empty\n"
+    assert capsys.readouterr().err == (
+        f"bsgkit: error: malformed {report}: "
+        "ConfigInvalidError('chosen subset for part 1 is empty')\n"
+    )
 
 
 def test_exit_code_check_failed(tmp_path, capsys):

@@ -3,11 +3,13 @@ checks, and the brute-force subset oracle."""
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from bsgkit import octopus
 from bsgkit.errors import (
     ConfigInvalidError,
     ModeMismatchError,
@@ -19,6 +21,7 @@ from bsgkit.extraction import (
     almost_all_extract,
     bsg_extract,
     dense_extract,
+    verification_supports,
 )
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
@@ -202,6 +205,35 @@ def test_check_bounds_recounts_instead_of_trusting_the_trace():
     )
     failed = check_bounds(tampered, inst, "general").failures()
     assert [q.name for q in failed] == ["octopus-count-floor"]
+
+
+def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
+    # check_bounds builds its own leg rows from the edge list, so it still
+    # gives the same passing report when flatten and both octopus counters
+    # raise; one instance is exhaustive, the other (the sampled-complete-r2
+    # golden instance) takes the sampled branch
+    insts = (
+        gen_instance(GenConfig.make(r=3, n=8, family="random-density", seed=3, k=Fraction(2))),
+        gen_instance(GenConfig.make(r=2, n=128, family="complete", seed=1)),
+    )
+    runs = []
+    for inst in insts:
+        res, _ = bsg_extract(inst, "measured", "measured")
+        runs.append((inst, res, check_bounds(res, inst, "general")))
+    assert [verification_supports(res.subsets)[1] for _, res, _ in runs] == [True, False]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_bounds used a pipeline counter")
+
+    for name in ("octopus_count_relaxed", "relaxed_count_table"):
+        original = getattr(octopus, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "bsgkit" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(PartiteHypergraph, "flatten", refuse)
+    for inst, res, expected in runs:
+        report = check_bounds(res, inst, "general")
+        assert report.overall and report == expected
 
 
 def _row_keys(report):

@@ -58,6 +58,8 @@ def test_tracer_wraps_and_restores():
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert tracer.count["extraction.sweeps"] == 1
-    assert tracer.count["instances.verify_supports"] > 0
+    # check_bounds counts with its own elimination routine, not through the
+    # wrapped octopus_count_relaxed, so the tracer sees no per-support calls
+    assert tracer.count["instances.verify_supports"] == 0
     assert tracer.time["instances.check_bounds"] > 0
     assert not tracer.stack
