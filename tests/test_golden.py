@@ -1,21 +1,26 @@
-"""Byte identity of gen, extract and verify outputs on a fixed set of runs.
+"""Byte identity of the CLI's outputs on a fixed set of runs.
 
-Each run goes gen -> extract -> verify through the CLI in-process, and the
-SHA-256 of each of the three output files is compared with a recorded
-digest. The set covers general mode at r = 2, 3 and 4, a sampled sweep
-(complete r = 2, n = 128), the dense and almost-all modes, and an explicit
-claimed C. After a deliberate change of output bytes, re-record the table
-with `PYTHONPATH=src python tests/test_golden.py`.
+Each run in RUNS goes gen -> extract -> verify through the CLI in-process,
+and the SHA-256 of each of the three output files is compared with a
+recorded digest. The set covers general mode at r = 2, 3 and 4, a sampled
+sweep (complete r = 2, n = 128), the dense and almost-all modes, and an
+explicit claimed C. The sum-layer run pins `measure` on a free x cyclic
+instance and `energy` and `sumset --out` on fixed sets of the same group.
+After a deliberate change of output bytes, re-record the tables with
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from bsgkit.cli import main
+from bsgkit.jsonio import canonical_dumps
 
 RUNS = {
     "general-r2": (
@@ -89,6 +94,26 @@ GOLDEN = {
 }
 
 
+# Sets of Z x Z_7 for the sum-layer run: negative free coordinates, free
+# coordinates beyond 2^64 (as decimal strings), and cyclic coordinates given
+# outside [0, 7).
+SUM_SETS = {
+    "a": [[-3, 0], [0, 6], [5, 9], ["1180591620717411303424", 3],
+          ["-36893488147419103232", -1], [11, 4]],
+    "b": [[0, 0], [1, 1], [-7, 5], [2, 13], ["18446744073709551616", 2]],
+}
+SUM_GEN = ["--family", "planted", "--r", "3", "--n", "8", "--seed", "3", "--group", "0,7",
+           "--ap-fraction", "1/2", "--target-C", "2"]
+
+# (measure, energy of a, sumset a + b + a stdout, sumset a + b + a --out) digests
+SUM_GOLDEN = (
+    'f01129e1a095ad7f0f8e8ebf4676218f567a389602c5fbade3707fcfc26cd6b6',
+    '88206368a92e7ded56cda48675e8ce1e0efc5700fa65cf18ea01ee4a0c28be68',
+    'de36178010b2b81b6fe47788fe8ad57563bc2fb021fffbddf2d73df75e4706fb',
+    '673843f8c0e6f022b9bb514dddc13955380e32658b153d8c35328b28fbfe1c78',
+)
+
+
 def run_digests(workdir: Path, name: str) -> tuple[str, str, str]:
     gen, extract = RUNS[name]
     mode = extract[extract.index("--mode") + 1]
@@ -101,9 +126,33 @@ def run_digests(workdir: Path, name: str) -> tuple[str, str, str]:
     return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (inst, report, verdict))
 
 
+def sum_layer_digests(workdir: Path) -> tuple[str, str, str, str]:
+    inst = workdir / "sum-instance.json"
+    assert main(["gen", *SUM_GEN, "--out", str(inst)]) == 0
+    sets = {}
+    for name, elems in SUM_SETS.items():
+        sets[name] = workdir / f"sum-set-{name}.json"
+        sets[name].write_text(canonical_dumps({"elems": elems, "group": {"moduli": [0, 7]}}))
+    measure, energy, combined = (workdir / f"sum-{kind}.json"
+                                 for kind in ("measure", "energy", "combined"))
+    assert main(["measure", "--instance", str(inst), "--out", str(measure)]) == 0
+    assert main(["energy", "--set", str(sets["a"]), "--out", str(energy)]) == 0
+    stdout = StringIO()
+    with redirect_stdout(stdout):
+        assert main(["sumset", "--set", str(sets["a"]), "--set", str(sets["b"]),
+                     "--set", str(sets["a"]), "--out", str(combined)]) == 0
+    outputs = (measure.read_bytes(), energy.read_bytes(), stdout.getvalue().encode(),
+               combined.read_bytes())
+    return tuple(hashlib.sha256(b).hexdigest() for b in outputs)
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_outputs_match_golden_digests(tmp_path, name):
     assert run_digests(tmp_path, name) == GOLDEN[name]
+
+
+def test_sum_layer_outputs_match_golden_digests(tmp_path):
+    assert sum_layer_digests(tmp_path) == SUM_GOLDEN
 
 
 if __name__ == "__main__":
@@ -115,4 +164,7 @@ if __name__ == "__main__":
             for digest in digests:
                 sys.stdout.write(f"        {digest!r},\n")
             sys.stdout.write("    ),\n")
-        sys.stdout.write("}\n")
+        sys.stdout.write("}\n\nSUM_GOLDEN = (\n")
+        for digest in sum_layer_digests(Path(tmp)):
+            sys.stdout.write(f"    {digest!r},\n")
+        sys.stdout.write(")\n")
