@@ -95,7 +95,8 @@ class HypothesisViolatedError(BsgkitError):
 
 
 class TooLargeError(BsgkitError):
-    """A brute-force search space or an index-tuple product exceeds its hard guard."""
+    """A brute-force search space, an index-tuple product or the pair count of
+    a sumset exceeds its hard guard."""
 
 
 class ModeMismatchError(BsgkitError):

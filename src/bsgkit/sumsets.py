@@ -1,12 +1,18 @@
 """Finite subsets of a group: sumsets, doubling, additive energy, and
 signed representation counting.
 
-Every quantity here is exact. Each job has one implementation: ``sumset``
-is the set-based kernel for unweighted sums, ``_convolve`` the one
-histogram kernel (|A+A|, doubling and energy in ``sum_stats``, signed
-representation counts in ``representation_table``), and ``index_sum`` the
-one sum of the elements at an index tuple. Histograms hold Python ints, so
-counts cannot overflow and no float is involved.
+Every quantity here is exact. Each job has one implementation:
+``restricted_sumset`` the sums over a hypergraph's edges, ``sumset`` the
+set-based kernel for unweighted sums of two sets (``iterated_sumset`` folds
+it), ``_convolve`` the one histogram kernel (|A+A|, doubling and energy in
+``sum_stats``, signed representation counts in ``representation_table``),
+and ``index_sum`` the sum of the elements at a single index tuple.
+
+The three many-sum kernels add packed ints, not tuples: ``_pack`` gives
+every element one int code, with one bit field per coordinate wide enough
+that a sum of one code per summand never carries between fields, and a
+decoder back to canonical elements. Codes, counts and histograms are Python
+ints, so nothing can overflow and no float is involved.
 """
 
 from __future__ import annotations
@@ -14,10 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import getitem
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .config import DEFAULT_CONV_CELL_CAP
-from .errors import EmptySetError, SpecMismatchError, UnsupportedGroupError
+from .config import DEFAULT_CONV_CELL_CAP, TUPLE_CAP
+from .errors import (
+    EmptySetError,
+    ShapeMismatchError,
+    SpecMismatchError,
+    TooLargeError,
+    UnsupportedGroupError,
+)
 from .groups import GroupElem, GroupSpec, elem_from_json, elem_to_json
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,12 +84,68 @@ def _require_same_spec(a: ElemSet, b: ElemSet) -> None:
         raise SpecMismatchError("sets belong to different groups")
 
 
+def _pack(
+    spec: GroupSpec, summands: Sequence[Sequence[GroupElem]]
+) -> tuple[list[list[int]], Callable[[int], GroupElem]]:
+    """Int codes of each summand's elements, and a decoder for any sum made
+    of one code per summand.
+
+    Each summand is offset by its minimum at each coordinate, cyclic ones
+    included, so every shifted value is non-negative. Coordinate j gets a bit
+    field as wide as the summands' spans (max - min) at j add up to, so the
+    fields of a sum never carry into each other. The decoder adds the summed
+    offsets back and reduces cyclic coordinates. An element of the wrong
+    width raises ShapeMismatchError here.
+    """
+    width = spec.width
+    columns = []
+    for summand in summands:
+        for x in summand:
+            if len(x) != width:
+                raise ShapeMismatchError(
+                    f"element has {len(x)} coordinates, spec has {width}"
+                )
+        columns.append(list(zip(*summand)) or [(0,)] * width)
+    lows = [[min(col) for col in cols] for cols in columns]
+    fields = []  # (shift, mask, summed offset, modulus) per coordinate
+    used = 0
+    for j, m in enumerate(spec.moduli):
+        bits = sum(max(cols[j]) - low[j] for cols, low in zip(columns, lows)).bit_length()
+        fields.append((used, (1 << bits) - 1, sum(low[j] for low in lows), m))
+        used += bits
+    codes = [
+        [sum((c - lo) << f[0] for c, lo, f in zip(x, low, fields)) for x in summand]
+        for summand, low in zip(summands, lows)
+    ]
+
+    def decode(code: int) -> GroupElem:
+        out = []
+        for shift, mask, offset, m in fields:
+            c = ((code >> shift) & mask) + offset
+            out.append(c % m if m else c)
+        return tuple(out)
+
+    return codes, decode
+
+
+def _require_pairs_within_cap(what: str, pairs: int) -> None:
+    if pairs > TUPLE_CAP:
+        raise TooLargeError(f"{what} takes {pairs} additions, above the cap of {TUPLE_CAP}")
+
+
+def _decoded_set(spec: GroupSpec, codes: Iterable[int], decode) -> ElemSet:
+    return ElemSet(spec, tuple(sorted({decode(c) for c in codes})))
+
+
 def sumset(a: ElemSet, b: ElemSet) -> ElemSet:
-    """All pairwise sums x + y with x in a, y in b."""
+    """All pairwise sums x + y with x in a, y in b. Raises TooLargeError
+    before any addition when |a| * |b| exceeds TUPLE_CAP."""
     _require_same_spec(a, b)
-    spec = a.spec
-    out = {spec.add(x, y) for x in a.elems for y in b.elems}
-    return ElemSet(spec, tuple(sorted(out)))
+    _require_pairs_within_cap(
+        f"sumset of sets of sizes {len(a)} and {len(b)}", len(a) * len(b)
+    )
+    (codes_a, codes_b), decode = _pack(a.spec, [a.elems, b.elems])
+    return _decoded_set(a.spec, {x + y for x in codes_a for y in codes_b}, decode)
 
 
 def iterated_sumset(sets: Sequence[ElemSet]) -> ElemSet:
@@ -90,17 +159,21 @@ def iterated_sumset(sets: Sequence[ElemSet]) -> ElemSet:
 
 
 def index_sum(spec: GroupSpec, parts: Sequence[ElemSet], index: Sequence[int]) -> GroupElem:
-    """parts[0].elems[index[0]] + ... + parts[-1].elems[index[-1]], folded
-    from the first element, so r parts take r - 1 additions."""
+    """parts[0].elems[index[0]] + ... + parts[-1].elems[index[-1]] for a
+    single index tuple, folded with GroupSpec.add from the first element, so
+    r parts take r - 1 additions. Sums over many tuples go through
+    restricted_sumset, which packs the parts once."""
     return reduce(spec.add, [part.elems[v] for part, v in zip(parts, index)])
 
 
 def sum_stats(a: ElemSet) -> SumStats:
     """|A+A|, |A+A|/|A| and the additive energy, the number of ordered
     quadruples (x, y, x', y') in A^4 with x + y = x' + y', from one pair
-    histogram."""
+    histogram. Raises TooLargeError before any addition when |A|^2 exceeds
+    TUPLE_CAP."""
     if len(a) == 0:
         raise EmptySetError("statistics of the empty set")
+    _require_pairs_within_cap(f"the pair histogram of a set of size {len(a)}", len(a) ** 2)
     ones = dict.fromkeys(a.elems, 1)
     hist = _convolve(a.spec, ones, ones)
     return SumStats(
@@ -111,11 +184,11 @@ def sum_stats(a: ElemSet) -> SumStats:
 
 
 def restricted_sumset(inst: "Instance") -> ElemSet:
-    """Sums over edges of the instance hypergraph only."""
-    spec = inst.spec
-    parts = inst.parts
-    out = {index_sum(spec, parts, edge) for edge in inst.hypergraph.edges}
-    return ElemSet(spec, tuple(sorted(out)))
+    """Sums over edges of the instance hypergraph only: one packed code sum
+    per edge, then each distinct code decoded once."""
+    codes, decode = _pack(inst.spec, [part.elems for part in inst.parts])
+    sums = {sum(map(getitem, codes, edge)) for edge in inst.hypergraph.edges}
+    return _decoded_set(inst.spec, sums, decode)
 
 
 def _free_box_cells(spec: GroupSpec, elems: Sequence[GroupElem], r: int) -> int:
@@ -133,12 +206,21 @@ def _free_box_cells(spec: GroupSpec, elems: Sequence[GroupElem], r: int) -> int:
 
 
 def _convolve(spec: GroupSpec, acc: dict, hist: dict) -> dict:
+    """Histogram of x + y over the two histograms, weighted by the product
+    of their counts: counts add per code sum, then codes that decode to the
+    same element merge."""
+    (codes_a, codes_b), decode = _pack(spec, [list(acc), list(hist)])
+    by_code: dict = {}
+    get = by_code.get
+    pairs_b = list(zip(codes_b, hist.values()))
+    for xa, ca in zip(codes_a, acc.values()):
+        for xb, cb in pairs_b:
+            key = xa + xb
+            by_code[key] = get(key, 0) + ca * cb
     out: dict = {}
-    add = spec.add
-    for ea, ca in acc.items():
-        for eb, cb in hist.items():
-            key = add(ea, eb)
-            out[key] = out.get(key, 0) + ca * cb
+    for code, count in by_code.items():
+        elem = decode(code)
+        out[elem] = out.get(elem, 0) + count
     return out
 
 
