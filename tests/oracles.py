@@ -3,10 +3,12 @@
 Nothing here reuses production counting code: legs are recounted by scanning
 full index grids against a set of the edges, built once per call, octopuses by enumerating every
 candidate (mates, interiors) combination with explicit (part, vertex) set
-checks, codegrees by scanning all right tuples, and best subsets by summing
-plain coordinate tuples for every combination.
+checks, codegrees by scanning all right tuples, best subsets by summing
+plain coordinate tuples for every combination, and sums of group elements by
+folding GroupSpec.add over every term.
 """
 
+from collections import Counter
 from itertools import combinations, product
 
 
@@ -144,3 +146,33 @@ def oracle_best_subsets(moduli, parts, floors):
         if best is None or len(sums) < best[1]:
             best = (chosen, len(sums))
     return best
+
+
+def oracle_sum_fold(spec, terms):
+    """Sum of group elements by a naive GroupSpec.add fold from the identity."""
+    total = spec.identity()
+    for t in terms:
+        total = spec.add(total, t)
+    return total
+
+
+def oracle_sumset(spec, sets):
+    """Sorted distinct sums of one element from each set."""
+    return tuple(sorted({oracle_sum_fold(spec, picks) for picks in product(*sets)}))
+
+
+def oracle_restricted_sumset(inst):
+    """Sorted distinct sums over the instance's edges."""
+    parts = [part.elems for part in inst.parts]
+    return tuple(sorted({
+        oracle_sum_fold(inst.spec, [parts[i][v] for i, v in enumerate(edge)])
+        for edge in inst.hypergraph.edges
+    }))
+
+
+def oracle_signed_histogram(spec, elems, signs):
+    """Counts of sum(sign_i * c_i) over all tuples (c_1, ..., c_k) from elems."""
+    return Counter(
+        oracle_sum_fold(spec, [c if sign > 0 else spec.neg(c) for c, sign in zip(tup, signs)])
+        for tup in product(elems, repeat=len(signs))
+    )

@@ -185,6 +185,21 @@ def test_tuple_cap_fails_typed_before_allocating(tmp_path, capsys, source):
     assert peak < 10 * 2**20  # bytes; building the tuples would take ~100 MB
 
 
+@pytest.mark.parametrize("command", ["energy", "sumset"])
+def test_pair_cap_fails_typed(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(bsgkit.sumsets, "TUPLE_CAP", 8)
+    setfile = tmp_path / "set.json"
+    setfile.write_text(canonical_dumps(
+        {"group": {"moduli": [0]}, "elems": [[0], [1], [5]]}
+    ))
+    args = ["--set", str(setfile)] * (1 if command == "energy" else 2)
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bsgkit: error: ")
+    assert "9 additions, above the cap of 8" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

@@ -11,8 +11,8 @@ from itertools import product
 import pytest
 
 from bsgkit import sumsets
-from bsgkit.errors import EmptySetError, SpecMismatchError, UnsupportedGroupError
-from bsgkit.groups import make_group
+from bsgkit.errors import EmptySetError, SpecMismatchError, TooLargeError, UnsupportedGroupError
+from bsgkit.groups import GroupSpec, make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.sumsets import (
     ElemSet,
@@ -252,6 +252,23 @@ def test_representation_cell_cap(monkeypatch):
     # modular groups never hit the cap
     monkeypatch.setattr(sumsets, "DEFAULT_CONV_CELL_CAP", 1)
     assert representation_count(Z5, z5set(0, 1), (0,), 2) == 3
+
+
+def test_pair_cap_refuses_before_any_addition(monkeypatch):
+    monkeypatch.setattr(sumsets, "TUPLE_CAP", 6)
+    a, b = zset(0, 1, 5), zset(0, 2)
+    assert sumset(a, b).elems == ((0,), (1,), (2,), (3,), (5,), (7,))  # 6 pairs, at the cap
+    assert iterated_sumset([b, b]).elems == ((0,), (2,), (4,))
+
+    def refuse(*args):
+        raise AssertionError("addition before the cap check")
+
+    monkeypatch.setattr(GroupSpec, "add", refuse)
+    monkeypatch.setattr(sumsets, "_pack", refuse)
+    with pytest.raises(TooLargeError, match="sizes 3 and 3 takes 9 additions, above the cap of 6"):
+        sumset(a, a)
+    with pytest.raises(TooLargeError, match="size 3 takes 9 additions, above the cap of 6"):
+        sum_stats(a)
 
 
 def test_elemset_dedup_and_order():
