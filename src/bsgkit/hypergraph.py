@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .config import TUPLE_CAP
+from .config import TUPLE_CAP, require_within_cap
 from .errors import (
     ArityMismatchError,
     ConfigInvalidError,
@@ -36,12 +36,9 @@ from .sumsets import ElemSet
 def tuple_total(sizes: Sequence[int]) -> int:
     """Number of index tuples over parts of these sizes; raises TooLargeError
     above TUPLE_CAP, so callers check before they allocate."""
-    total = math.prod(sizes)
-    if total > TUPLE_CAP:
-        raise TooLargeError(
-            f"part sizes {tuple(sizes)} span {total} index tuples, above the cap of {TUPLE_CAP}"
-        )
-    return total
+    return require_within_cap(
+        math.prod(sizes), TUPLE_CAP, f"index tuples over part sizes {tuple(sizes)}"
+    )
 
 
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:

@@ -4,9 +4,10 @@ signed representation counting.
 Every quantity here is exact. Each job has one implementation:
 ``restricted_sumset`` the sums over a hypergraph's edges, ``sumset`` the
 set-based kernel for unweighted sums of two sets (``iterated_sumset`` folds
-it), ``_convolve`` the one histogram kernel (|A+A|, doubling and energy in
-``sum_stats``, signed representation counts in ``representation_table``),
-and ``index_sum`` the sum of the elements at a single index tuple.
+it), ``_code_histogram`` the one histogram kernel (|A+A|, doubling and
+energy in ``sum_stats``; through ``_convolve``, which merges its codes per
+element, the signed representation counts in ``representation_table``), and
+``index_sum`` the sum of the elements at a single index tuple.
 
 The three many-sum kernels add packed ints, not tuples: ``_pack`` gives
 every element one int code, with one bit field per coordinate wide enough
@@ -23,12 +24,11 @@ from functools import cached_property, reduce
 from operator import getitem
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .config import DEFAULT_CONV_CELL_CAP, TUPLE_CAP
+from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
 from .errors import (
     EmptySetError,
     ShapeMismatchError,
     SpecMismatchError,
-    TooLargeError,
     UnsupportedGroupError,
 )
 from .groups import GroupElem, GroupSpec, elem_from_json, elem_to_json
@@ -128,11 +128,6 @@ def _pack(
     return codes, decode
 
 
-def _require_pairs_within_cap(what: str, pairs: int) -> None:
-    if pairs > TUPLE_CAP:
-        raise TooLargeError(f"{what} takes {pairs} additions, above the cap of {TUPLE_CAP}")
-
-
 def _decoded_set(spec: GroupSpec, codes: Iterable[int], decode) -> ElemSet:
     return ElemSet(spec, tuple(sorted({decode(c) for c in codes})))
 
@@ -141,8 +136,10 @@ def sumset(a: ElemSet, b: ElemSet) -> ElemSet:
     """All pairwise sums x + y with x in a, y in b. Raises TooLargeError
     before any addition when |a| * |b| exceeds TUPLE_CAP."""
     _require_same_spec(a, b)
-    _require_pairs_within_cap(
-        f"sumset of sets of sizes {len(a)} and {len(b)}", len(a) * len(b)
+    require_within_cap(
+        len(a) * len(b),
+        TUPLE_CAP,
+        f"additions for the sumset of sets of sizes {len(a)} and {len(b)}",
     )
     (codes_a, codes_b), decode = _pack(a.spec, [a.elems, b.elems])
     return _decoded_set(a.spec, {x + y for x in codes_a for y in codes_b}, decode)
@@ -170,16 +167,22 @@ def sum_stats(a: ElemSet) -> SumStats:
     """|A+A|, |A+A|/|A| and the additive energy, the number of ordered
     quadruples (x, y, x', y') in A^4 with x + y = x' + y', from one pair
     histogram. Raises TooLargeError before any addition when |A|^2 exceeds
-    TUPLE_CAP."""
+    PAIR_CAP."""
     if len(a) == 0:
         raise EmptySetError("statistics of the empty set")
-    _require_pairs_within_cap(f"the pair histogram of a set of size {len(a)}", len(a) ** 2)
+    require_within_cap(
+        len(a) ** 2, PAIR_CAP, f"additions for the pair histogram of a set of size {len(a)}"
+    )
     ones = dict.fromkeys(a.elems, 1)
-    hist = _convolve(a.spec, ones, ones)
+    if any(a.spec.moduli):
+        counts = _convolve(a.spec, ones, ones).values()
+    else:  # no coordinate wraps, so each code is one element
+        counts = _code_histogram(a.spec, ones, ones)[0].values()
+    size = len(counts)
     return SumStats(
-        sumset_size=len(hist),
-        doubling=Fraction(len(hist), len(a)),
-        energy=sum(c * c for c in hist.values()),
+        sumset_size=size,
+        doubling=Fraction(size, len(a)),
+        energy=sum(c * c for c in counts),
     )
 
 
@@ -205,10 +208,12 @@ def _free_box_cells(spec: GroupSpec, elems: Sequence[GroupElem], r: int) -> int:
     return cells
 
 
-def _convolve(spec: GroupSpec, acc: dict, hist: dict) -> dict:
-    """Histogram of x + y over the two histograms, weighted by the product
-    of their counts: counts add per code sum, then codes that decode to the
-    same element merge."""
+def _code_histogram(spec: GroupSpec, acc: dict, hist: dict) -> tuple[dict, Callable]:
+    """Histogram of the code sums x + y over two element histograms, each
+    weighted by the product of their counts, and the decoder of those codes.
+    Distinct codes decode to distinct elements unless a cyclic coordinate
+    wraps, so a group with k cyclic coordinates can hold up to 2^k codes per
+    element."""
     (codes_a, codes_b), decode = _pack(spec, [list(acc), list(hist)])
     by_code: dict = {}
     get = by_code.get
@@ -217,6 +222,14 @@ def _convolve(spec: GroupSpec, acc: dict, hist: dict) -> dict:
         for xb, cb in pairs_b:
             key = xa + xb
             by_code[key] = get(key, 0) + ca * cb
+    return by_code, decode
+
+
+def _convolve(spec: GroupSpec, acc: dict, hist: dict) -> dict:
+    """Histogram of x + y over the two histograms, weighted by the product
+    of their counts: the code histogram with codes that decode to the same
+    element merged."""
+    by_code, decode = _code_histogram(spec, acc, hist)
     out: dict = {}
     for code, count in by_code.items():
         elem = decode(code)

@@ -188,6 +188,7 @@ def test_tuple_cap_fails_typed_before_allocating(tmp_path, capsys, source):
 @pytest.mark.parametrize("command", ["energy", "sumset"])
 def test_pair_cap_fails_typed(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(bsgkit.sumsets, "TUPLE_CAP", 8)
+    monkeypatch.setattr(bsgkit.sumsets, "PAIR_CAP", 8)
     setfile = tmp_path / "set.json"
     setfile.write_text(canonical_dumps(
         {"group": {"moduli": [0]}, "elems": [[0], [1], [5]]}
@@ -197,7 +198,19 @@ def test_pair_cap_fails_typed(tmp_path, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("bsgkit: error: ")
-    assert "9 additions, above the cap of 8" in captured.err
+    assert ": 9, above the cap of 8" in captured.err
+
+
+def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
+    # The result's pair histogram (36 additions) is above the sumset cap but
+    # not above PAIR_CAP, so the sumset and its statistics are both written.
+    monkeypatch.setattr(bsgkit.sumsets, "TUPLE_CAP", 8)
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "sum.json"
+    a.write_text(canonical_dumps({"group": {"moduli": [0]}, "elems": [[0], [1], [5]]}))
+    b.write_text(canonical_dumps({"group": {"moduli": [0]}, "elems": [[0], [2]]}))
+    assert main(["sumset", "--set", str(a), "--set", str(b), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 6
+    assert json.loads(out.read_text())["elems"] == [[0], [1], [2], [3], [5], [7]]
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit import sumsets  # noqa: E402
-from bsgkit.errors import ShapeMismatchError  # noqa: E402
-from bsgkit.groups import GroupSpec, make_group  # noqa: E402
+from bsgkit.groups import make_group  # noqa: E402
 from bsgkit.hypergraph import Instance, PartiteHypergraph  # noqa: E402
 from bsgkit.sumsets import (  # noqa: E402
     ElemSet,
@@ -150,41 +149,3 @@ def test_representation_table_matches_fold(family, r):
     expected = oracle_signed_histogram(spec, elems, (1,) * (r - 1) + (-1,) * (r - 1) + (1,))
     assert table == dict(expected)
 
-
-SPEC = make_group([0, 7])
-SKEW = ElemSet(SPEC, ((1, 2), (3,)))  # built directly, so nothing checked the width
-
-
-@pytest.mark.parametrize("kernel", [
-    lambda: sumset(ElemSet.from_iterable(SPEC, [(0, 0)]), SKEW),
-    lambda: sumset(SKEW, SKEW),
-    lambda: sum_stats(SKEW),
-    lambda: representation_table(SPEC, SKEW, 2),
-])
-def test_wrong_width_element_raises(kernel):
-    with pytest.raises(ShapeMismatchError, match="1 coordinates, spec has 2"):
-        kernel()
-
-
-def test_kernels_run_without_group_add(monkeypatch):
-    a = ElemSet.from_iterable(SPEC, [(-BIG, 6), (0, 3), (5, 0)])
-    b = ElemSet.from_iterable(SPEC, [(2, 4), (BIG, 1)])
-    inst = _instance(SPEC.moduli, [(True, a.elems), (True, b.elems)], [(0, 1), (2, 0), (2, 1)])
-    expected = {
-        "restricted": oracle_restricted_sumset(inst),
-        "sumset": oracle_sumset(SPEC, [a.elems, b.elems, a.elems]),
-        "energy": sum(c * c for c in oracle_signed_histogram(SPEC, a.elems, (1, 1)).values()),
-        "table": dict(oracle_signed_histogram(SPEC, b.elems, (1, -1, 1))),
-    }
-
-    def refuse(*args):
-        raise AssertionError("GroupSpec.add called")
-
-    monkeypatch.setattr(GroupSpec, "add", refuse)
-    monkeypatch.setattr(sumsets, "DEFAULT_CONV_CELL_CAP", math.inf)
-    assert restricted_sumset(inst).elems == expected["restricted"]
-    assert iterated_sumset([a, b, a]).elems == expected["sumset"]
-    assert sum_stats(a).energy == expected["energy"]
-    assert representation_table(SPEC, b, 2) == expected["table"]
-    with pytest.raises(AssertionError, match="GroupSpec.add called"):
-        SPEC.add((0, 0), (0, 0))

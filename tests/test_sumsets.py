@@ -4,6 +4,7 @@ Expected values are either asserted directly for trivial cases or first
 computed here by independent brute-force enumeration and then compared.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,13 @@ from itertools import product
 import pytest
 
 from bsgkit import sumsets
-from bsgkit.errors import EmptySetError, SpecMismatchError, TooLargeError, UnsupportedGroupError
+from bsgkit.errors import (
+    EmptySetError,
+    ShapeMismatchError,
+    SpecMismatchError,
+    TooLargeError,
+    UnsupportedGroupError,
+)
 from bsgkit.groups import GroupSpec, make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.sumsets import (
@@ -24,6 +31,7 @@ from bsgkit.sumsets import (
     sum_stats,
     sumset,
 )
+from oracles import oracle_restricted_sumset, oracle_signed_histogram, oracle_sumset
 
 Z = make_group([0])
 Z5 = make_group([5])
@@ -256,19 +264,68 @@ def test_representation_cell_cap(monkeypatch):
 
 def test_pair_cap_refuses_before_any_addition(monkeypatch):
     monkeypatch.setattr(sumsets, "TUPLE_CAP", 6)
+    monkeypatch.setattr(sumsets, "PAIR_CAP", 4)
     a, b = zset(0, 1, 5), zset(0, 2)
     assert sumset(a, b).elems == ((0,), (1,), (2,), (3,), (5,), (7,))  # 6 pairs, at the cap
     assert iterated_sumset([b, b]).elems == ((0,), (2,), (4,))
+    assert sum_stats(b).energy == 6  # 4 pairs, at the cap
 
     def refuse(*args):
         raise AssertionError("addition before the cap check")
 
     monkeypatch.setattr(GroupSpec, "add", refuse)
     monkeypatch.setattr(sumsets, "_pack", refuse)
-    with pytest.raises(TooLargeError, match="sizes 3 and 3 takes 9 additions, above the cap of 6"):
+    with pytest.raises(
+        TooLargeError, match="sets of sizes 3 and 3: 9, above the cap of 6"
+    ):
         sumset(a, a)
-    with pytest.raises(TooLargeError, match="size 3 takes 9 additions, above the cap of 6"):
+    with pytest.raises(TooLargeError, match="set of size 3: 9, above the cap of 4"):
         sum_stats(a)
+
+
+SPEC = make_group([0, 7])
+SKEW = ElemSet(SPEC, ((1, 2), (3,)))  # built directly, so nothing checked the width
+BIG = 1 << 64
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: sumset(ElemSet.from_iterable(SPEC, [(0, 0)]), SKEW),
+    lambda: sumset(SKEW, SKEW),
+    lambda: sum_stats(SKEW),
+    lambda: sum_stats(ElemSet(Z, ((1,), (2, 3)))),
+    lambda: representation_table(SPEC, SKEW, 2),
+])
+def test_wrong_width_element_raises(kernel):
+    with pytest.raises(ShapeMismatchError, match="coordinates, spec has"):
+        kernel()
+
+
+def test_kernels_run_without_group_add(monkeypatch):
+    a = ElemSet.from_iterable(SPEC, [(-BIG, 6), (0, 3), (5, 0)])
+    b = ElemSet.from_iterable(SPEC, [(2, 4), (BIG, 1)])
+    free = ElemSet.from_iterable(Z, [(-BIG,), (0,), (1,), (2,), (BIG,)])
+    hg = PartiteHypergraph.build(2, [3, 2], [(0, 1), (2, 0), (2, 1)])
+    inst = Instance(SPEC, (a, b), hg)
+    expected = {
+        "restricted": oracle_restricted_sumset(inst),
+        "sumset": oracle_sumset(SPEC, [a.elems, b.elems, a.elems]),
+        "energy": sum(c * c for c in oracle_signed_histogram(SPEC, a.elems, (1, 1)).values()),
+        "free": sum(c * c for c in oracle_signed_histogram(Z, free.elems, (1, 1)).values()),
+        "table": dict(oracle_signed_histogram(SPEC, b.elems, (1, -1, 1))),
+    }
+
+    def refuse(*args):
+        raise AssertionError("GroupSpec.add called")
+
+    monkeypatch.setattr(GroupSpec, "add", refuse)
+    monkeypatch.setattr(sumsets, "DEFAULT_CONV_CELL_CAP", math.inf)
+    assert restricted_sumset(inst).elems == expected["restricted"]
+    assert iterated_sumset([a, b, a]).elems == expected["sumset"]
+    assert sum_stats(a).energy == expected["energy"]
+    assert sum_stats(free).energy == expected["free"]
+    assert representation_table(SPEC, b, 2) == expected["table"]
+    with pytest.raises(AssertionError, match="GroupSpec.add called"):
+        SPEC.add((0, 0), (0, 0))
 
 
 def test_elemset_dedup_and_order():
