@@ -183,19 +183,21 @@ def verify_relaxed_counts(
 ) -> SweepOutcome:
     """Check the relaxed count floor over the supports that
     verification_supports picks: all of them, or a fixed-seed sample when
-    the product exceeds the exhaustion cap.
+    the product exceeds the exhaustion cap. One relaxed_count_table call
+    counts them all; each int count is compared with ceil(threshold).
     """
     subs = [tuple(sub) for sub in subsets]
     if any(not sub for sub in subs):
         raise EmptyPartError("cannot verify over an empty subset")
     supports, exhaustive = verification_supports(subs)
     supports = list(supports)
-    # one kernel either way: the whole product, or one box per sampled support
-    table: dict[tuple[int, ...], int] = {}
-    for box in [subs] if exhaustive else ([(v,) for v in s] for s in supports):
-        table.update(relaxed_count_table(h, box))
+    # one kernel call either way: the whole product, or one singleton box
+    # per distinct sampled support
+    boxes = [subs] if exhaustive else [[(v,) for v in s] for s in dict.fromkeys(supports)]
+    table = relaxed_count_table(h, boxes)
     counts = [table[s] for s in supports]
 
+    limit = math.ceil(threshold)  # an integer count is below t iff below ceil(t)
     min_count = None
     min_support = None
     failing: list[tuple[int, ...]] = []
@@ -203,7 +205,7 @@ def verify_relaxed_counts(
         if min_count is None or count < min_count:
             min_count = count
             min_support = sup
-        if count < threshold:
+        if count < limit:
             failing.append(sup)
     assert min_count is not None and min_support is not None
     return SweepOutcome(

@@ -29,7 +29,7 @@ from .errors import (
     TooLargeError,
 )
 from .groups import GroupSpec, elem_from_json
-from .jsonio import decode_coord
+from .jsonio import decode_coord, is_int
 from .sumsets import ElemSet
 
 
@@ -133,19 +133,30 @@ class PartiteHypergraph:
         part_sizes: Sequence[int],
         edge_list: Iterable[Sequence[int]],
     ) -> "PartiteHypergraph":
-        """Validate, deduplicate and sort an edge list."""
+        """Validate, deduplicate and sort an edge list.
+
+        The arity, part sizes and coordinates must be ints; a bool, float or
+        any other value raises ConfigInvalidError naming it, with no rounding.
+        """
+        if not is_int(r):
+            raise ConfigInvalidError(f"arity {r!r} is not an int")
         if r < 2:
             raise ArityMismatchError(f"arity must be >= 2, got {r}")
-        sizes = tuple(int(s) for s in part_sizes)
+        sizes = tuple(part_sizes)
+        for s in sizes:
+            if not is_int(s):
+                raise ConfigInvalidError(f"part size {s!r} is not an int")
         if len(sizes) != r:
             raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
         tuple_total(sizes)
         seen = set()
         for raw in edge_list:
-            e = tuple(int(v) for v in raw)
+            e = tuple(raw)
             if len(e) != r:
                 raise ArityMismatchError(f"edge {e} has arity {len(e)}, expected {r}")
             for i, v in enumerate(e):
+                if not is_int(v):
+                    raise ConfigInvalidError(f"edge {e}: coordinate {v!r} is not an int")
                 if not 0 <= v < sizes[i]:
                     raise IndexOutOfRangeError(
                         f"edge {e}: index {v} out of range [0, {sizes[i]}) in part {i}"

@@ -4,8 +4,8 @@ brute-force oracles.
 Generators are fully determined by their seed via SplitMix64; the algorithm
 identifier, family and parameters are recorded inside the instance JSON so
 files can be regenerated bit-identically. Verification here recomputes every
-quantity from scratch (relaxed counts by elimination over leg rows built from
-the edge list, fresh sumsets) rather than trusting anything a pipeline
+quantity from scratch (relaxed counts by a packed elimination over leg rows
+built from the edge list, fresh sumsets) rather than trusting anything a pipeline
 recorded, so it serves as the second, independent route for every reported
 inequality.
 """
@@ -13,9 +13,12 @@ inequality.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, count, product
 from typing import Sequence
 
 from .errors import (
@@ -359,10 +362,24 @@ def _elimination_counts(
     keys are numbered in first-seen order, and each part-i vertex gets the
     int mask of its key ids; the leg count at (v, w) is the popcount of
     mask[v] & mask[w], and 0 when w == v. The leg row of each distinct
-    vertex the boxes use is built once. Per last-part vertex of a box, the
-    closing edges are then contracted part 0 first, up to part r-2, which
-    is the reverse of relaxed_count_table's order; every order gives the
-    same sum.
+    vertex the boxes use, and the grouping of the closing edges through
+    each distinct last-part vertex, are built once.
+
+    Per box, the counts are packed into one int with a field of `size`
+    bytes per support, part 0 least significant: the support with indices
+    (k_0, ..., k_{r-2}) into the box's first r-1 subsets sits in field
+    k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes. `size`
+    is the whole number of bytes that holds the bound: the largest
+    last-part degree in the box times, for each part, the largest leg count
+    in its box rows. No count exceeds it, so no field carries into the
+    next. Up to 8 bytes, `size` is rounded up to an array item size (1, 2,
+    4 or 8), so that one array conversion reads every field. Part i's
+    column at mate w packs the box's part-i leg rows at w at that part's
+    stride. Per last-part vertex, the closing edges are contracted part 0
+    first, up to part r-2, the reverse of relaxed_count_table's order
+    (every order gives the same sum), and the sum is read back big end
+    first. This packing shares no code with octopus.py, so one packing bug
+    cannot corrupt both routes.
     """
     last = h.r - 1
     for box in boxes:
@@ -370,49 +387,92 @@ def _elimination_counts(
             for v in sub:
                 h._check_vertex(i, v)
     rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
+    coords = list(zip(*h.edges)) or [()] * h.r  # coords[i]: every edge's part-i vertex
     for i in range(last):
-        ids: dict[tuple[int, ...], int] = {}
+        keys = list(zip(*coords[:i], *coords[i + 1 :]))
+        ids = dict(zip(dict.fromkeys(keys), count()))
         masks = [0] * h.part_sizes[i]
-        for e in h.edges:
-            masks[e[i]] |= 1 << ids.setdefault(e[:i] + e[i + 1 :], len(ids))
+        for v, key_id in zip(coords[i], map(ids.__getitem__, keys)):
+            masks[v] |= 1 << key_id
         rows.append({
             v: [0 if w == v else (masks[v] & m).bit_count() for w, m in enumerate(masks)]
             for v in {v for box in boxes for v in box[i]}
         })
+    peaks = [{v: max(row) for v, row in part.items()} for part in rows]
+    # firsts[v][suffix]: the part-0 mates of the closing edges through
+    # last-part vertex v whose mates in parts 1 to r-2 are the suffix
+    firsts: dict[int, dict[tuple[int, ...], list[int]]] = {
+        v: {} for box in boxes for v in box[last]
+    }
+    for e in h.edges:
+        if e[last] in firsts:
+            firsts[e[last]].setdefault(e[1:last], []).append(e[0])
+    degree = Counter(coords[last])
     out: dict[tuple[int, ...], int] = {}
     for box in boxes:
-        box_rows = [[rows[i][v] for v in box[i]] for i in range(last)]
-        # the final vectors are row-major with part r-2 most significant
+        if not all(box):
+            continue
+        bound = max(degree[v] for v in box[last])
+        for i in range(last):
+            bound *= max(peaks[i][v] for v in box[i])
+        size = (bound.bit_length() + 7) // 8 or 1
+        size = min((item for item in _ITEM_CODES if item >= size), default=size)
+        cols = []
+        shift = 8 * size
+        for i in range(last):
+            cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
+            shift *= len(box[i])
+        # field order: part r-2 most significant
         heads = [head[::-1] for head in product(*box[last - 1 :: -1])]
         for v_last in box[last]:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for e in h.edges_through(last, v_last):
-                groups.setdefault(e[1:last], []).append(e[0])
-            # vecs[suffix][j]: the count at the j-th tuple of the product of
-            # the contracted parts' subsets, over closing edges whose mates
-            # after those parts are the suffix
-            vecs = {
-                suffix: [sum(row[w] for w in ws) for row in box_rows[0]]
-                for suffix, ws in groups.items()
-            }
+            # vecs[suffix]: the packed counts over the product of the
+            # contracted parts' subsets, over closing edges whose mates after
+            # those parts are the suffix
+            col = cols[0]
+            vecs = {suffix: sum(map(col.__getitem__, ws)) for suffix, ws in firsts[v_last].items()}
             for p in range(1, last):
-                terms: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+                col = cols[p]
+                terms: dict[tuple[int, ...], int] = {}
                 for suffix, vec in vecs.items():
-                    terms.setdefault(suffix[1:], []).append((suffix[0], vec))
-                vecs = {}
-                for suffix, pairs in terms.items():
-                    flat: list[int] = []
-                    for row in box_rows[p]:
-                        acc = [0] * len(pairs[0][1])
-                        for w, vec in pairs:
-                            c = row[w]
-                            if c:
-                                acc = [a + c * x for a, x in zip(acc, vec)]
-                        flat.extend(acc)
-                    vecs[suffix] = flat
-            for head, count in zip(heads, vecs.get((), repeat(0))):
-                out[head + (v_last,)] = count
+                    c = col[suffix[0]]
+                    if c:
+                        terms[suffix[1:]] = terms.get(suffix[1:], 0) + c * vec
+                vecs = terms
+            counts = _split_big_first(vecs.get((), 0), len(heads), size)
+            for head, value in zip(reversed(heads), counts):
+                out[head + (v_last,)] = value
     return out
+
+
+def _packed_columns(box_rows: list[list[int]], shift: int) -> list[int]:
+    """Per mate w: box_rows[0][w] + box_rows[1][w] << shift + ...."""
+    if len(box_rows) == 1:
+        return box_rows[0]
+    cols = []
+    for counts in zip(*box_rows):
+        col = 0
+        for c in reversed(counts):
+            col = col << shift | c
+        cols.append(col)
+    return cols
+
+
+def _split_big_first(packed: int, n: int, size: int) -> Sequence[int]:
+    """The n fields of `size` bytes in packed, most significant first."""
+    data = packed.to_bytes(n * size, byteorder="big")
+    code = _ITEM_CODES.get(size)
+    if code is None:
+        return [
+            int.from_bytes(data[t : t + size], byteorder="big") for t in range(0, n * size, size)
+        ]
+    fields = array(code, data)
+    if sys.byteorder == "little":
+        fields.byteswap()
+    return fields
+
+
+# array type codes of the unsigned item sizes 1, 2, 4 and 8 bytes
+_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def check_representations(

@@ -7,12 +7,17 @@ octopus anchored at a support tuple (v_1, ..., v_r) consists of one leg per
 part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 
 The relaxed count multiplies leg counts over each closing edge, enforcing
-only w_i != v_i; every bound check uses it. The pipelines count a whole
-box of supports with relaxed_count_table, one elimination kernel for every
-arity. The verifier (check_bounds in instances.py) counts by elimination over
-its own leg rows, built from the edge list in the other part order, and uses
-none of this module's counters; octopus_count_relaxed counts one support for
-``bsgkit count`` and the witness-budget estimate.
+only w_i != v_i; every bound check uses it. The pipelines count boxes of
+supports with relaxed_count_table, one elimination kernel for every arity.
+It holds the counts of a box as one int with a fixed-width field per
+support (a Kronecker packing), wide enough for an exact bound the kernel
+computes, so adding two count vectors is one int addition and contracting
+a part is one multiply-add per mate; everything stays exact. The verifier
+(check_bounds in instances.py) counts by elimination over its own leg rows,
+built from the edge list in the other part order, with its own packing
+code, and uses none of this module's counters or helpers, so one packing
+bug cannot corrupt both routes. octopus_count_relaxed counts one support
+for ``bsgkit count`` and the witness-budget estimate.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
@@ -25,6 +30,8 @@ directly.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -82,62 +89,123 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
 
 
 def relaxed_count_table(
-    h: PartiteHypergraph, subsets: Sequence[Sequence[int]]
+    h: PartiteHypergraph, boxes: Sequence[Sequence[Sequence[int]]]
 ) -> dict[tuple[int, ...], int]:
-    """Relaxed counts for every support in the product of the given subsets.
+    """Relaxed counts for every support in each box (one index subset per part).
 
-    One variable elimination for every arity: per last-part vertex, closing
-    edges are grouped by their first r-2 mates and part r-2 leg rows summed
-    per group, then parts r-3 down to 0 are contracted one at a time into
-    flat vectors over the product of the later subsets. Results equal
-    octopus_count_relaxed on each support.
+    One variable elimination for every arity, over counts packed into ints.
+    Leg rows (from the flattenings) and the grouping of closing edges (from
+    one pass over the edge list) are built once per distinct vertex the
+    boxes use, so a sampled sweep of singleton boxes pays for each vertex
+    once.
+
+    Layout, per box: the supports are numbered row-major over the first r-1
+    subsets, part 0 most significant, and support j owns the bits from
+    8*width*j up of one int. `width` is the whole number of bytes that
+    holds the bound: the largest last-part degree in the box times, for
+    each part i < r-1, the largest leg count in the box's part-i rows. Up to
+    8 bytes, it is rounded up to a native unsigned int size (1, 2, 4 or 8),
+    so that one memoryview cast unpacks every field; wider fields unpack
+    with int.from_bytes. Part i's column at mate w packs the leg counts from
+    the box's part-i vertices to w, each at that vertex's place times the
+    part's stride. Per last-part vertex, the part r-2 columns are summed per
+    group of closing edges with the same first r-2 mates, then parts r-3
+    down to 0 are contracted with one multiply-add per mate. Each product of
+    fields from different parts lands in its own field, and every count is
+    at most the bound, so no field carries into the next. The sum unpacks
+    once into the box's supports. Results equal octopus_count_relaxed on
+    each support.
+
+    check_bounds counts with its own kernel (instances._elimination_counts);
+    no packing helper is shared, so one packing bug cannot corrupt both.
     """
-    if len(subsets) != h.r:
-        raise IndexOutOfRangeError(f"{len(subsets)} subsets for arity {h.r}")
-    subs = [tuple(sorted(set(int(v) for v in sub))) for sub in subsets]
-    for i, sub in enumerate(subs):
-        for v in sub:
-            h._check_vertex(i, v)
     last = h.r - 1
-    out: dict[tuple[int, ...], int] = {}
-    rows = []  # leg counts from each chosen v to its whole part, 0 at v itself
+    checked = []
+    for box in boxes:
+        if len(box) != h.r:
+            raise IndexOutOfRangeError(f"{len(box)} subsets for arity {h.r}")
+        subs = [tuple(sorted(set(int(v) for v in sub))) for sub in box]
+        for i, sub in enumerate(subs):
+            for v in sub:
+                h._check_vertex(i, v)
+        checked.append(subs)
+    rows = []  # rows[i][v]: leg counts from v to its whole part, 0 at v itself
     for i in range(last):
         adj = h.flatten(i).adj
-        rows.append([
-            [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
-            for v in subs[i]
-        ])
-    heads = list(itertools.product(*subs[:last]))
-    for v_last in subs[last]:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for e in h.edges_through(last, v_last):
+        rows.append({
+            v: [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
+            for v in {v for subs in checked for v in subs[i]}
+        })
+    tops = [{v: max(row) for v, row in part.items()} for part in rows]
+    # mates[v][prefix]: the part r-2 mates of the closing edges through
+    # last-part vertex v whose first r-2 mates are the prefix; one pass over
+    # the edges, which builds no incidence lists for the other parts
+    mates: dict[int, dict[tuple[int, ...], list[int]]] = {
+        v: {} for subs in checked for v in subs[last]
+    }
+    for e in h.edges:
+        groups = mates.get(e[last])
+        if groups is not None:
             groups.setdefault(e[: last - 1], []).append(e[last - 1])
-        # vecs[prefix][j]: the count at the j-th tuple (row-major) of the
-        # product of the subsets after the prefix, over closing edges whose
-        # mates start with the prefix
-        vecs = {
-            prefix: [sum(row[w] for w in ws) for row in rows[last - 1]]
-            for prefix, ws in groups.items()
-        }
-        for p in range(last - 2, -1, -1):
-            terms: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
-            for prefix, vec in vecs.items():
-                terms.setdefault(prefix[:p], []).append((prefix[p], vec))
-            vecs = {}
-            for prefix, pairs in terms.items():
-                flat: list[int] = []
-                for row in rows[p]:
-                    acc = [0] * len(pairs[0][1])
-                    for w, vec in pairs:
-                        c = row[w]
-                        if c:
-                            acc = [a + c * x for a, x in zip(acc, vec)]
-                    flat.extend(acc)
-                vecs[prefix] = flat
-        counts = vecs.get((), itertools.repeat(0))
-        for head, count in zip(heads, counts):
-            out[head + (v_last,)] = count
+    degrees = {v: sum(map(len, groups.values())) for v, groups in mates.items()}
+    out: dict[tuple[int, ...], int] = {}
+    for subs in checked:
+        if not all(subs):
+            continue
+        bound = max(degrees[v] for v in subs[last])
+        for i in range(last):
+            bound *= max(tops[i][v] for v in subs[i])
+        width = max(1, -(-bound.bit_length() // 8))
+        if width <= 8:  # a native unsigned int size, so one cast unpacks
+            width = 1 << (width - 1).bit_length()
+        cols = []  # built from part r-2, whose stride is one field, down to 0
+        shift = 8 * width
+        for i in range(last - 1, -1, -1):
+            cols.append(_pack_columns([rows[i][v] for v in subs[i]], shift))
+            shift *= len(subs[i])
+        cols.reverse()
+        heads = list(itertools.product(*subs[:last]))
+        for v_last in subs[last]:
+            # vecs[prefix]: the packed counts over the product of the subsets
+            # after the prefix, over closing edges whose mates start with it
+            col = cols[last - 1]
+            vecs = {prefix: sum(map(col.__getitem__, ws)) for prefix, ws in mates[v_last].items()}
+            for p in range(last - 2, -1, -1):
+                col = cols[p]
+                terms: dict[tuple[int, ...], int] = {}
+                for prefix, vec in vecs.items():
+                    c = col[prefix[p]]
+                    if c:
+                        terms[prefix[:p]] = terms.get(prefix[:p], 0) + c * vec
+                vecs = terms
+            counts = _unpack_fields(vecs.get((), 0), len(heads), width)
+            for head, count in zip(heads, counts):
+                out[head + (v_last,)] = count
     return out
+
+
+def _pack_columns(box_rows: list[list[int]], shift: int) -> list[int]:
+    """For each mate w, one int holding box_rows[k][w] at bit k * shift."""
+    if len(box_rows) == 1:
+        return box_rows[0]
+    cols = [0] * len(box_rows[0])
+    for k, row in enumerate(box_rows):
+        at = k * shift
+        cols = [x | c << at for x, c in zip(cols, row)]
+    return cols
+
+
+def _unpack_fields(packed: int, n: int, width: int) -> Sequence[int]:
+    """The n fields of `width` bytes in packed, least significant first."""
+    buf = packed.to_bytes(n * width, sys.byteorder)
+    code = _NATIVE_UINTS.get(width)
+    if code is not None:
+        return memoryview(buf).cast(code)
+    return [int.from_bytes(buf[j : j + width], sys.byteorder) for j in range(0, len(buf), width)]
+
+
+# struct codes of the native unsigned ints by size: 1, 2, 4 and 8 bytes
+_NATIVE_UINTS = {struct.calcsize(code): code for code in "BHILQ"}
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
 from .errors import (
+    ArityMismatchError,
     EmptySetError,
     ShapeMismatchError,
     SpecMismatchError,
@@ -242,14 +243,17 @@ def representation_table(spec: GroupSpec, s_set: ElemSet, r: int) -> dict[GroupE
     over all (2r-1)-tuples from s_set, which must belong to spec.
 
     Computed by r plus-convolutions and r-1 minus-convolutions of the set's
-    indicator histogram. Raises UnsupportedGroupError when free coordinates
-    make the bounding box of attainable sums exceed DEFAULT_CONV_CELL_CAP.
+    indicator histogram. The elements are canonicalized and deduplicated
+    first, so a directly built ElemSet gives the table of
+    ElemSet.from_iterable over the same elements. Raises ArityMismatchError
+    for r < 2, and UnsupportedGroupError when free coordinates make the
+    bounding box of attainable sums exceed DEFAULT_CONV_CELL_CAP.
     """
     if r < 2:
-        raise ValueError(f"arity must be >= 2, got {r}")
+        raise ArityMismatchError(f"arity must be >= 2, got {r}")
     if s_set.spec != spec:
         raise SpecMismatchError("set belongs to a different group")
-    elems = s_set.elems
+    elems = sorted({spec.canon(e) for e in s_set.elems})
     if not elems:
         return {}
     if any(m == 0 for m in spec.moduli):

@@ -224,7 +224,7 @@ def test_criterion_4_general_pipeline_ledger():
         floor = Fraction(total ** (r - 1)) / (
             8 ** (r**3) * (r - 1) ** (r - 1) * k ** ((r * r + 5 * r - 4) // 2)
         )
-        table = relaxed_count_table(h, [list(s) for s in result.subsets])
+        table = relaxed_count_table(h, [[list(s) for s in result.subsets]])
         ok &= all(Fraction(c) >= floor for c in table.values())
         # growth bound in exact big integers
         s_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
@@ -263,7 +263,7 @@ def test_criterion_5_dense_ledger():
                     ok &= all(len(s) == target for s in result.subsets)
                     floor = Fraction(n ** (r * (r - 1)), 2)
                     table = relaxed_count_table(
-                        inst.hypergraph, [list(s) for s in result.subsets]
+                        inst.hypergraph, [[list(s) for s in result.subsets]]
                     )
                     ok &= all(Fraction(c) >= floor for c in table.values())
                     s_size = len(
@@ -315,7 +315,7 @@ def test_criterion_6_representation_identity_and_counts():
         result, report = bsg_extract(inst, "measured", "measured")
         ok &= report.overall
         total = h.total_tuples
-        table = relaxed_count_table(h, [list(s) for s in result.subsets])
+        table = relaxed_count_table(h, [[list(s) for s in result.subsets]])
         l_param = min(Fraction(c, total ** (r - 1)) for c in table.values())
         ok &= l_param > 0
         rep_report = check_representations(result, inst, l_param)

@@ -43,7 +43,7 @@ def test_table_matches_counter(r):
     ]
     h = PartiteHypergraph.build(r, sizes, edges)
     subsets = [range(0, s, 2) for s in sizes]
-    table = relaxed_count_table(h, subsets)
+    table = relaxed_count_table(h, [subsets])
     assert len(table) == math.prod(len(sub) for sub in subsets)
     for sup, count in table.items():
         assert count == octopus_count_relaxed(h, sup)

@@ -43,6 +43,24 @@ def test_build_examples():
         PartiteHypergraph.build(1, (2,), [])
 
 
+@pytest.mark.parametrize(
+    "r, sizes, edges, named",
+    [
+        (2, (3, 3), [[1.7, True]], "1.7"),
+        (2, (3, 3), [[True, 1]], "True"),
+        (2, (3, 3), [(0, "1")], "'1'"),
+        (2, (3, 3.0), [(0, 1)], "3.0"),
+        (2, (3, False), [], "False"),
+        (2.0, (3, 3), [(0, 1)], "2.0"),
+        (True, (3,), [], "True"),
+    ],
+)
+def test_build_rejects_non_int_values(r, sizes, edges, named):
+    # int() used to truncate 1.7 to 1 and take True for 1
+    with pytest.raises(ConfigInvalidError, match=named):
+        PartiteHypergraph.build(r, sizes, edges)
+
+
 def test_density_and_measured_k():
     h = k22()
     assert h.density() == 1

@@ -208,10 +208,11 @@ def test_check_bounds_recounts_instead_of_trusting_the_trace():
 
 
 def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
-    # check_bounds builds its own leg rows from the edge list, so it still
-    # gives the same passing report when flatten and both octopus counters
-    # raise; one instance is exhaustive, the other (the sampled-complete-r2
-    # golden instance) takes the sampled branch
+    # check_bounds builds its own leg rows and packed counts from the edge
+    # list, so it still gives the same passing report when flatten, both
+    # octopus counters and octopus.py's packing code raise; one instance is
+    # exhaustive, the other (the sampled-complete-r2 golden instance) takes
+    # the sampled branch
     insts = (
         gen_instance(GenConfig.make(r=3, n=8, family="random-density", seed=3, k=Fraction(2))),
         gen_instance(GenConfig.make(r=2, n=128, family="complete", seed=1)),
@@ -225,7 +226,9 @@ def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check_bounds used a pipeline counter")
 
-    for name in ("octopus_count_relaxed", "relaxed_count_table"):
+    for name in (
+        "octopus_count_relaxed", "relaxed_count_table", "_pack_columns", "_unpack_fields"
+    ):
         original = getattr(octopus, name)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "bsgkit" and getattr(mod, name, None) is original:

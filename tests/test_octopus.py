@@ -98,7 +98,7 @@ def test_leg_count_examples():
         lambda h: octopus_count_relaxed(h, (0, 0, 0, 0)),
         lambda h: octopus_count_relaxed(h, (-1, 0, 0)),
         lambda h: octopus_count_relaxed(h, (0, 0, 5)),
-        lambda h: relaxed_count_table(h, [[0], [-1], [0]]),
+        lambda h: relaxed_count_table(h, [[[0], [-1], [0]]]),
     ],
     ids=[
         "leg-part-too-large", "leg-part-negative", "leg-vertex-negative",
@@ -170,7 +170,7 @@ def test_relaxed_table_matches_per_support():
     for inst in suite_instances()[:6]:
         h = inst.hypergraph
         subsets = [list(range(s)) for s in h.part_sizes]
-        table = relaxed_count_table(h, subsets)
+        table = relaxed_count_table(h, [subsets])
         for sup, count in table.items():
             assert count == octopus_count_relaxed(h, sup)
 

@@ -6,7 +6,8 @@ tests/oracles.py, which folds GroupSpec.add over every term. Groups have
 widths 1 to 3 and mix free coordinates (small, negative, and beyond
 +-2^64) with Z_2, Z_7 and a large cyclic modulus. Sets are either
 canonicalized or built directly from raw values, so cyclic coordinates
-outside [0, m) are covered too (except for representation_table).
+outside [0, m) are covered too; representation_table on such a set must
+give the table of its canonical form.
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit import sumsets  # noqa: E402
+from bsgkit.errors import ArityMismatchError  # noqa: E402
 from bsgkit.groups import make_group  # noqa: E402
 from bsgkit.hypergraph import Instance, PartiteHypergraph  # noqa: E402
 from bsgkit.sumsets import (  # noqa: E402
@@ -149,3 +151,27 @@ def test_representation_table_matches_fold(family, r):
     expected = oracle_signed_histogram(spec, elems, (1,) * (r - 1) + (-1,) * (r - 1) + (1,))
     assert table == dict(expected)
 
+
+
+@SETTINGS
+@given(
+    family=set_families(min_sets=1, max_sets=1, min_size=1, max_size=4),
+    r=st.integers(2, 4),
+)
+@example(family=((2, 2), [(False, [(0, 0), (0, 2)])]), r=2)
+def test_representation_table_of_a_raw_set_is_canonical(family, r):
+    # an ElemSet built directly may hold one element under two
+    # representatives, unsorted; the table is that of its canonical set
+    moduli, ((_, raw),) = family
+    spec = make_group(moduli)
+    raw = raw[: 6 - r]
+    with mock.patch.object(sumsets, "DEFAULT_CONV_CELL_CAP", math.inf):
+        table = representation_table(spec, ElemSet(spec, tuple(raw)), r)
+        expected = representation_table(spec, ElemSet.from_iterable(spec, raw), r)
+    assert table == expected
+
+
+def test_representation_table_rejects_low_arity():
+    spec = make_group((0,))
+    with pytest.raises(ArityMismatchError):
+        representation_table(spec, ElemSet.from_iterable(spec, [(1,)]), 1)
