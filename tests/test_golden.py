@@ -6,6 +6,8 @@ recorded digest. The set covers general mode at r = 2, 3 and 4, a sampled
 sweep (complete r = 2, n = 128), the dense and almost-all modes, and an
 explicit claimed C. The sum-layer run pins `measure` on a free x cyclic
 instance and `energy` and `sumset --out` on fixed sets of the same group.
+The count runs pin `count` at one support of the general-r2 and general-r3
+instances: relaxed, `--exact named-only` and `--exact full`.
 After a deliberate change of output bytes, re-record the tables with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -113,6 +115,26 @@ SUM_GOLDEN = (
     '673843f8c0e6f022b9bb514dddc13955380e32658b153d8c35328b28fbfe1c78',
 )
 
+# instance run and support per count run
+COUNT_RUNS = {
+    "count-r2": ("general-r2", "0,1"),
+    "count-r3": ("general-r3", "0,1,2"),
+}
+
+# (relaxed, --exact named-only, --exact full) digests per count run
+COUNT_GOLDEN = {
+    'count-r2': (
+        '8e30dc1eeabbd20c1f0264b9d9aa7fd5d48c6a69a74635275c18cb9d97e321e2',
+        '3675adcbd9089f923321d03786e9617b2c3d6bba5bb1ae0bab4231a82f37c7c2',
+        '67ad5a8f176b1f599c737c68e70c9a209360b7dea9cbdf638d136d2067c4f493',
+    ),
+    'count-r3': (
+        'a078afd268e8bc12c8ec3882dec32f8fbf62d2fcce6455b9187c4b6b72a35325',
+        '5dd44a425842d7b8b0e45995c49015707d1e023ba43513f38967433fba172298',
+        '18ef0a033b737bd226a06c57a859bd58367f2a13f720b9a63e5955c4e910202c',
+    ),
+}
+
 
 def run_digests(workdir: Path, name: str) -> tuple[str, str, str]:
     gen, extract = RUNS[name]
@@ -146,6 +168,19 @@ def sum_layer_digests(workdir: Path) -> tuple[str, str, str, str]:
     return tuple(hashlib.sha256(b).hexdigest() for b in outputs)
 
 
+def count_digests(workdir: Path, name: str) -> tuple[str, str, str]:
+    run, support = COUNT_RUNS[name]
+    inst = workdir / f"{name}-instance.json"
+    assert main(["gen", *RUNS[run][0], "--out", str(inst)]) == 0
+    outputs = []
+    for exact in ([], ["--exact", "named-only"], ["--exact", "full"]):
+        out = workdir / f"{name}-count.json"
+        assert main(["count", "--instance", str(inst), "--support", support, *exact,
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    return tuple(hashlib.sha256(b).hexdigest() for b in outputs)
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_outputs_match_golden_digests(tmp_path, name):
     assert run_digests(tmp_path, name) == GOLDEN[name]
@@ -153,6 +188,11 @@ def test_outputs_match_golden_digests(tmp_path, name):
 
 def test_sum_layer_outputs_match_golden_digests(tmp_path):
     assert sum_layer_digests(tmp_path) == SUM_GOLDEN
+
+
+@pytest.mark.parametrize("name", list(COUNT_RUNS))
+def test_count_outputs_match_golden_digests(tmp_path, name):
+    assert count_digests(tmp_path, name) == COUNT_GOLDEN[name]
 
 
 if __name__ == "__main__":
@@ -167,4 +207,10 @@ if __name__ == "__main__":
         sys.stdout.write("}\n\nSUM_GOLDEN = (\n")
         for digest in sum_layer_digests(Path(tmp)):
             sys.stdout.write(f"    {digest!r},\n")
-        sys.stdout.write(")\n")
+        sys.stdout.write(")\n\nCOUNT_GOLDEN = {\n")
+        for name in COUNT_RUNS:
+            sys.stdout.write(f"    {name!r}: (\n")
+            for digest in count_digests(Path(tmp), name):
+                sys.stdout.write(f"        {digest!r},\n")
+            sys.stdout.write("    ),\n")
+        sys.stdout.write("}\n")
