@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .config import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -36,7 +36,7 @@ from .errors import (
     UnequalPartsError,
 )
 from .hypergraph import Bipartite, Instance, PartiteHypergraph
-from .jsonio import exact_param, frac_str, parse_fraction
+from .jsonio import exact_param, frac_str, is_int, parse_fraction
 from .octopus import eps_good_threshold, relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import SplitMix64
@@ -103,7 +103,8 @@ class ExtractionResult:
     @classmethod
     def from_json(cls, data: dict) -> "ExtractionResult":
         """Parse a result, checking the ambient entry fields ledger reads and
-        that no chosen subset is empty."""
+        that every chosen subset is a non-empty, strictly increasing list of
+        int indices, as every pipeline writes it."""
         mode = data["mode"]
         trace = tuple(data.get("trace", []))
         ambient = trace[0] if trace else None
@@ -115,10 +116,14 @@ class ExtractionResult:
             parse_fraction(ambient["delta"])
         if "c" in ambient:
             parse_fraction(ambient["c"])
-        subsets = tuple(tuple(int(v) for v in s) for s in data["subsets"])
+        subsets = tuple(tuple(s) for s in data["subsets"])
         for i, sub in enumerate(subsets):
             if not sub:
                 raise ConfigInvalidError(f"chosen subset for part {i} is empty")
+            if not all(map(is_int, sub)) or any(a >= b for a, b in zip(sub, sub[1:])):
+                raise ConfigInvalidError(
+                    f"chosen subset for part {i} is not strictly increasing int indices"
+                )
         eps = data.get("epsilon")
         return cls(
             mode=mode,
@@ -157,23 +162,26 @@ class SweepOutcome:
 
 def verification_supports(
     subsets: Sequence[Sequence[int]],
-) -> tuple[Iterator[tuple[int, ...]], bool]:
-    """Supports to verify, and whether they are the whole product.
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]], bool]:
+    """Supports to verify, the boxes that count them, and whether they are
+    the whole product.
 
-    Up to DEFAULT_EXHAUSTIVE_CAP tuples the whole product is streamed in
-    lexicographic order; above it, DEFAULT_SAMPLE_COUNT tuples are drawn
-    with the fixed SUPPORT_SAMPLE_SEED. The sample depends only on the seed
-    and the subset sizes, so reports are byte-identical across runs.
+    Up to DEFAULT_EXHAUSTIVE_CAP tuples the supports are the whole product
+    in lexicographic order, counted as one box; above it, DEFAULT_SAMPLE_COUNT
+    tuples are drawn with the fixed SUPPORT_SAMPLE_SEED, and each distinct
+    sample is its own singleton box. The sample depends only on the seed and
+    the subset sizes, so reports are byte-identical across runs. Both
+    counters, the pipelines' and check_bounds', take these boxes.
     """
     subs = [tuple(sub) for sub in subsets]
     if math.prod(len(s) for s in subs) <= DEFAULT_EXHAUSTIVE_CAP:
-        return itertools.product(*subs), True
+        return list(itertools.product(*subs)), [subs], True
     rng = SplitMix64(SUPPORT_SAMPLE_SEED)
-    sample = (
+    sample = [
         tuple(sub[rng.next_below(len(sub))] for sub in subs)
         for _ in range(DEFAULT_SAMPLE_COUNT)
-    )
-    return sample, False
+    ]
+    return sample, [[(v,) for v in sup] for sup in dict.fromkeys(sample)], False
 
 
 def verify_relaxed_counts(
@@ -186,35 +194,20 @@ def verify_relaxed_counts(
     the product exceeds the exhaustion cap. One relaxed_count_table call
     counts them all; each int count is compared with ceil(threshold).
     """
-    subs = [tuple(sub) for sub in subsets]
-    if any(not sub for sub in subs):
+    if any(not sub for sub in subsets):
         raise EmptyPartError("cannot verify over an empty subset")
-    supports, exhaustive = verification_supports(subs)
-    supports = list(supports)
-    # one kernel call either way: the whole product, or one singleton box
-    # per distinct sampled support
-    boxes = [subs] if exhaustive else [[(v,) for v in s] for s in dict.fromkeys(supports)]
+    supports, boxes, exhaustive = verification_supports(subsets)
     table = relaxed_count_table(h, boxes)
     counts = [table[s] for s in supports]
-
+    min_count = min(counts)
     limit = math.ceil(threshold)  # an integer count is below t iff below ceil(t)
-    min_count = None
-    min_support = None
-    failing: list[tuple[int, ...]] = []
-    for sup, count in zip(supports, counts):
-        if min_count is None or count < min_count:
-            min_count = count
-            min_support = sup
-        if count < limit:
-            failing.append(sup)
-    assert min_count is not None and min_support is not None
     return SweepOutcome(
         threshold=threshold,
         exhaustive=exhaustive,
         checked=len(supports),
         min_count=min_count,
-        min_support=min_support,
-        failing_supports=tuple(failing),
+        min_support=supports[counts.index(min_count)],
+        failing_supports=tuple(s for s, c in zip(supports, counts) if c < limit),
     )
 
 
@@ -245,12 +238,10 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
         raise ConfigInvalidError(f"density parameter must be positive, got {k}")
     a_size = g.left_size
     b_size = g.right_size
-    if Fraction(g.edge_count) < Fraction(a_size * b_size) / k:
-        raise DensityTooLowError(
-            f"{g.edge_count} edges is below {a_size}*{b_size}/{k}"
-        )
+    if g.edge_count < _density_floor(a_size * b_size, k):
+        raise DensityTooLowError(f"{g.edge_count} edges is below {a_size}*{b_size}/{k}")
     size_floor = Fraction(a_size) / (2 * k)
-    cothreshold = eps * b_size / (2 * k * k)
+    cothreshold = _codegree_floor(eps, b_size, k)
 
     if a_size == 0:
         return DrcOutcome(-1, False, 0, (), Fraction(0), cothreshold)
@@ -308,10 +299,8 @@ def iterate_extract(
     if any(s == 0 for s in h.part_sizes):
         raise EmptyPartError("all parts must be non-empty")
     total = h.total_tuples
-    if Fraction(h.edge_count) < Fraction(total) / k:
-        raise DensityTooLowError(
-            f"{h.edge_count} edges is below {total}/{k}"
-        )
+    if h.edge_count < _density_floor(total, k):
+        raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
     flat = h.flatten(part)
     right_size = flat.right_size
     degree_floor = Fraction(right_size) / (2 * k)
@@ -330,7 +319,7 @@ def iterate_extract(
 
     if Fraction(len(u)) < Fraction(h.part_sizes[part]) / (4 * k):
         raise NoWitnessError("selected subset is below its size floor")
-    leg_threshold = eps * right_size / (2 * k * k)
+    leg_threshold = _codegree_floor(eps, right_size, k)
     pairs = len(u) * len(u)
     good = pairs - sum(_low_partners(flat.adj, u, leg_threshold))
     if Fraction(good) < (1 - eps) * pairs:
@@ -376,7 +365,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     if any(s == 0 for s in h.part_sizes):
         raise EmptyPartError("all parts must be non-empty")
     total = h.total_tuples
-    if Fraction(h.edge_count) < Fraction(total) / k:
+    if h.edge_count < _density_floor(total, k):
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
     ambient = h.part_sizes
     eps = _derived_eps(r, k)
@@ -449,9 +438,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
         h_cur = h_cur.induce(
             [kept if j == p else range(h_cur.part_sizes[j]) for j in range(r)]
         )
-        stage_floor = Fraction(math.prod(h_cur.part_sizes)) / (
-            2 ** (stage + 1) * k
-        )
+        stage_floor = _density_floor(h_cur.total_tuples, 2 ** (stage + 1) * k)
         trace.append(
             {
                 "kind": "stage-density",
@@ -571,7 +558,7 @@ def dense_extract(
     if delta_val < 0:
         raise ConfigInvalidError(f"delta must be >= 0, got {delta_val}")
     total = h.total_tuples
-    if Fraction(h.edge_count) < (1 - delta_val) * total:
+    if h.edge_count < _near_complete_floor(delta_val, total):
         raise DensityTooLowError(
             f"{h.edge_count} edges is below (1 - {delta_val}) * {total}"
         )
@@ -621,6 +608,21 @@ def dense_extract(
     )
 
 
+def _density_floor(total: int, k: Fraction) -> Fraction:
+    """Edge-count floor at density parameter k over total tuples: total / k."""
+    return Fraction(total) / k
+
+
+def _near_complete_floor(delta: Fraction, total: int) -> Fraction:
+    """Edge-count floor of the dense modes: (1 - delta) total."""
+    return (1 - delta) * total
+
+
+def _codegree_floor(eps: Fraction, right_size: int, k: Fraction) -> Fraction:
+    """Codegree floor of a good pair at density parameter k: eps |Z| / (2 k^2)."""
+    return eps * right_size / (2 * k * k)
+
+
 def _bsg_constant(r: int, k: Fraction) -> Fraction:
     """8^(r^3) (r-1)^(r-1) k^((r^2+5r-4)/2), shared by the general count
     floor and the growth cap; r^2+5r-4 is always even."""
@@ -655,6 +657,26 @@ def sumset_growth_cap_pow_r(r: int, k: Fraction, c_pow_r: Fraction, total: int) 
     the roots so everything stays rational.
     """
     return _bsg_constant(r, k) ** r * Fraction(c_pow_r) ** (2 * r - 1) * total
+
+
+def _restricted_cap_row(
+    mode: str, size: int, cap: Fraction, part_sizes: Sequence[int]
+) -> Inequality:
+    """The restricted sumset size against its cap: size^r <= cap * total in
+    general mode (cap = C^r), size <= cap * n in the dense modes (cap = C)."""
+    if mode == "general":
+        return check_le(
+            "restricted-sumset-cap",
+            Fraction(size ** len(part_sizes)),
+            cap * math.prod(part_sizes),
+            "restricted sumset size against the cap, r-th powers",
+        )
+    return check_le(
+        "restricted-sumset-cap-linear",
+        Fraction(size),
+        cap * part_sizes[0],
+        "restricted sumset size against the linear cap",
+    )
 
 
 def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
@@ -715,15 +737,10 @@ def ledger(
             check_ge(
                 "edge-density-floor",
                 edge_count,
-                Fraction(total) / k,
+                _density_floor(total, k),
                 "edge count against the density parameter",
             ),
-            check_le(
-                "restricted-sumset-cap",
-                Fraction(restricted_size**r),
-                c_pow_r * total,
-                "restricted sumset size against the cap, r-th powers",
-            ),
+            _restricted_cap_row(mode, restricted_size, c_pow_r, part_sizes),
         ]
         for p, size in enumerate(subset_sizes):
             rows.append(
@@ -750,20 +767,13 @@ def ledger(
             check_ge(
                 "edge-density-floor",
                 edge_count,
-                (1 - delta) * total,
+                _near_complete_floor(delta, total),
                 "edge count against the near-complete floor",
             )
         ]
         if mode == "almost-all":
             c = Fraction(restricted_size, n) if cap is None else cap
-            rows.append(
-                check_le(
-                    "restricted-sumset-cap-linear",
-                    Fraction(restricted_size),
-                    c * n,
-                    "restricted sumset size against the linear cap",
-                )
-            )
+            rows.append(_restricted_cap_row(mode, restricted_size, c, part_sizes))
         target = _trimmed_target(result.epsilon, n)
         for p, size in enumerate(subset_sizes):
             rows.append(check_eq(f"trimmed-size-{p}", size, target, "trimmed subset size"))
@@ -809,10 +819,10 @@ def bsg_extract(
     """Full pipeline: subset extraction plus the exact sumset growth report.
 
     k and c may be ints or Fractions, or "measured" to derive them from the
-    instance; anything else raises ConfigInvalidError. c is carried as the exact rational c^r throughout, and the
-    growth bound is compared after raising both sides to the r-th power so
-    no irrational arithmetic occurs. A claimed c is recorded in the ambient
-    trace entry.
+    instance; anything else raises ConfigInvalidError. c is carried as the
+    exact rational c^r throughout, and the growth bound is compared after
+    raising both sides to the r-th power so no irrational arithmetic occurs.
+    A claimed c is recorded in the ambient trace entry.
     """
     k = exact_param("k", k, "measured")
     c = exact_param("c", c, "measured")
@@ -820,11 +830,11 @@ def bsg_extract(
     r = inst.r
     total = h.total_tuples
     k_eff = h.measured_k() if k == "measured" else k
-    if Fraction(h.edge_count) < Fraction(total) / k_eff:
+    if h.edge_count < _density_floor(total, k_eff):
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
     cap = _claimed_cap("general", r, c)
     osize = len(restricted_sumset(inst))
-    if cap is not None and Fraction(osize**r) > cap * total:
+    if cap is not None and not _restricted_cap_row("general", osize, cap, h.part_sizes).passed:
         raise HypothesisViolatedError(
             "restricted-sumset-cap",
             f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
@@ -854,7 +864,7 @@ def almost_all_extract(
         raise EmptyPartError("parts are empty")
     cap = _claimed_cap("almost-all", inst.r, c)
     osize = len(restricted_sumset(inst))
-    if cap is not None and osize > cap * n:
+    if cap is not None and not _restricted_cap_row("almost-all", osize, cap, h.part_sizes).passed:
         raise HypothesisViolatedError(
             "restricted-sumset-cap",
             f"|restricted sumset| = {osize} exceeds {cap} * {n}",

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidModulusError, ShapeMismatchError
-from .jsonio import decode_coord, encode_coord
+from .errors import ConfigInvalidError, InvalidModulusError, ShapeMismatchError
+from .jsonio import decode_coord, encode_coord, is_int
 
 GroupElem = tuple  # tuple[int, ...], canonical form
 
@@ -29,6 +29,8 @@ class GroupSpec:
         if len(self.moduli) == 0:
             raise InvalidModulusError(0, -1)
         for j, m in enumerate(self.moduli):
+            if not is_int(m):
+                raise ConfigInvalidError(f"modulus {m!r} at coordinate {j} is not an int")
             if m < 0 or m == 1:
                 raise InvalidModulusError(j, m)
 
@@ -77,12 +79,13 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        return cls(tuple(int(m) for m in data["moduli"]))
+        return cls(tuple(data["moduli"]))
 
 
 def make_group(moduli: Sequence[int]) -> GroupSpec:
-    """Build a GroupSpec, rejecting any modulus that is 1 or negative."""
-    return GroupSpec(tuple(int(m) for m in moduli))
+    """Build a GroupSpec, rejecting any modulus that is not an int, is 1 or
+    is negative."""
+    return GroupSpec(tuple(moduli))
 
 
 def elem_to_json(elem: GroupElem) -> list:

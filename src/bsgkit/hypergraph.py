@@ -2,10 +2,13 @@
 
 Vertices are identified by (part, position); equal group elements sitting in
 different parts are distinct vertices. Edges are ordered index tuples, stored
-lexicographically sorted for deterministic iteration. The bipartite
-flattening against one part uses integer bitmasks over the mixed-radix index
-space of the remaining parts, which makes degree and codegree queries single
-popcounts; ``_strides`` is the one definition of that layout. No hypergraph
+lexicographically sorted for deterministic iteration; the edge list is the
+only per-edge storage. Vertex degrees come from one count of each part's
+coordinates, made on first use. The bipartite flattening against one part
+uses integer bitmasks over the mixed-radix index space of the remaining
+parts, which makes its degree and codegree queries single popcounts;
+``_strides`` is the one definition of that layout. Every vertex index passes
+one check, ``_check_vertex``: an int, not a bool, in range. No hypergraph
 may span more than TUPLE_CAP index tuples; the check runs before any tuple is
 allocated.
 """
@@ -14,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import TUPLE_CAP, require_within_cap
@@ -39,6 +44,21 @@ def tuple_total(sizes: Sequence[int]) -> int:
     return require_within_cap(
         math.prod(sizes), TUPLE_CAP, f"index tuples over part sizes {tuple(sizes)}"
     )
+
+
+def _checked_sizes(r: int, part_sizes: Sequence[int]) -> tuple[int, ...]:
+    """r part sizes as a tuple: r >= 2, every size an int (not a bool), and
+    their product within TUPLE_CAP."""
+    if r < 2:
+        raise ArityMismatchError(f"arity must be >= 2, got {r}")
+    sizes = tuple(part_sizes)
+    for s in sizes:
+        if not is_int(s):
+            raise ConfigInvalidError(f"part size {s!r} is not an int")
+    if len(sizes) != r:
+        raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
+    tuple_total(sizes)
+    return sizes
 
 
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -140,15 +160,7 @@ class PartiteHypergraph:
         """
         if not is_int(r):
             raise ConfigInvalidError(f"arity {r!r} is not an int")
-        if r < 2:
-            raise ArityMismatchError(f"arity must be >= 2, got {r}")
-        sizes = tuple(part_sizes)
-        for s in sizes:
-            if not is_int(s):
-                raise ConfigInvalidError(f"part size {s!r} is not an int")
-        if len(sizes) != r:
-            raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
-        tuple_total(sizes)
+        sizes = _checked_sizes(r, part_sizes)
         seen = set()
         for raw in edge_list:
             e = tuple(raw)
@@ -166,23 +178,16 @@ class PartiteHypergraph:
 
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
-        sizes = tuple(int(s) for s in part_sizes)
-        tuple_total(sizes)
+        """Every index tuple over parts of these sizes, checked as in build."""
+        sizes = _checked_sizes(len(part_sizes), part_sizes)
         return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
 
     @cached_property
-    def _incidence(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-        # _incidence[i][v] = the edges with e[i] == v, in lexicographic order
-        inc: list[list[list[tuple[int, ...]]]] = [
-            [[] for _ in range(s)] for s in self.part_sizes
-        ]
-        for e in self.edges:
-            for i, v in enumerate(e):
-                inc[i][v].append(e)
-        return tuple(tuple(tuple(lst) for lst in part) for part in inc)
+    def _flat_cache(self) -> dict:
+        return {}
 
     @cached_property
-    def _flat_cache(self) -> dict:
+    def _degree_cache(self) -> dict:
         return {}
 
     @property
@@ -198,7 +203,10 @@ class PartiteHypergraph:
             raise IndexOutOfRangeError(f"part {i} out of range [0, {self.r})")
 
     def _check_vertex(self, i: int, v: int) -> None:
+        """Raise unless v is an int (not a bool) indexing part i."""
         self._check_part(i)
+        if not is_int(v):
+            raise ConfigInvalidError(f"vertex {v!r} in part {i} is not an int")
         if not 0 <= v < self.part_sizes[i]:
             raise IndexOutOfRangeError(
                 f"vertex {v} out of range [0, {self.part_sizes[i]}) in part {i}"
@@ -217,14 +225,13 @@ class PartiteHypergraph:
         return Fraction(self.total_tuples, self.edge_count)
 
     def degree(self, i: int, v: int) -> int:
-        """Number of edges through vertex v of part i."""
+        """Number of edges through vertex v of part i, from a count of part
+        i's coordinates made on first use."""
         self._check_vertex(i, v)
-        return len(self._incidence[i][v])
-
-    def edges_through(self, i: int, v: int) -> tuple[tuple[int, ...], ...]:
-        """The edges through vertex v of part i, in lexicographic order."""
-        self._check_vertex(i, v)
-        return self._incidence[i][v]
+        counts = self._degree_cache.get(i)
+        if counts is None:
+            counts = self._degree_cache[i] = Counter(map(itemgetter(i), self.edges))
+        return counts[v]
 
     def flatten(self, i: int) -> Bipartite:
         """Bipartite view: part i against the full product of the other parts."""
@@ -253,13 +260,10 @@ class PartiteHypergraph:
             raise ArityMismatchError(f"{len(subsets)} subsets for arity {self.r}")
         maps: list[dict[int, int]] = []
         sizes: list[int] = []
-        for i, subset in enumerate(subsets):
-            ordered = sorted(set(int(v) for v in subset))
-            for v in ordered:
-                if not 0 <= v < self.part_sizes[i]:
-                    raise IndexOutOfRangeError(
-                        f"subset for part {i} contains {v}, size is {self.part_sizes[i]}"
-                    )
+        for i, subset in enumerate(map(tuple, subsets)):
+            for v in subset:
+                self._check_vertex(i, v)
+            ordered = sorted(set(subset))
             maps.append({v: k for k, v in enumerate(ordered)})
             sizes.append(len(ordered))
         new_edges = []
@@ -320,10 +324,7 @@ class Instance:
         for i, subset in enumerate(subsets):
             part = self.parts[i]
             for v in subset:
-                if not 0 <= v < len(part):
-                    raise IndexOutOfRangeError(
-                        f"subset for part {i} contains {v}, size is {len(part)}"
-                    )
+                self.hypergraph._check_vertex(i, v)
             out.append(ElemSet.from_iterable(self.spec, (part.elems[v] for v in subset)))
         return tuple(out)
 

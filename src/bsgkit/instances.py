@@ -339,13 +339,7 @@ def check_bounds(
     elif mode != "general":
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
-    supports, exhaustive = verification_supports(result.subsets)
-    supports = list(supports)
-    # the whole box, or one singleton box per distinct sampled support
-    boxes = (
-        [result.subsets] if exhaustive
-        else [[(v,) for v in sup] for sup in dict.fromkeys(supports)]
-    )
+    supports, boxes, exhaustive = verification_supports(result.subsets)
     table = _elimination_counts(h, boxes)
     counts = [table[s] for s in supports]
     restricted_size = None if mode == "dense" else len(restricted_sumset(inst))

@@ -7,17 +7,18 @@ octopus anchored at a support tuple (v_1, ..., v_r) consists of one leg per
 part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 
 The relaxed count multiplies leg counts over each closing edge, enforcing
-only w_i != v_i; every bound check uses it. The pipelines count boxes of
-supports with relaxed_count_table, one elimination kernel for every arity.
-It holds the counts of a box as one int with a fixed-width field per
-support (a Kronecker packing), wide enough for an exact bound the kernel
-computes, so adding two count vectors is one int addition and contracting
-a part is one multiply-add per mate; everything stays exact. The verifier
+only w_i != v_i; every bound check uses it. relaxed_count_table is the one
+relaxed counter: one elimination kernel for every arity, over boxes of
+supports. It holds the counts of a box as one int with a fixed-width field
+per support (a Kronecker packing), wide enough for an exact bound the
+kernel computes, so adding two count vectors is one int addition and
+contracting a part is one multiply-add per mate; everything stays exact.
+octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
+estimate, is that kernel on the support's singleton box. The verifier
 (check_bounds in instances.py) counts by elimination over its own leg rows,
 built from the edge list in the other part order, with its own packing
 code, and uses none of this module's counters or helpers, so one packing
-bug cannot corrupt both routes. octopus_count_relaxed counts one support
-for ``bsgkit count`` and the witness-budget estimate.
+bug cannot corrupt both routes.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
@@ -57,7 +58,7 @@ def leg_count(h: PartiteHypergraph, part: int, v: int, w: int) -> int:
 
 
 def _check_support(h: PartiteHypergraph, support: Sequence[int]) -> tuple[int, ...]:
-    sup = tuple(int(v) for v in support)
+    sup = tuple(support)
     if len(sup) != h.r:
         raise IndexOutOfRangeError(
             f"support has {len(sup)} vertices for arity {h.r}"
@@ -72,20 +73,11 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
 
     For each edge (w_1, ..., w_{r-1}, v_r) through the last support vertex
     with w_i != v_i for every i, multiplies the leg counts at (v_i, w_i).
-    No disjointness between legs is enforced beyond w_i != v_i.
+    No disjointness between legs is enforced beyond w_i != v_i. Counted by
+    relaxed_count_table on the support's singleton box.
     """
     sup = _check_support(h, support)
-    last = h.r - 1
-    adjs = [h.flatten(i).adj for i in range(last)]
-    total = 0
-    for edge in h.edges_through(last, sup[last]):
-        prod = 1
-        for adj, v, w in zip(adjs, sup, edge):
-            prod = 0 if w == v else prod * (adj[v] & adj[w]).bit_count()
-            if not prod:
-                break
-        total += prod
-    return total
+    return relaxed_count_table(h, [[(v,) for v in sup]])[sup]
 
 
 def relaxed_count_table(
@@ -113,8 +105,7 @@ def relaxed_count_table(
     down to 0 are contracted with one multiply-add per mate. Each product of
     fields from different parts lands in its own field, and every count is
     at most the bound, so no field carries into the next. The sum unpacks
-    once into the box's supports. Results equal octopus_count_relaxed on
-    each support.
+    once into the box's supports.
 
     check_bounds counts with its own kernel (instances._elimination_counts);
     no packing helper is shared, so one packing bug cannot corrupt both.
@@ -124,11 +115,10 @@ def relaxed_count_table(
     for box in boxes:
         if len(box) != h.r:
             raise IndexOutOfRangeError(f"{len(box)} subsets for arity {h.r}")
-        subs = [tuple(sorted(set(int(v) for v in sub))) for sub in box]
-        for i, sub in enumerate(subs):
+        for i, sub in enumerate(box):
             for v in sub:
                 h._check_vertex(i, v)
-        checked.append(subs)
+        checked.append([tuple(sorted(set(sub))) for sub in box])
     rows = []  # rows[i][v]: leg counts from v to its whole part, 0 at v itself
     for i in range(last):
         adj = h.flatten(i).adj
@@ -292,11 +282,10 @@ def enumerate_octopus_witnesses(
     r = h.r
     last = r - 1
 
-    mate_edges = []
-    for edge in h.edges_through(last, sup[last]):
-        mates = edge[:last]
-        if all(mates[i] != sup[i] for i in range(last)):
-            mate_edges.append(mates)
+    mate_edges = [
+        e[:last] for e in h.edges
+        if e[last] == sup[last] and all(w != v for w, v in zip(e, sup[:last]))
+    ]
 
     # The relaxed count bounds the witnesses before disjointness is enforced.
     estimate = octopus_count_relaxed(h, sup)

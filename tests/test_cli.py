@@ -218,6 +218,8 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
     [
         ("measure", {}),
         ("measure", {"group": {"moduli": ["x"]}, "parts": [], "edges": []}),
+        ("measure", {"group": {"moduli": [7.9]}, "parts": [[[0]], [[1]]],
+                     "edges": "complete"}),
         ("verify", {"result": {"mode": "general"}}),
         ("energy", {"group": {"moduli": [0]}}),
         ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]]}),
@@ -234,7 +236,7 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
         ("report", {"inequalities": [_FAILING_ROW], "overall": True}),
         ("report", {"inequalities": [_FAILING_ROW], "overall": "false"}),
     ],
-    ids=["no-group", "bad-modulus", "result-without-subsets", "set-without-elems",
+    ids=["no-group", "bad-modulus", "float-modulus", "result-without-subsets", "set-without-elems",
          "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
          "k-not-a-string", "row-without-pass", "rows-not-a-list", "report-not-an-object",
          "overall-true-over-failing-row", "overall-not-a-bool"],
@@ -275,6 +277,25 @@ def test_verify_empty_subset_fails_typed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"bsgkit: error: malformed {report}: "
         "ConfigInvalidError('chosen subset for part 1 is empty')\n"
+    )
+
+
+def test_verify_repeated_subset_vertices_fail_typed(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--family", "random-density", "--r", "3", "--n", "10", "--seed", "1",
+          "--K", "2", "--out", str(inst)])
+    report = tmp_path / "report.json"
+    assert main(["extract", "--instance", str(inst), "--K", "2", "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    payload["result"]["subsets"] = [[sub[0]] * len(sub) for sub in payload["result"]["subsets"]]
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["verify", "--instance", str(inst), "--result", str(report),
+                 "--mode", "general"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"bsgkit: error: malformed {report}: ConfigInvalidError('chosen subset for "
+        "part 0 is not strictly increasing int indices')\n"
     )
 
 

@@ -18,8 +18,8 @@ from bsgkit.cli import main as cli_main
 from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
 from bsgkit.hypergraph import PartiteHypergraph
-from bsgkit.instances import GenConfig, check_bounds, gen_instance
-from bsgkit.octopus import octopus_count_relaxed, relaxed_count_table
+from bsgkit.instances import GenConfig, _elimination_counts, check_bounds, gen_instance
+from bsgkit.octopus import relaxed_count_table
 
 
 def test_arity_four_pipeline_end_to_end():
@@ -32,8 +32,9 @@ def test_arity_four_pipeline_end_to_end():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_table_matches_counter(r):
-    # unequal part sizes, every other vertex of each part, and a last-part
-    # vertex with no closing edge at all
+    # against the verifier's own elimination counter: unequal part sizes,
+    # every other vertex of each part, and a last-part vertex with no
+    # closing edge at all
     sizes = (3, 5, 4, 6, 5)[:r - 1] + ((7, 5, 5, 3)[r - 2],)
     rng = random.Random(r)
     isolated = sizes[-1] - 1
@@ -45,16 +46,15 @@ def test_table_matches_counter(r):
     subsets = [range(0, s, 2) for s in sizes]
     table = relaxed_count_table(h, [subsets])
     assert len(table) == math.prod(len(sub) for sub in subsets)
-    for sup, count in table.items():
-        assert count == octopus_count_relaxed(h, sup)
+    assert table == _elimination_counts(h, [subsets])
     assert any(count for count in table.values())
     assert all(table[sup] == 0 for sup in table if sup[-1] == isolated)
 
 
 def test_pipeline_counts_without_the_per_support_counter(monkeypatch):
-    # the per-support counter is the verifier's route; the pipeline sweep,
-    # exhaustive at r=4 and sampled on the 128 x 128 complete instance,
-    # must not use it
+    # the pipeline sweep, exhaustive at r=4 and sampled on the 128 x 128
+    # complete instance, counts whole boxes in one relaxed_count_table call,
+    # never one support at a time through octopus_count_relaxed
     def refuse(*args):
         raise AssertionError("pipeline called octopus_count_relaxed")
 

@@ -404,6 +404,35 @@ def test_result_with_old_ambient_fields_still_loads(mode):
     assert check_bounds(old, inst, mode) == check_bounds(res, inst, mode)
 
 
+def _repeated_first_vertex(subsets):
+    return [[sub[0]] * len(sub) for sub in subsets]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _repeated_first_vertex,
+        lambda subsets: [[1.7] + sub[1:] for sub in subsets],
+        lambda subsets: [[True] + sub[1:] for sub in subsets],
+        lambda subsets: [sub[::-1] for sub in subsets],
+        lambda subsets: [[str(v) for v in sub] for sub in subsets],
+    ],
+    ids=["repeated", "float", "bool", "decreasing", "string"],
+)
+def test_result_subsets_must_be_increasing_ints(tamper):
+    # int() and no order check used to load a subset repeating its first
+    # vertex, so check_bounds passed the size floors over one vertex a part
+    inst = gen_instance(
+        GenConfig.make(r=3, n=10, family="random-density", seed=1, k=Fraction(2))
+    )
+    res, _ = bsg_extract(inst, Fraction(2))
+    data = res.to_json()
+    assert ExtractionResult.from_json(data) == res
+    data["subsets"] = tamper(data["subsets"])
+    with pytest.raises(ConfigInvalidError, match="strictly increasing int indices"):
+        ExtractionResult.from_json(data)
+
+
 def test_almost_all_density_too_low():
     eps = Fraction(1, 25)
     inst = gen_instance(

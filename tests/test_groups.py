@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bsgkit.errors import InvalidModulusError, ShapeMismatchError
+from bsgkit.errors import ConfigInvalidError, InvalidModulusError, ShapeMismatchError
 from bsgkit.groups import GroupSpec, elem_from_json, elem_to_json, make_group
 
 SPEC_FAMILIES = [
@@ -108,3 +108,12 @@ def test_elem_json_roundtrip_big_ints():
 def test_spec_json_roundtrip():
     spec = make_group([2, 3, 0])
     assert GroupSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("moduli", [[7.9], [True], ["7"], [0, 2.0]])
+def test_spec_rejects_non_int_moduli(moduli):
+    # int() used to read [7.9] as Z_7
+    with pytest.raises(ConfigInvalidError, match="not an int"):
+        GroupSpec.from_json({"moduli": moduli})
+    with pytest.raises(ConfigInvalidError, match="not an int"):
+        make_group(moduli)

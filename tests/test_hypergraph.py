@@ -61,6 +61,31 @@ def test_build_rejects_non_int_values(r, sizes, edges, named):
         PartiteHypergraph.build(r, sizes, edges)
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: PartiteHypergraph.complete((2.7, True)), "2.7"),
+        (lambda: PartiteHypergraph.complete((3, True)), "True"),
+        (lambda: PartiteHypergraph.complete((3, 3)).induce([[1.9, 0], [True]]), "1.9"),
+        (lambda: PartiteHypergraph.complete((3, 3)).induce([[0], [True]]), "True"),
+        (lambda: PartiteHypergraph.complete((3, 3)).degree(0, True), "True"),
+        (lambda: PartiteHypergraph.complete((3, 3)).degree(1, 1.0), "1.0"),
+    ],
+)
+def test_queries_reject_non_int_indices(call, named):
+    # int() used to give complete((2.7, True)) sizes (2, 1) and to induce
+    # [[1.9, 0], [True]] as [[0, 1], [1]]
+    with pytest.raises(ConfigInvalidError, match=named):
+        call()
+
+
+def test_complete_checks_sizes_as_build_does():
+    with pytest.raises(ArityMismatchError):
+        PartiteHypergraph.complete((4,))
+    with pytest.raises(TooLargeError):
+        PartiteHypergraph.complete((TUPLE_CAP, 2))
+
+
 def test_density_and_measured_k():
     h = k22()
     assert h.density() == 1

@@ -221,7 +221,7 @@ def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
     for inst in insts:
         res, _ = bsg_extract(inst, "measured", "measured")
         runs.append((inst, res, check_bounds(res, inst, "general")))
-    assert [verification_supports(res.subsets)[1] for _, res, _ in runs] == [True, False]
+    assert [verification_supports(res.subsets)[2] for _, res, _ in runs] == [True, False]
 
     def refuse(*args, **kwargs):
         raise AssertionError("check_bounds used a pipeline counter")

@@ -74,6 +74,22 @@ def suite_instances():
 # ------------------------------------------------------------------ tests
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: relaxed_count_table(h, [[[1.5], [True]]]),
+        lambda h: relaxed_count_table(h, [[[0, 1], [False]]]),
+        lambda h: octopus_count_relaxed(h, (1.0, 0)),
+        lambda h: octopus_count_relaxed(h, (0, True)),
+        lambda h: octopus_count_exact(h, (True, 0)),
+    ],
+)
+def test_counters_reject_non_int_indices(call):
+    # int() used to count relaxed_count_table(h, [[[1.5], [True]]]) as {(1, 1): 6}
+    with pytest.raises(ConfigInvalidError, match="not an int"):
+        call(k33())
+
+
 def test_leg_count_examples():
     comp = PartiteHypergraph.complete((3, 4, 5))
     assert leg_count(comp, 0, 0, 1) == 20
@@ -172,7 +188,7 @@ def test_relaxed_table_matches_per_support():
         subsets = [list(range(s)) for s in h.part_sizes]
         table = relaxed_count_table(h, [subsets])
         for sup, count in table.items():
-            assert count == octopus_count_relaxed(h, sup)
+            assert count == oracle_relaxed(h, sup)
 
 
 def test_witness_edges_and_validity():
