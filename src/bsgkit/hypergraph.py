@@ -3,14 +3,13 @@
 Vertices are identified by (part, position); equal group elements sitting in
 different parts are distinct vertices. Edges are ordered index tuples, stored
 lexicographically sorted for deterministic iteration; the edge list is the
-only per-edge storage. Vertex degrees come from one count of each part's
-coordinates, made on first use. The bipartite flattening against one part
-uses integer bitmasks over the mixed-radix index space of the remaining
-parts, which makes its degree and codegree queries single popcounts;
-``_strides`` is the one definition of that layout. Every vertex index passes
-one check, ``_check_vertex``: an int, not a bool, in range. No hypergraph
-may span more than TUPLE_CAP index tuples; the check runs before any tuple is
-allocated.
+only per-edge storage. The bipartite flattening against one part uses
+integer bitmasks over the mixed-radix index space of the remaining parts,
+which makes its degree and codegree queries single popcounts; ``_strides``
+is the one definition of that layout. Every vertex index a
+PartiteHypergraph query takes passes one check, ``_check_vertex``: an int,
+not a bool, in range. No hypergraph may span more than TUPLE_CAP index
+tuples; the check runs before any tuple is allocated.
 """
 
 from __future__ import annotations

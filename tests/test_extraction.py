@@ -29,8 +29,8 @@ from bsgkit.extraction import (
 from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
-from bsgkit.octopus import eps_good_threshold, octopus_count_relaxed
-from oracles import brute_codegree, oracle_leg_count
+from bsgkit.octopus import eps_good_threshold
+from oracles import brute_codegree, oracle_leg_count, oracle_relaxed
 
 
 def test_drc_complete():
@@ -167,7 +167,7 @@ def test_octopus_extract_planted_posthoc_recount():
             2 ** (p + 3) * k
         )
     for sup in product(*res.subsets):
-        assert Fraction(octopus_count_relaxed(h, sup)) >= floor
+        assert Fraction(oracle_relaxed(h, sup)) >= floor
 
 
 @pytest.mark.parametrize("raised", [False, True], ids=["derived-floor", "raised-floor"])
@@ -246,7 +246,7 @@ def test_dense_extract_complete():
     target = math.ceil((1 - eps) * 10)
     assert res.sizes() == (target, target)
     for sup in product(*res.subsets):
-        assert octopus_count_relaxed(inst.hypergraph, sup) >= Fraction(100, 2)
+        assert oracle_relaxed(inst.hypergraph, sup) >= Fraction(100, 2)
 
 
 def test_dense_extract_eps_too_large():
@@ -273,7 +273,7 @@ def test_dense_extract_random_verified():
     target = math.ceil((1 - eps) * 10)
     assert all(len(s) == target for s in res.subsets)
     for sup in product(*res.subsets):
-        assert octopus_count_relaxed(inst.hypergraph, sup) >= Fraction(10**2, 2)
+        assert oracle_relaxed(inst.hypergraph, sup) >= Fraction(10**2, 2)
 
 
 def test_bsg_extract_complete_ap():
@@ -420,8 +420,8 @@ def _repeated_first_vertex(subsets):
     ids=["repeated", "float", "bool", "decreasing", "string"],
 )
 def test_result_subsets_must_be_increasing_ints(tamper):
-    # int() and no order check used to load a subset repeating its first
-    # vertex, so check_bounds passed the size floors over one vertex a part
+    # a subset repeating its first vertex would pass check_bounds' size
+    # floors over one vertex a part
     inst = gen_instance(
         GenConfig.make(r=3, n=10, family="random-density", seed=1, k=Fraction(2))
     )

@@ -112,7 +112,7 @@ def test_spec_json_roundtrip():
 
 @pytest.mark.parametrize("moduli", [[7.9], [True], ["7"], [0, 2.0]])
 def test_spec_rejects_non_int_moduli(moduli):
-    # int() used to read [7.9] as Z_7
+    # a truncating int() would read [7.9] as Z_7
     with pytest.raises(ConfigInvalidError, match="not an int"):
         GroupSpec.from_json({"moduli": moduli})
     with pytest.raises(ConfigInvalidError, match="not an int"):

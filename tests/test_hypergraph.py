@@ -73,8 +73,8 @@ def test_build_rejects_non_int_values(r, sizes, edges, named):
     ],
 )
 def test_queries_reject_non_int_indices(call, named):
-    # int() used to give complete((2.7, True)) sizes (2, 1) and to induce
-    # [[1.9, 0], [True]] as [[0, 1], [1]]
+    # a truncating int() would give complete((2.7, True)) sizes (2, 1) and
+    # induce [[1.9, 0], [True]] as [[0, 1], [1]]
     with pytest.raises(ConfigInvalidError, match=named):
         call()
 

@@ -85,7 +85,7 @@ def suite_instances():
     ],
 )
 def test_counters_reject_non_int_indices(call):
-    # int() used to count relaxed_count_table(h, [[[1.5], [True]]]) as {(1, 1): 6}
+    # a truncating int() would count [[[1.5], [True]]] as the support (1, 1)
     with pytest.raises(ConfigInvalidError, match="not an int"):
         call(k33())
 
