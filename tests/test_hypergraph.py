@@ -1,6 +1,7 @@
 """Hypergraph storage and queries: build, density, degree, flattening,
 codegree, inducing, the tuple cap, and the instance JSON format."""
 
+import enum
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsgkit.cli import main
 from bsgkit.config import TUPLE_CAP
 from bsgkit.errors import (
     ArityMismatchError,
@@ -292,3 +294,95 @@ def test_instance_json_rejects_unsorted_parts():
 def test_canonical_edge_order():
     h = PartiteHypergraph.build(2, (3, 3), [(2, 1), (0, 2), (0, 1)])
     assert h.edges == ((0, 1), (0, 2), (2, 1))
+
+
+class _Idx(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "r, sizes, edges, error, message",
+    [
+        (2, (3, 3), [(0, 1, 2)], ArityMismatchError, "edge (0, 1, 2) has arity 3, expected 2"),
+        (2, (3, 3), [(0, True)], ConfigInvalidError, "edge (0, True): coordinate True is not an int"),
+        (2, (3, 3), [(0, 1.0)], ConfigInvalidError, "edge (0, 1.0): coordinate 1.0 is not an int"),
+        (2, (3, 3), [(0, "1")], ConfigInvalidError, "edge (0, '1'): coordinate '1' is not an int"),
+        (3, (3, 3, 3), [(0, 1, 3)], IndexOutOfRangeError,
+         "edge (0, 1, 3): index 3 out of range [0, 3) in part 2"),
+        (2, (3, 3), [(0, -1)], IndexOutOfRangeError,
+         "edge (0, -1): index -1 out of range [0, 3) in part 1"),
+        (2, (3, 3), [(0, 1), 5], TypeError, "'int' object is not iterable"),
+        (2, (3, 3), [(0, None)], ConfigInvalidError, "edge (0, None): coordinate None is not an int"),
+        # mixed faults: the first faulty edge in input order is named, and
+        # inside it the first faulty coordinate, type before range
+        (2, (3, 3), [(0, 1), (0,), (True, 0)], ArityMismatchError,
+         "edge (0,) has arity 1, expected 2"),
+        (2, (3, 3), [(True, 0), (0,)], ConfigInvalidError,
+         "edge (True, 0): coordinate True is not an int"),
+        (2, (3, 3), [(0, 5), (1.5, 0)], IndexOutOfRangeError,
+         "edge (0, 5): index 5 out of range [0, 3) in part 1"),
+        (2, (3, 3), [(1.5, 0), (0, 5)], ConfigInvalidError,
+         "edge (1.5, 0): coordinate 1.5 is not an int"),
+        (2, (3, 3), [(5, 1.5)], IndexOutOfRangeError,
+         "edge (5, 1.5): index 5 out of range [0, 3) in part 0"),
+        (2, (3, 3), [(0, 5), 7], IndexOutOfRangeError,
+         "edge (0, 5): index 5 out of range [0, 3) in part 1"),
+        (2, (3, 3), [(0, 1), (2, 2, 2), (0, 9)], ArityMismatchError,
+         "edge (2, 2, 2) has arity 3, expected 2"),
+    ],
+    ids=["arity", "bool", "float", "string", "range-last-part", "negative", "non-iterable",
+         "none", "arity-then-bool", "bool-then-arity", "range-then-float", "float-then-range",
+         "range-before-type-in-one-edge", "range-then-non-iterable", "arity-then-range"],
+)
+def test_malformed_edges_fail_with_pinned_errors(r, sizes, edges, error, message):
+    with pytest.raises(error) as info:
+        PartiteHypergraph.build(r, sizes, edges)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_build_accepts_int_enum_coordinates():
+    h = PartiteHypergraph.build(2, (3, 3), [(0, _Idx.ONE), (2, 0)])
+    assert h.edges == ((0, 1), (2, 0))
+    assert h.degree(1, 1) == 1
+
+
+_JSON_BASE = {"group": {"moduli": [0]}, "parts": [[[0], [1], [2], [3]], [[0], [1], [2], [3]]]}
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([[0, "3"], [1, 2]], None, ((0, 3), (1, 2))),
+        ([[0, True]], ConfigInvalidError, "boolean is not a valid coordinate"),
+        ([[0, 1], 3], TypeError, "'int' object is not iterable"),
+        ([[0, 1.0]], ConfigInvalidError, "coordinate must be an integer or decimal string, got float"),
+        ([[0, "x"]], ConfigInvalidError, "coordinate string 'x' is not an integer"),
+        # every coordinate is decoded before any edge is checked
+        ([[0, 1, 2], [0, True]], ConfigInvalidError, "boolean is not a valid coordinate"),
+        ([[0, 1, 2], [0, "3"]], ArityMismatchError, "edge (0, 1, 2) has arity 3, expected 2"),
+        ([[0, 4]], IndexOutOfRangeError, "edge (0, 4): index 4 out of range [0, 4) in part 1"),
+        (7, TypeError, "'int' object is not iterable"),
+    ],
+    ids=["string-coordinate", "bool", "bare-int-edge", "float", "non-decimal-string",
+         "arity-then-bool", "arity-then-string", "range", "bare-int-edge-list"],
+)
+def test_malformed_json_edges_fail_with_pinned_errors(tmp_path, capsys, edges, error, message):
+    payload = dict(_JSON_BASE, edges=edges)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    if error is None:
+        assert Instance.from_json(payload).hypergraph.edges == message
+        assert main(["measure", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["edge_count"] == len(message)
+        return
+    with pytest.raises(error) as info:
+        Instance.from_json(payload)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert main(["measure", "--instance", str(path)]) == 1
+    # the CLI wraps parse faults with the file name; hypergraph faults pass as they are
+    wrapped = error in (ConfigInvalidError, TypeError)
+    shown = f"malformed {path}: {info.value!r}" if wrapped else message
+    assert capsys.readouterr().err == f"bsgkit: error: {shown}\n"
