@@ -246,7 +246,9 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
     if a_size == 0:
         return DrcOutcome(-1, False, 0, (), Fraction(0), cothreshold)
 
-    for pivot in sorted(range(b_size), key=lambda z: (-g.right_degree(z), z)):
+    degrees = g.right_degrees
+    # a stable sort, so pivots of equal degree keep index order
+    for pivot in sorted(range(b_size), key=lambda z: -degrees[z]):
         u = g.left_neighbors(pivot)
         deletions = 0
         while Fraction(len(u)) >= size_floor:

@@ -6,22 +6,33 @@ lexicographically sorted for deterministic iteration; the edge list is the
 only per-edge storage. The bipartite flattening against one part uses
 integer bitmasks over the mixed-radix index space of the remaining parts,
 which makes its degree and codegree queries single popcounts; ``_strides``
-is the one definition of that layout. Every vertex index a
-PartiteHypergraph query takes passes one check, ``_check_vertex``: an int,
-not a bool, in range. No hypergraph may span more than TUPLE_CAP index
-tuples; the check runs before any tuple is allocated.
+is the one definition of that layout.
+
+Whole-edge-list work runs on per-part coordinate columns (``zip(*edges)``)
+with C-level ``map``/``zip``/``set``/``min``/``max`` rather than a Python
+loop per edge: ``build`` validates arities, types and ranges in bulk, and
+only when that finds a fault rescans edge by edge to name the first bad
+one; ``Instance.from_json`` skips ``decode_coord`` when every coordinate is
+a plain JSON int; ``flatten`` forms right indices column-wise; ``induce``
+maps each column through a rank list; ``Bipartite.right_degrees`` counts
+every right vertex in one pass over the masks. No column view is kept.
+
+Every vertex index a PartiteHypergraph query takes passes one check,
+``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
+the same rule to left and right indices. No hypergraph may span more than
+TUPLE_CAP index tuples; the check runs before any tuple is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Sequence
+from itertools import chain, product, repeat
+from operator import add, itemgetter, mul
+from typing import Iterable, NoReturn, Sequence
 
 from .config import TUPLE_CAP, require_within_cap
 from .errors import (
@@ -60,6 +71,18 @@ def _checked_sizes(r: int, part_sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
+def _check_index(what: str, v: int, size: int) -> None:
+    """Raise unless v is an int (not a bool) in [0, size)."""
+    if not is_int(v):
+        raise ConfigInvalidError(f"{what} {v!r} is not an int")
+    if not 0 <= v < size:
+        raise IndexOutOfRangeError(f"{what} {v} out of range [0, {size})")
+
+
+# Maps the digits of a binary numeral to the byte values 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:
     """Mixed-radix place values over shape, most significant digit first, so
     the i-th tuple t of itertools.product(*map(range, shape)) has index
@@ -70,6 +93,43 @@ def _strides(shape: Sequence[int]) -> tuple[int, ...]:
         strides.append(acc)
         acc *= s
     return tuple(reversed(strides))
+
+
+def _column_valid(col: Sequence, size: int) -> bool:
+    """True when every value in col is an int (not a bool) in [0, size), as
+    _check_vertex requires; from the set of types present and one min/max."""
+    types = set(map(type, col))
+    if not all(issubclass(t, int) and not issubclass(t, bool) for t in types):
+        return False
+    return not col or (0 <= min(col) and max(col) < size)
+
+
+def _edges_valid(sizes: tuple[int, ...], edges: list[tuple]) -> bool:
+    """True when every edge has one valid coordinate per part; checked a
+    column at a time, not edge by edge."""
+    if not edges:
+        return True
+    if set(map(len, edges)) != {len(sizes)}:
+        return False
+    return all(map(_column_valid, zip(*edges), sizes))
+
+
+def _raise_first_fault(sizes: tuple[int, ...], edge_list: Iterable) -> NoReturn:
+    """Raise the error of the first faulty edge in input order: its arity,
+    else its first coordinate that is not an int or is out of range."""
+    r = len(sizes)
+    for raw in edge_list:
+        e = tuple(raw)
+        if len(e) != r:
+            raise ArityMismatchError(f"edge {e} has arity {len(e)}, expected {r}")
+        for i, v in enumerate(e):
+            if not is_int(v):
+                raise ConfigInvalidError(f"edge {e}: coordinate {v!r} is not an int")
+            if not 0 <= v < sizes[i]:
+                raise IndexOutOfRangeError(
+                    f"edge {e}: index {v} out of range [0, {sizes[i]}) in part {i}"
+                )
+    raise AssertionError("bulk edge validation failed on edges that pass one by one")
 
 
 @dataclass(frozen=True)
@@ -100,27 +160,33 @@ class Bipartite:
             index %= st
         return tuple(out)
 
-    def _check_left(self, v: int) -> None:
-        if not 0 <= v < self.left_size:
-            raise IndexOutOfRangeError(f"left vertex {v} out of range [0, {self.left_size})")
-
     def degree(self, v: int) -> int:
-        self._check_left(v)
+        _check_index("left vertex", v, self.left_size)
         return self.adj[v].bit_count()
 
     def codegree(self, v: int, w: int) -> int:
         """|N(v) & N(w)|; codegree(v, v) equals degree(v)."""
-        self._check_left(v)
-        self._check_left(w)
+        _check_index("left vertex", v, self.left_size)
+        _check_index("left vertex", w, self.left_size)
         return (self.adj[v] & self.adj[w]).bit_count()
 
+    @cached_property
+    def right_degrees(self) -> tuple[int, ...]:
+        """Degree of every right vertex, from one pass over the masks: each
+        mask becomes a row of 0/1 bytes, most significant bit first, and the
+        rows are summed a column at a time."""
+        size = self.right_size
+        if not self.adj or not size:
+            return (0,) * size
+        rows = [format(mask, f"0{size}b").encode().translate(_BIT_BYTES) for mask in self.adj]
+        return tuple(map(sum, zip(*rows)))[::-1]
+
     def right_degree(self, z: int) -> int:
-        if not 0 <= z < self.right_size:
-            raise IndexOutOfRangeError(f"right vertex {z} out of range [0, {self.right_size})")
-        bit = 1 << z
-        return sum(1 for mask in self.adj if mask & bit)
+        _check_index("right vertex", z, self.right_size)
+        return self.right_degrees[z]
 
     def left_neighbors(self, z: int) -> list[int]:
+        _check_index("right vertex", z, self.right_size)
         bit = 1 << z
         return [v for v, mask in enumerate(self.adj) if mask & bit]
 
@@ -156,30 +222,28 @@ class PartiteHypergraph:
 
         The arity, part sizes and coordinates must be ints; a bool, float or
         any other value raises ConfigInvalidError naming it, with no rounding.
+        The edges are checked in bulk; on a fault, _raise_first_fault names
+        the first bad edge in input order.
         """
         if not is_int(r):
             raise ConfigInvalidError(f"arity {r!r} is not an int")
         sizes = _checked_sizes(r, part_sizes)
-        seen = set()
-        for raw in edge_list:
-            e = tuple(raw)
-            if len(e) != r:
-                raise ArityMismatchError(f"edge {e} has arity {len(e)}, expected {r}")
-            for i, v in enumerate(e):
-                if not is_int(v):
-                    raise ConfigInvalidError(f"edge {e}: coordinate {v!r} is not an int")
-                if not 0 <= v < sizes[i]:
-                    raise IndexOutOfRangeError(
-                        f"edge {e}: index {v} out of range [0, {sizes[i]}) in part {i}"
-                    )
-            seen.add(e)
-        return cls(r, sizes, tuple(sorted(seen)))
+        raw = list(edge_list)
+        try:
+            edges = list(map(tuple, raw))
+        except TypeError:  # an edge that is not iterable
+            _raise_first_fault(sizes, raw)
+        if not _edges_valid(sizes, edges):
+            _raise_first_fault(sizes, raw)
+        # dict.fromkeys keeps each edge's first occurrence in input order, as
+        # a set would, and leaves sorted input in order for a linear sort
+        return cls(r, sizes, tuple(sorted(dict.fromkeys(edges))))
 
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
         """Every index tuple over parts of these sizes, checked as in build."""
         sizes = _checked_sizes(len(part_sizes), part_sizes)
-        return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
+        return cls(len(sizes), sizes, tuple(product(*map(range, sizes))))
 
     @cached_property
     def _flat_cache(self) -> dict:
@@ -239,12 +303,15 @@ class PartiteHypergraph:
         if cached is not None:
             return cached
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
-        strides = _strides(right_shape)
+        columns = list(zip(*self.edges)) or [()] * self.r
+        left = columns.pop(i)
+        # right indices column by column; the last remaining part has stride 1
+        idx = columns[-1] if columns else repeat(0)
+        for col, st in zip(columns[:-1], _strides(right_shape)):
+            idx = map(add, map(mul, col, repeat(st)), idx)
         masks = [0] * self.part_sizes[i]
-        for e in self.edges:
-            rest = e[:i] + e[i + 1 :]
-            idx = sum(v * st for v, st in zip(rest, strides))
-            masks[e[i]] |= 1 << idx
+        for v, z in zip(left, idx):
+            masks[v] |= 1 << z
         flat = Bipartite(self.part_sizes[i], right_shape, tuple(masks))
         self._flat_cache[i] = flat
         return flat
@@ -253,30 +320,28 @@ class PartiteHypergraph:
         """Edges with all coordinates inside the chosen per-part subsets.
 
         Vertices are reindexed by rank inside each (sorted, deduplicated)
-        subset; the subsets themselves are the old-to-new mapping.
+        subset; the subsets themselves are the old-to-new mapping. Each
+        coordinate column is mapped through its part's rank list, which
+        holds None for the vertices left out.
         """
         if len(subsets) != self.r:
             raise ArityMismatchError(f"{len(subsets)} subsets for arity {self.r}")
-        maps: list[dict[int, int]] = []
+        ranks: list[list[int | None]] = []
         sizes: list[int] = []
         for i, subset in enumerate(map(tuple, subsets)):
-            for v in subset:
-                self._check_vertex(i, v)
+            if not _column_valid(subset, self.part_sizes[i]):
+                for v in subset:  # name the first bad vertex
+                    self._check_vertex(i, v)
             ordered = sorted(set(subset))
-            maps.append({v: k for k, v in enumerate(ordered)})
+            rank: list[int | None] = [None] * self.part_sizes[i]
+            for k, v in enumerate(ordered):
+                rank[v] = k
+            ranks.append(rank)
             sizes.append(len(ordered))
-        new_edges = []
-        for e in self.edges:
-            out = []
-            for i, v in enumerate(e):
-                k = maps[i].get(v)
-                if k is None:
-                    break
-                out.append(k)
-            else:
-                new_edges.append(tuple(out))
-        # rank maps are increasing, so the kept edges stay lexicographic
-        return PartiteHypergraph(self.r, tuple(sizes), tuple(new_edges))
+        columns = [map(rank.__getitem__, col) for rank, col in zip(ranks, zip(*self.edges))]
+        # ranks are increasing, so the kept edges stay lexicographic
+        new_edges = tuple(e for e in zip(*columns) if None not in e)
+        return PartiteHypergraph(self.r, tuple(sizes), new_edges)
 
     def is_complete(self) -> bool:
         return self.edge_count == self.total_tuples and self.edge_count > 0
@@ -358,7 +423,11 @@ class Instance:
         if raw_edges == "complete":
             hg = PartiteHypergraph.complete(sizes)
         else:
-            hg = PartiteHypergraph.build(
-                len(parts), sizes, [[decode_coord(v) for v in e] for e in raw_edges]
-            )
+            try:  # plain JSON ints need no decoding
+                plain = set(map(type, chain.from_iterable(raw_edges))) <= {int}
+            except TypeError:
+                plain = False
+            if not plain:
+                raw_edges = [[decode_coord(v) for v in e] for e in raw_edges]
+            hg = PartiteHypergraph.build(len(parts), sizes, raw_edges)
         return cls(spec, tuple(parts), hg, meta=data.get("meta"))

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import getitem
+from functools import cached_property, partial, reduce
+from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
@@ -188,10 +188,14 @@ def sum_stats(a: ElemSet) -> SumStats:
 
 
 def restricted_sumset(inst: "Instance") -> ElemSet:
-    """Sums over edges of the instance hypergraph only: one packed code sum
-    per edge, then each distinct code decoded once."""
+    """Sums over edges of the instance hypergraph only: each part's column
+    of edge coordinates is mapped to packed codes and the columns are added
+    code by code, giving one code sum per edge; each distinct sum is then
+    decoded once."""
     codes, decode = _pack(inst.spec, [part.elems for part in inst.parts])
-    sums = {sum(map(getitem, codes, edge)) for edge in inst.hypergraph.edges}
+    edges = inst.hypergraph.edges
+    columns = [map(part_codes.__getitem__, col) for part_codes, col in zip(codes, zip(*edges))]
+    sums = set(reduce(partial(map, add), columns)) if edges else set()
     return _decoded_set(inst.spec, sums, decode)
 
 

@@ -176,3 +176,56 @@ def oracle_signed_histogram(spec, elems, signs):
         oracle_sum_fold(spec, [c if sign > 0 else spec.neg(c) for c, sign in zip(tup, signs)])
         for tup in product(elems, repeat=len(signs))
     )
+
+
+def _with_vertex(rest, part, v):
+    """The index tuple with v inserted at position part of rest."""
+    return tuple(rest[:part]) + (v,) + tuple(rest[part:])
+
+
+def oracle_flatten_masks(h, part):
+    """Neighbourhood bitmask of each vertex of part: bit z stands for the
+    z-th tuple, in itertools.product order, over the other parts, and is set
+    when that tuple with the vertex inserted is an edge."""
+    edges = frozenset(h.edges)
+    ranges = [range(s) for i, s in enumerate(h.part_sizes) if i != part]
+    masks = []
+    for v in range(h.part_sizes[part]):
+        mask = 0
+        for z, rest in enumerate(product(*ranges)):
+            if _with_vertex(rest, part, v) in edges:
+                mask |= 1 << z
+        masks.append(mask)
+    return masks
+
+
+def oracle_right_degrees(h, part):
+    """For each tuple over the other parts, in itertools.product order, the
+    number of vertices of part that complete it to an edge."""
+    edges = frozenset(h.edges)
+    ranges = [range(s) for i, s in enumerate(h.part_sizes) if i != part]
+    return [
+        sum(_with_vertex(rest, part, v) in edges for v in range(h.part_sizes[part]))
+        for rest in product(*ranges)
+    ]
+
+
+def oracle_degree(h, part, v):
+    """Number of index tuples through vertex v of part that are edges."""
+    edges = frozenset(h.edges)
+    ranges = [range(s) for i, s in enumerate(h.part_sizes) if i != part]
+    return sum(_with_vertex(rest, part, v) in edges for rest in product(*ranges))
+
+
+def oracle_induce(h, subsets):
+    """Part sizes and edges of the hypergraph induced on the subsets, each
+    vertex renamed by its rank in its sorted, deduplicated subset: every
+    tuple over the subsets is looked up in a set of the edges."""
+    edges = frozenset(h.edges)
+    ordered = [sorted(set(s)) for s in subsets]
+    kept = [
+        tuple(ordered[i].index(v) for i, v in enumerate(old))
+        for old in product(*ordered)
+        if old in edges
+    ]
+    return tuple(len(s) for s in ordered), tuple(kept)

@@ -81,6 +81,39 @@ def test_queries_reject_non_int_indices(call, named):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g: g.degree(True), ConfigInvalidError, "left vertex True is not an int"),
+        (lambda g: g.codegree(True, 0), ConfigInvalidError, "left vertex True is not an int"),
+        (lambda g: g.codegree(0, 2.0), ConfigInvalidError, "left vertex 2.0 is not an int"),
+        (lambda g: g.degree(1.0), ConfigInvalidError, "left vertex 1.0 is not an int"),
+        (lambda g: g.degree(3), IndexOutOfRangeError, "left vertex 3 out of range [0, 3)"),
+        (lambda g: g.codegree(0, -1), IndexOutOfRangeError, "left vertex -1 out of range [0, 3)"),
+        (lambda g: g.left_neighbors(-1), IndexOutOfRangeError,
+         "right vertex -1 out of range [0, 3)"),
+        (lambda g: g.left_neighbors(99), IndexOutOfRangeError,
+         "right vertex 99 out of range [0, 3)"),
+        (lambda g: g.left_neighbors(False), ConfigInvalidError, "right vertex False is not an int"),
+        (lambda g: g.right_degree(3), IndexOutOfRangeError, "right vertex 3 out of range [0, 3)"),
+        (lambda g: g.right_degree("1"), ConfigInvalidError, "right vertex '1' is not an int"),
+    ],
+    ids=["degree-bool", "codegree-bool", "codegree-float", "degree-float", "degree-range",
+         "codegree-negative", "neighbors-negative", "neighbors-range", "neighbors-bool",
+         "right-degree-range", "right-degree-string"],
+)
+def test_bipartite_queries_check_indices(call, error, message):
+    # at one time degree(True) and codegree(True, 0) read True as 1,
+    # degree(1.0) and left_neighbors(-1) ended in raw TypeError/ValueError,
+    # and left_neighbors(99) returned []
+    flat = PartiteHypergraph.complete((3, 3)).flatten(0)
+    with pytest.raises(error) as info:
+        call(flat)
+    assert str(info.value) == message
+    assert flat.left_neighbors(2) == [0, 1, 2]
+    assert flat.right_degrees == (3, 3, 3)
+
+
 def test_complete_checks_sizes_as_build_does():
     with pytest.raises(ArityMismatchError):
         PartiteHypergraph.complete((4,))
@@ -197,6 +230,8 @@ def test_induce_examples():
     assert smaller.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
     with pytest.raises(IndexOutOfRangeError):
         comp.induce([[5], [0]])
+    with pytest.raises(IndexOutOfRangeError, match="vertex -1 out of range"):
+        comp.induce([[0], [2, -1]])
 
 
 def test_induce_matches_brute_force_reindex():
