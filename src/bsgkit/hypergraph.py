@@ -8,11 +8,12 @@ integer bitmasks over the mixed-radix index space of the remaining parts,
 which makes its degree and codegree queries single popcounts; ``_strides``
 is the one definition of that layout.
 
-Whole-edge-list work runs on per-part coordinate columns (``zip(*edges)``)
-with C-level ``map``/``zip``/``set``/``min``/``max`` rather than a Python
-loop per edge: ``build`` validates arities, types and ranges in bulk, and
-only when that finds a fault rescans edge by edge to name the first bad
-one; ``Instance.from_json`` skips ``decode_coord`` when every coordinate is
+Whole-edge-list work runs on per-part coordinate columns with C-level
+``map``/``zip``/``set``/``min``/``max`` rather than a Python loop per edge.
+Columns are streamed with ``map(itemgetter(i), edges)``, so no transposed
+copy of the edge list is held, except that ``build`` validates a column at
+a time (arity, the set of coordinate types, min and max) and only when that
+finds a fault rescans edge by edge to name the first bad one; ``Instance.from_json`` skips ``decode_coord`` when every coordinate is
 a plain JSON int; ``flatten`` forms right indices column-wise; ``induce``
 maps each column through a rank list; ``Bipartite.right_degrees`` counts
 every right vertex in one pass over the masks. No column view is kept.
@@ -303,14 +304,13 @@ class PartiteHypergraph:
         if cached is not None:
             return cached
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
-        columns = list(zip(*self.edges)) or [()] * self.r
-        left = columns.pop(i)
+        rest = [j for j in range(self.r) if j != i]
         # right indices column by column; the last remaining part has stride 1
-        idx = columns[-1] if columns else repeat(0)
-        for col, st in zip(columns[:-1], _strides(right_shape)):
-            idx = map(add, map(mul, col, repeat(st)), idx)
+        idx = map(itemgetter(rest[-1]), self.edges) if rest else repeat(0)
+        for j, st in zip(rest[:-1], _strides(right_shape)):
+            idx = map(add, map(mul, map(itemgetter(j), self.edges), repeat(st)), idx)
         masks = [0] * self.part_sizes[i]
-        for v, z in zip(left, idx):
+        for v, z in zip(map(itemgetter(i), self.edges), idx):
             masks[v] |= 1 << z
         flat = Bipartite(self.part_sizes[i], right_shape, tuple(masks))
         self._flat_cache[i] = flat
@@ -338,7 +338,9 @@ class PartiteHypergraph:
                 rank[v] = k
             ranks.append(rank)
             sizes.append(len(ordered))
-        columns = [map(rank.__getitem__, col) for rank, col in zip(ranks, zip(*self.edges))]
+        columns = [
+            map(rank.__getitem__, map(itemgetter(j), self.edges)) for j, rank in enumerate(ranks)
+        ]
         # ranks are increasing, so the kept edges stay lexicographic
         new_edges = tuple(e for e in zip(*columns) if None not in e)
         return PartiteHypergraph(self.r, tuple(sizes), new_edges)

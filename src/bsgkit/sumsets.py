@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import add
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
@@ -194,7 +194,7 @@ def restricted_sumset(inst: "Instance") -> ElemSet:
     decoded once."""
     codes, decode = _pack(inst.spec, [part.elems for part in inst.parts])
     edges = inst.hypergraph.edges
-    columns = [map(part_codes.__getitem__, col) for part_codes, col in zip(codes, zip(*edges))]
+    columns = [map(code.__getitem__, map(itemgetter(j), edges)) for j, code in enumerate(codes)]
     sums = set(reduce(partial(map, add), columns)) if edges else set()
     return _decoded_set(inst.spec, sums, decode)
 
