@@ -8,15 +8,14 @@ integer bitmasks over the mixed-radix index space of the remaining parts,
 which makes its degree and codegree queries single popcounts; ``_strides``
 is the one definition of that layout.
 
-Whole-edge-list work runs on per-part coordinate columns with C-level
-``map``/``zip``/``set``/``min``/``max`` rather than a Python loop per edge.
-Columns are streamed with ``map(itemgetter(i), edges)``, so no transposed
-copy of the edge list is held, except that ``build`` validates a column at
-a time (arity, the set of coordinate types, min and max) and only when that
-finds a fault rescans edge by edge to name the first bad one; ``Instance.from_json`` skips ``decode_coord`` when every coordinate is
-a plain JSON int; ``flatten`` forms right indices column-wise; ``induce``
-maps each column through a rank list; ``Bipartite.right_degrees`` counts
-every right vertex in one pass over the masks. No column view is kept.
+Work over the whole edge list runs a coordinate column at a time, with
+C-level ``map``/``zip``/``set``/``min``/``max`` in place of a Python loop
+per edge. ``build`` validates arity, coordinate types and ranges in bulk
+and rescans edge by edge only to name the first bad edge;
+``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
+plain JSON int; ``flatten``, ``induce`` and ``degree`` stream columns with
+``map(itemgetter(i), edges)``, so no transposed copy of the edges is held;
+``Bipartite.right_degrees`` counts every right vertex in one pass.
 
 Every vertex index a PartiteHypergraph query takes passes one check,
 ``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
