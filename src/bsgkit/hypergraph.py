@@ -25,12 +25,12 @@ TUPLE_CAP index tuples; the check runs before any tuple is allocated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, NoReturn, Sequence
 
@@ -243,7 +243,7 @@ class PartiteHypergraph:
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
         """Every index tuple over parts of these sizes, checked as in build."""
         sizes = _checked_sizes(len(part_sizes), part_sizes)
-        return cls(len(sizes), sizes, tuple(product(*map(range, sizes))))
+        return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
 
     @cached_property
     def _flat_cache(self) -> dict:
@@ -305,9 +305,9 @@ class PartiteHypergraph:
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
         rest = [j for j in range(self.r) if j != i]
         # right indices column by column; the last remaining part has stride 1
-        idx = map(itemgetter(rest[-1]), self.edges) if rest else repeat(0)
+        idx = map(itemgetter(rest[-1]), self.edges) if rest else itertools.repeat(0)
         for j, st in zip(rest[:-1], _strides(right_shape)):
-            idx = map(add, map(mul, map(itemgetter(j), self.edges), repeat(st)), idx)
+            idx = map(add, map(mul, map(itemgetter(j), self.edges), itertools.repeat(st)), idx)
         masks = [0] * self.part_sizes[i]
         for v, z in zip(map(itemgetter(i), self.edges), idx):
             masks[v] |= 1 << z
@@ -425,7 +425,7 @@ class Instance:
             hg = PartiteHypergraph.complete(sizes)
         else:
             try:  # plain JSON ints need no decoding
-                plain = set(map(type, chain.from_iterable(raw_edges))) <= {int}
+                plain = set(map(type, itertools.chain.from_iterable(raw_edges))) <= {int}
             except TypeError:
                 plain = False
             if not plain:
