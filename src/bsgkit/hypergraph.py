@@ -328,9 +328,8 @@ class PartiteHypergraph:
         ranks: list[list[int | None]] = []
         sizes: list[int] = []
         for i, subset in enumerate(map(tuple, subsets)):
-            if not _column_valid(subset, self.part_sizes[i]):
-                for v in subset:  # name the first bad vertex
-                    self._check_vertex(i, v)
+            for v in subset:
+                self._check_vertex(i, v)
             ordered = sorted(set(subset))
             rank: list[int | None] = [None] * self.part_sizes[i]
             for k, v in enumerate(ordered):

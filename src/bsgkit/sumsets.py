@@ -195,7 +195,7 @@ def restricted_sumset(inst: "Instance") -> ElemSet:
     codes, decode = _pack(inst.spec, [part.elems for part in inst.parts])
     edges = inst.hypergraph.edges
     columns = [map(code.__getitem__, map(itemgetter(j), edges)) for j, code in enumerate(codes)]
-    sums = set(reduce(partial(map, add), columns)) if edges else set()
+    sums = set(reduce(partial(map, add), columns))
     return _decoded_set(inst.spec, sums, decode)
 
 
