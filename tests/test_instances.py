@@ -26,6 +26,7 @@ from bsgkit.extraction import (
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.instances import (
+    BRUTE_FORCE_SIZE_GUARD,
     GenConfig,
     brute_force_best_subsets,
     check_bounds,
@@ -370,6 +371,18 @@ def test_brute_force_matches_independent_oracle(case):
         parts = [list(p.elems) for p in inst.parts]
         expected = oracle_best_subsets(inst.spec.moduli, parts, floors)
         assert brute_force_best_subsets(inst, floors) == expected
+
+
+def test_brute_force_at_the_guard():
+    # total part size 24, the most the guard admits: C(12, 6)^2 = 853,776
+    # combinations, too many for oracle_best_subsets, so the answer is pinned
+    inst = gen_instance(GenConfig.make(
+        r=2, n=12, seed=3, family="planted", ap_fraction=Fraction(1, 4), target_c=Fraction(2)
+    ))
+    assert sum(inst.part_sizes) == BRUTE_FORCE_SIZE_GUARD
+    assert brute_force_best_subsets(inst, [6, 6]) == (
+        ((0, 1, 2, 3, 4, 9), (0, 1, 2, 6, 10, 11)), 30
+    )
 
 
 @pytest.mark.parametrize(
