@@ -154,6 +154,7 @@ class Bipartite:
         return _strides(self.right_shape)
 
     def right_label(self, index: int) -> tuple[int, ...]:
+        _check_index("right vertex", index, self.right_size)
         out = []
         for st in self._right_strides:
             out.append(index // st)

@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import count, product
 from typing import Sequence
 
 from .errors import (
@@ -545,24 +545,29 @@ def check_representations(
 def brute_force_best_subsets(
     inst: Instance, min_sizes: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Exhaustive minimizer of the chosen-subset sumset at given size floors.
+    """Exact minimizer of the chosen-subset sumset at given size floors.
 
     Since sumsets are monotone under inclusion, the optimum over subsets of
-    size at least the floor is attained at exactly the floor; combinations
-    are enumerated in lexicographic order and the first minimizer is kept.
-    Floors must be ints (bool is rejected). Guarded to instances whose total
-    part size is at most 24.
+    size at least the floor is attained at exactly the floor. Combinations
+    are searched depth first in lexicographic order and the first minimizer
+    is kept. Floors must be ints (bool is rejected). Guarded to instances
+    whose total part size is at most 24.
 
     No group addition happens per combination. The level-i sums are the
     distinct values of a level-(i-1) sum plus a part-i element, where level
     -1 is the identity alone. Each is computed once with ``GroupSpec.add``
     and given an id in order of first appearance, so that a set of level-i
     sums is an int bitmask of ids; that is sum over i of |level i-1| *
-    |part i| additions in all. The walk keeps the mask of level-(i-1) sums
+    |part i| additions in all. The search keeps the mask of level-(i-1) sums
     that the chosen prefix reaches. Column v of part i is the OR, over that
-    mask's sums, of the bit of the sum plus element v; a combination's mask
-    is the OR of its columns, and at the last part its popcount is
-    |A_0 + ... + A_{r-1}|.
+    mask's sums, of the bit of the sum plus element v. Vertices are picked
+    one at a time and the mask is the OR of the picked columns; at the last
+    part its popcount is |A_0 + ... + A_{r-1}|.
+
+    Branch and bound: a union only grows and a later part adds a translate
+    of the sums, so no completion of a prefix is smaller than its popcount.
+    A prefix that already reaches the best size is skipped; its completions
+    lose to, or tie, a best found earlier in lexicographic order.
     """
     sizes = inst.part_sizes
     if sum(sizes) > BRUTE_FORCE_SIZE_GUARD:
@@ -590,31 +595,34 @@ def brute_force_best_subsets(
             for s in level
         ])
         level = list(ids)
-    combos = [list(combinations(range(n), m)) for n, m in zip(sizes, min_sizes)]
     last = inst.r - 1
-    best: tuple[tuple[tuple[int, ...], ...], int] | None = None
+    picks: list[list[int]] = [[] for _ in sizes]
+    best: tuple[tuple[tuple[int, ...], ...], int] = ((), len(level) + 1)  # above any size
 
-    def walk(i: int, state: int, chosen: list[tuple[int, ...]]):
-        nonlocal best
+    def walk(i: int, state: int) -> None:
         cols = [0] * sizes[i]
         rows = bits[i]
         while state:
             low = state & -state
             cols = [c | b for c, b in zip(cols, rows[low.bit_length() - 1])]
             state ^= low
-        for combo in combos[i]:
-            mask = 0
-            for v in combo:
-                mask |= cols[v]
-            chosen.append(combo)
-            if i < last:
-                walk(i + 1, mask, chosen)
-            else:
-                size = mask.bit_count()
-                if best is None or size < best[1]:
-                    best = (tuple(chosen), size)
-            chosen.pop()
+        pick(i, cols, 0, min_sizes[i], 0)
 
-    walk(0, 1, [])  # level -1 is the identity alone, id 0
-    assert best is not None
+    def pick(i: int, cols: list[int], start: int, need: int, mask: int) -> None:
+        nonlocal best
+        for v in range(start, len(cols) - need + 1):
+            grown = mask | cols[v]
+            size = grown.bit_count()
+            if size >= best[1]:
+                continue  # no completion is smaller than this prefix
+            picks[i].append(v)
+            if need > 1:
+                pick(i, cols, v + 1, need - 1, grown)
+            elif i < last:
+                walk(i + 1, grown)
+            elif size < best[1]:  # strict, so a tie keeps the earlier minimizer
+                best = (tuple(map(tuple, picks)), size)
+            picks[i].pop()
+
+    walk(0, 1)  # level -1 is the identity alone, id 0
     return best

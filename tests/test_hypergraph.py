@@ -97,21 +97,27 @@ def test_queries_reject_non_int_indices(call, named):
         (lambda g: g.left_neighbors(False), ConfigInvalidError, "right vertex False is not an int"),
         (lambda g: g.right_degree(3), IndexOutOfRangeError, "right vertex 3 out of range [0, 3)"),
         (lambda g: g.right_degree("1"), ConfigInvalidError, "right vertex '1' is not an int"),
+        (lambda g: g.right_label(99), IndexOutOfRangeError, "right vertex 99 out of range [0, 3)"),
+        (lambda g: g.right_label(-1), IndexOutOfRangeError, "right vertex -1 out of range [0, 3)"),
+        (lambda g: g.right_label(True), ConfigInvalidError, "right vertex True is not an int"),
     ],
     ids=["degree-bool", "codegree-bool", "codegree-float", "degree-float", "degree-range",
          "codegree-negative", "neighbors-negative", "neighbors-range", "neighbors-bool",
-         "right-degree-range", "right-degree-string"],
+         "right-degree-range", "right-degree-string", "label-range", "label-negative",
+         "label-bool"],
 )
 def test_bipartite_queries_check_indices(call, error, message):
     # at one time degree(True) and codegree(True, 0) read True as 1,
     # degree(1.0) and left_neighbors(-1) ended in raw TypeError/ValueError,
-    # and left_neighbors(99) returned []
+    # left_neighbors(99) returned [], and right_label(99) and right_label(True)
+    # returned (99,) and (1,)
     flat = PartiteHypergraph.complete((3, 3)).flatten(0)
     with pytest.raises(error) as info:
         call(flat)
     assert str(info.value) == message
     assert flat.left_neighbors(2) == [0, 1, 2]
     assert flat.right_degrees == (3, 3, 3)
+    assert flat.right_label(2) == (2,)
 
 
 def test_complete_checks_sizes_as_build_does():

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from bsgkit import octopus
 from bsgkit.errors import (
@@ -375,7 +377,8 @@ def test_brute_force_matches_independent_oracle(case):
 
 def test_brute_force_at_the_guard():
     # total part size 24, the most the guard admits: C(12, 6)^2 = 853,776
-    # combinations, too many for oracle_best_subsets, so the answer is pinned
+    # combinations take oracle_best_subsets minutes, so the answer it gave
+    # in a one-off run is pinned
     inst = gen_instance(GenConfig.make(
         r=2, n=12, seed=3, family="planted", ap_fraction=Fraction(1, 4), target_c=Fraction(2)
     ))
@@ -383,6 +386,75 @@ def test_brute_force_at_the_guard():
     assert brute_force_best_subsets(inst, [6, 6]) == (
         ((0, 1, 2, 3, 4, 9), (0, 1, 2, 6, 10, 11)), 30
     )
+
+
+def _instance(moduli, parts):
+    spec = make_group(moduli)
+    elemsets = tuple(ElemSet.from_iterable(spec, p) for p in parts)
+    return Instance(spec, elemsets, PartiteHypergraph.complete(tuple(map(len, parts))))
+
+
+# (moduli, parts, floors, expected); each is also checked against the oracle
+_PRUNE_CASES = {
+    # every pair from B has 2 sums with A's 0, and so does every later
+    # combination; none may replace ((0,), (0, 1)), found first
+    "tie-at-last-part": ((0,), [[(0,), (10,)], [(0,), (1,), (5,)]], [1, 2],
+                         (((0,), (0, 1)), 2)),
+    # the prefixes {0, 3} and {1, 3} of part 0 reach the best size 2 exactly
+    # and are skipped; with B = {0} they complete to ties
+    "pruned-prefix-ties": ((0,), [[(0,), (1,), (3,)], [(0,)]], [2, 1],
+                           (((0, 1), (0,)), 2)),
+    # the first combination has 4 sums; the last, {3, 4} + {0, 1} = {3, 4, 5},
+    # has 3, and its prefix {3, 4} + {0} is one below the best found before it
+    "one-below-best": ((0,), [[(0,), (3,), (4,)], [(0,), (1,)]], [2, 2],
+                       (((1, 2), (0, 1)), 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRUNE_CASES))
+def test_brute_force_prune_keeps_the_first_minimizer(case):
+    moduli, parts, floors, expected = _PRUNE_CASES[case]
+    inst = _instance(moduli, parts)
+    assert oracle_best_subsets(moduli, [list(p.elems) for p in inst.parts], floors) == expected
+    assert brute_force_best_subsets(inst, floors) == expected
+
+
+# the oracle sums every chosen tuple of every combination; past this many
+# tuple sums one example takes it over a tenth of a second
+_ORACLE_BUDGET = 20_000
+
+
+@st.composite
+def subset_cases(draw):
+    """(moduli, parts, floors): r from 2 to 4, parts of 1 to 5 distinct
+    elements, floors from 1 to the full part size."""
+    moduli = draw(st.sampled_from([(0,), (5,), (7,), (0, 3), (5, 0)]))
+    universe = list(product(*[range(m) if m else range(-6, 7) for m in moduli]))
+    r = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    parts = [
+        draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n, unique=True))
+        for n in sizes
+    ]
+    floors = [draw(st.integers(1, n)) for n in sizes]
+    assume(math.prod(math.comb(n, m) * m for n, m in zip(sizes, floors)) <= _ORACLE_BUDGET)
+    return moduli, parts, floors
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=subset_cases())
+@example(case=((5,), [[(0,), (1,), (2,), (3,), (4,)], [(0,), (2,)], [(1,), (3,), (4,)], [(0,)]],
+               [3, 1, 2, 1]))
+def test_brute_force_matches_oracle_on_drawn_instances(case):
+    moduli, parts, floors = case
+    inst = _instance(moduli, parts)
+    expected = oracle_best_subsets(moduli, [list(p.elems) for p in inst.parts], floors)
+    assert brute_force_best_subsets(inst, floors) == expected
 
 
 @pytest.mark.parametrize(
