@@ -2,7 +2,8 @@
 that applies the count caps.
 
 Every cap is a fixed constant with one value; the caps guard memory and
-runtime and never change computed values.
+runtime and never change computed values. No check samples: TUPLE_CAP bounds
+every box of supports, and each count check counts its whole box.
 """
 
 from .errors import TooLargeError
@@ -21,13 +22,6 @@ TUPLE_CAP = 1_000_000
 # cap, a random 4,000-element set in Z^2, whose 8M pair sums are all
 # distinct, takes 20 s and peaks at 755 MB RSS (CPython 3.11, x86-64).
 PAIR_CAP = 16_000_000
-
-# Exhaustive support verification switches to sampling above this many tuples.
-DEFAULT_EXHAUSTIVE_CAP = 10_000
-DEFAULT_SAMPLE_COUNT = 1_000
-
-# Fixed seed for support sampling so identical runs produce identical reports.
-SUPPORT_SAMPLE_SEED = 0x5EED_BA5E_0000_0001
 
 
 def require_within_cap(count: int, cap: int, what: str) -> int:

@@ -14,17 +14,11 @@ produce identical traces and subsets.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .config import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    DEFAULT_SAMPLE_COUNT,
-    SUPPORT_SAMPLE_SEED,
-)
 from .errors import (
     ConfigInvalidError,
     DensityTooLowError,
@@ -39,7 +33,6 @@ from .hypergraph import Bipartite, Instance, PartiteHypergraph
 from .jsonio import exact_param, frac_str, is_int, parse_fraction
 from .octopus import eps_good_threshold, relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
-from .rng import SplitMix64
 from .sumsets import iterated_sumset, restricted_sumset
 
 
@@ -135,7 +128,12 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """Minimum relaxed count over verified supports and the floor used."""
+    """Minimum relaxed count over every support of a box and the floor used.
+
+    exhaustive is always true, since the whole box is counted; the
+    count-verify trace entry keeps the field so that extract reports keep
+    their bytes.
+    """
 
     threshold: Fraction
     exhaustive: bool
@@ -160,54 +158,30 @@ class SweepOutcome:
         }
 
 
-def verification_supports(
-    subsets: Sequence[Sequence[int]],
-) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]], bool]:
-    """Supports to verify, the boxes that count them, and whether they are
-    the whole product.
-
-    Up to DEFAULT_EXHAUSTIVE_CAP tuples the supports are the whole product
-    in lexicographic order, counted as one box; above it, DEFAULT_SAMPLE_COUNT
-    tuples are drawn with the fixed SUPPORT_SAMPLE_SEED, and each distinct
-    sample is its own singleton box. The sample depends only on the seed and
-    the subset sizes, so reports are byte-identical across runs. Both
-    counters, the pipelines' and check_bounds', take these boxes.
-    """
-    subs = [tuple(sub) for sub in subsets]
-    if math.prod(len(s) for s in subs) <= DEFAULT_EXHAUSTIVE_CAP:
-        return list(itertools.product(*subs)), [subs], True
-    rng = SplitMix64(SUPPORT_SAMPLE_SEED)
-    sample = [
-        tuple(sub[rng.next_below(len(sub))] for sub in subs)
-        for _ in range(DEFAULT_SAMPLE_COUNT)
-    ]
-    return sample, [[(v,) for v in sup] for sup in dict.fromkeys(sample)], False
-
-
 def verify_relaxed_counts(
     h: PartiteHypergraph,
     subsets: Sequence[Sequence[int]],
     threshold: Fraction,
 ) -> SweepOutcome:
-    """Check the relaxed count floor over the supports that
-    verification_supports picks: all of them, or a fixed-seed sample when
-    the product exceeds the exhaustion cap. One relaxed_count_table call
-    counts them all; each int count is compared with ceil(threshold).
+    """Check the relaxed count floor over every support of the subsets' box.
+
+    One relaxed_count_table call counts the whole box; each int count is
+    compared with ceil(threshold). The minimum's support is the
+    lexicographically first one at the minimum, and the failing supports
+    are listed in lexicographic order.
     """
     if any(not sub for sub in subsets):
         raise EmptyPartError("cannot verify over an empty subset")
-    supports, boxes, exhaustive = verification_supports(subsets)
-    table = relaxed_count_table(h, boxes)
-    counts = [table[s] for s in supports]
-    min_count = min(counts)
+    table = relaxed_count_table(h, subsets)
+    min_count = min(table.values())
     limit = math.ceil(threshold)  # an integer count is below t iff below ceil(t)
     return SweepOutcome(
         threshold=threshold,
-        exhaustive=exhaustive,
-        checked=len(supports),
+        exhaustive=True,
+        checked=len(table),
         min_count=min_count,
-        min_support=supports[counts.index(min_count)],
-        failing_supports=tuple(s for s, c in zip(supports, counts) if c < limit),
+        min_support=min(s for s, c in table.items() if c == min_count),
+        failing_supports=tuple(sorted(s for s, c in table.items() if c < limit)),
     )
 
 
@@ -355,9 +329,9 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     itself as a good partner, so the kept set is exactly the set whose bad
     partner count is at most 2*eps times the selected size.
 
-    After selection, the relaxed count of every support (or a fixed-seed
-    sample above the exhaustion cap) is verified against the derived floor
-    and recorded in the trace.
+    After selection, the relaxed count of every support of the chosen
+    subsets is verified against the derived floor and recorded in the
+    trace.
     """
     h = inst.hypergraph
     r = inst.r
@@ -538,8 +512,8 @@ def dense_extract(
 
     Keeps vertices of degree at least (1 - delta/eps) n^(r-1) per part and
     trims each part to exactly ceil((1 - eps) n) vertices by dropping the
-    highest indices. delta="auto" resolves to eps/(10r). Every support (or a
-    fixed-seed sample) is verified against the n^(r(r-1))/2 count floor.
+    highest indices. delta="auto" resolves to eps/(10r). Every support is
+    verified against the n^(r(r-1))/2 count floor.
     """
     h = inst.hypergraph
     r = inst.r
@@ -690,26 +664,24 @@ def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
 
 
 def ledger(
-    inst: Instance, result: ExtractionResult, restricted_size: int | None,
-    min_count: int, checked: int, exhaustive: bool,
+    inst: Instance, result: ExtractionResult, restricted_size: int | None, min_count: int
 ) -> BoundReport:
     """Every inequality row of the result's mode, in report order.
 
     The two routes differ only in the count they pass: the minimum relaxed
-    count over the checked supports, as a pipeline recorded it or as
-    check_bounds recounted it. Each route computes the restricted sumset
-    once and passes its size (None in dense mode, which has no sumset rows);
-    the sumset of the chosen subsets is computed here. The run parameters
-    come from the ambient trace entry: k, or eps and delta, and the claimed
-    C if the run recorded one; else the measured C, which the restricted
-    sumset meets with equality.
+    count over every support of the chosen subsets, as a pipeline recorded
+    it or as check_bounds recounted it. Each route computes the restricted
+    sumset once and passes its size (None in dense mode, which has no sumset
+    rows); the sumset of the chosen subsets is computed here. The run
+    parameters come from the ambient trace entry: k, or eps and delta, and
+    the claimed C if the run recorded one; else the measured C, which the
+    restricted sumset meets with equality.
 
     general: edge-density-floor, restricted-sumset-cap, one
     subset-size-floor-p per part, octopus-count-floor, sumset-growth-bound.
     almost-all: edge-density-floor, restricted-sumset-cap-linear, one
     trimmed-size-p per part, octopus-count-floor, almost-all-sumset-bound.
-    dense: the almost-all rows without the two sumset rows. When the count
-    was checked over a sample, the octopus-count-floor anchor says so.
+    dense: the almost-all rows without the two sumset rows.
     """
     mode = result.mode
     ambient = result.trace[0]
@@ -725,11 +697,6 @@ def ledger(
 
     def count_row(floor: Fraction, floor_name: str) -> Inequality:
         anchor = f"minimum verified relaxed count against the {floor_name} floor"
-        if not exhaustive:
-            anchor += (
-                f", over a fixed-seed sample of {checked} of "
-                f"{math.prod(subset_sizes)} supports"
-            )
         return check_ge("octopus-count-floor", Fraction(min_count), floor, anchor)
 
     if mode == "general":
@@ -799,9 +766,8 @@ def recorded_report(
 ) -> BoundReport:
     """The ledger of a pipeline result, from the count its trace recorded and
     the restricted sumset size the pipeline computed."""
-    sweep = result.trace_entry("count-verify")
-    count = int(sweep["min_count"])
-    return ledger(inst, result, restricted_size, count, sweep["checked"], sweep["exhaustive"])
+    count = int(result.trace_entry("count-verify")["min_count"])
+    return ledger(inst, result, restricted_size, count)
 
 
 def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> ExtractionResult:

@@ -27,11 +27,7 @@ from .errors import (
     NoEdgesError,
     TooLargeError,
 )
-from .extraction import (
-    ExtractionResult,
-    ledger,
-    verification_supports,
-)
+from .extraction import ExtractionResult, ledger
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
 from .jsonio import exact_param, frac_str, is_int
@@ -319,12 +315,11 @@ def check_bounds(
     """Recompute every inequality of the relevant mode from scratch.
 
     Uses the run parameters recorded in the result (k, or eps and delta,
-    and the claimed sumset cap C when the run was given one). Relaxed counts
-    are recomputed by _elimination_counts over the supports that
-    verification_supports picks (the whole subset box, or one singleton box
-    per sampled support), sumsets from the chosen elements; nothing else the
-    pipeline recorded is trusted. The rows come from the same ledger as the
-    pipeline's.
+    and the claimed sumset cap C when the run was given one). The relaxed
+    count of every support of the chosen subsets is recomputed by one
+    _elimination_counts call over their whole box, sumsets from the chosen
+    elements; nothing else the pipeline recorded is trusted. The rows come
+    from the same ledger as the pipeline's.
     """
     if result.mode != mode:
         raise ModeMismatchError(f"result mode {result.mode!r} != requested {mode!r}")
@@ -339,28 +334,27 @@ def check_bounds(
     elif mode != "general":
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
-    supports, boxes, exhaustive = verification_supports(result.subsets)
-    table = _elimination_counts(h, boxes)
-    counts = [table[s] for s in supports]
+    table = _elimination_counts(h, result.subsets)
     restricted_size = None if mode == "dense" else len(restricted_sumset(inst))
-    return ledger(inst, result, restricted_size, min(counts), len(counts), exhaustive)
+    return ledger(inst, result, restricted_size, min(table.values()))
 
 
 def _elimination_counts(
-    h: PartiteHypergraph, boxes: Sequence[Sequence[Sequence[int]]]
+    h: PartiteHypergraph, box: Sequence[Sequence[int]]
 ) -> dict[tuple[int, ...], int]:
-    """Relaxed counts of every support in each box (one index subset per part).
+    """Relaxed counts of every support in the box (one index subset per part).
 
     The verifier's own counter, built from h.edges alone. For each part
     i < r-1, every edge is keyed by its tuple with coordinate i dropped, the
     keys are numbered in first-seen order, and each part-i vertex gets the
     int mask of its key ids; the leg count at (v, w) is the popcount of
-    mask[v] & mask[w], and 0 when w == v. The leg row of each distinct
-    vertex the boxes use, and the grouping of the closing edges through
-    each distinct last-part vertex, are built once.
+    mask[v] & mask[w], and 0 when w == v. The leg row of each vertex of the
+    box, and the grouping of the closing edges through each of its
+    last-part vertices, are built once. An empty subset gives an empty
+    table.
 
-    Per box, the counts are packed into one int with a field of `size`
-    bytes per support, part 0 least significant: the support with indices
+    The counts are packed into one int with a field of `size` bytes per
+    support, part 0 least significant: the support with indices
     (k_0, ..., k_{r-2}) into the box's first r-1 subsets sits in field
     k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes. `size`
     is the whole number of bytes that holds the bound: the largest
@@ -376,10 +370,11 @@ def _elimination_counts(
     cannot corrupt both routes.
     """
     last = h.r - 1
-    for box in boxes:
-        for i, sub in enumerate(box):
-            for v in sub:
-                h._check_vertex(i, v)
+    for i, sub in enumerate(box):
+        for v in sub:
+            h._check_vertex(i, v)
+    if not all(box):
+        return {}
     rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
     coords = list(zip(*h.edges)) or [()] * h.r  # coords[i]: every edge's part-i vertex
     for i in range(last):
@@ -390,51 +385,45 @@ def _elimination_counts(
             masks[v] |= 1 << key_id
         rows.append({
             v: [0 if w == v else (masks[v] & m).bit_count() for w, m in enumerate(masks)]
-            for v in {v for box in boxes for v in box[i]}
+            for v in set(box[i])
         })
-    peaks = [{v: max(row) for v, row in part.items()} for part in rows]
     # firsts[v][suffix]: the part-0 mates of the closing edges through
     # last-part vertex v whose mates in parts 1 to r-2 are the suffix
-    firsts: dict[int, dict[tuple[int, ...], list[int]]] = {
-        v: {} for box in boxes for v in box[last]
-    }
+    firsts: dict[int, dict[tuple[int, ...], list[int]]] = {v: {} for v in box[last]}
     for e in h.edges:
         if e[last] in firsts:
             firsts[e[last]].setdefault(e[1:last], []).append(e[0])
     degree = Counter(coords[last])
+    bound = max(degree[v] for v in box[last])
+    for part in rows:
+        bound *= max(map(max, part.values()))
+    size = (bound.bit_length() + 7) // 8 or 1
+    size = min((item for item in _ITEM_CODES if item >= size), default=size)
+    cols = []
+    shift = 8 * size
+    for i in range(last):
+        cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
+        shift *= len(box[i])
+    # field order: part r-2 most significant
+    heads = [head[::-1] for head in product(*box[last - 1 :: -1])]
     out: dict[tuple[int, ...], int] = {}
-    for box in boxes:
-        if not all(box):
-            continue
-        bound = max(degree[v] for v in box[last])
-        for i in range(last):
-            bound *= max(peaks[i][v] for v in box[i])
-        size = (bound.bit_length() + 7) // 8 or 1
-        size = min((item for item in _ITEM_CODES if item >= size), default=size)
-        cols = []
-        shift = 8 * size
-        for i in range(last):
-            cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
-            shift *= len(box[i])
-        # field order: part r-2 most significant
-        heads = [head[::-1] for head in product(*box[last - 1 :: -1])]
-        for v_last in box[last]:
-            # vecs[suffix]: the packed counts over the product of the
-            # contracted parts' subsets, over closing edges whose mates after
-            # those parts are the suffix
-            col = cols[0]
-            vecs = {suffix: sum(map(col.__getitem__, ws)) for suffix, ws in firsts[v_last].items()}
-            for p in range(1, last):
-                col = cols[p]
-                terms: dict[tuple[int, ...], int] = {}
-                for suffix, vec in vecs.items():
-                    c = col[suffix[0]]
-                    if c:
-                        terms[suffix[1:]] = terms.get(suffix[1:], 0) + c * vec
-                vecs = terms
-            counts = _split_big_first(vecs.get((), 0), len(heads), size)
-            for head, value in zip(reversed(heads), counts):
-                out[head + (v_last,)] = value
+    for v_last in box[last]:
+        # vecs[suffix]: the packed counts over the product of the
+        # contracted parts' subsets, over closing edges whose mates after
+        # those parts are the suffix
+        col = cols[0]
+        vecs = {suffix: sum(map(col.__getitem__, ws)) for suffix, ws in firsts[v_last].items()}
+        for p in range(1, last):
+            col = cols[p]
+            terms: dict[tuple[int, ...], int] = {}
+            for suffix, vec in vecs.items():
+                c = col[suffix[0]]
+                if c:
+                    terms[suffix[1:]] = terms.get(suffix[1:], 0) + c * vec
+            vecs = terms
+        counts = _split_big_first(vecs.get((), 0), len(heads), size)
+        for head, value in zip(reversed(heads), counts):
+            out[head + (v_last,)] = value
     return out
 
 

@@ -8,17 +8,18 @@ part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 
 The relaxed count multiplies leg counts over each closing edge, enforcing
 only w_i != v_i; every bound check uses it. relaxed_count_table is the one
-relaxed counter: one elimination kernel for every arity, over boxes of
-supports. It holds the counts of a box as one int with a fixed-width field
-per support (a Kronecker packing), wide enough for an exact bound the
-kernel computes, so adding two count vectors is one int addition and
-contracting a part is one multiply-add per mate; everything stays exact.
-octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
-estimate, is that kernel on the support's singleton box. The verifier
-(check_bounds in instances.py) counts by elimination over its own leg rows,
-built from the edge list in the other part order, with its own packing
-code, and uses none of this module's counters or helpers, so one packing
-bug cannot corrupt both routes.
+relaxed counter: one elimination kernel for every arity, over one box of
+supports (one index subset per part). It holds the counts of the box as
+one int with a fixed-width field per support (a Kronecker packing), wide
+enough for an exact bound the kernel computes, so adding two count vectors
+is one int addition and contracting a part is one multiply-add per mate;
+everything stays exact. The pipelines count their whole chosen box in one
+call. octopus_count_relaxed, used by ``bsgkit count`` and the
+witness-budget estimate, is that kernel on the support's singleton box.
+The verifier (check_bounds in instances.py) counts by elimination over its
+own leg rows, built from the edge list in the other part order, with its
+own packing code, and uses none of this module's counters or helpers, so
+one packing bug cannot corrupt both routes.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
@@ -77,21 +78,20 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     relaxed_count_table on the support's singleton box.
     """
     sup = _check_support(h, support)
-    return relaxed_count_table(h, [[(v,) for v in sup]])[sup]
+    return relaxed_count_table(h, [(v,) for v in sup])[sup]
 
 
 def relaxed_count_table(
-    h: PartiteHypergraph, boxes: Sequence[Sequence[Sequence[int]]]
+    h: PartiteHypergraph, box: Sequence[Sequence[int]]
 ) -> dict[tuple[int, ...], int]:
-    """Relaxed counts for every support in each box (one index subset per part).
+    """Relaxed counts for every support in the box (one index subset per part).
 
     One variable elimination for every arity, over counts packed into ints.
-    Leg rows (from the flattenings) and the grouping of closing edges (from
-    one pass over the edge list) are built once per distinct vertex the
-    boxes use, so a sampled sweep of singleton boxes pays for each vertex
-    once.
+    Leg rows come from the flattenings, one per vertex of the box, and the
+    closing edges through the box's last-part vertices are grouped in one
+    pass over the edge list. An empty subset gives an empty table.
 
-    Layout, per box: the supports are numbered row-major over the first r-1
+    Layout: the supports are numbered row-major over the first r-1
     subsets, part 0 most significant, and support j owns the bits from
     8*width*j up of one int. `width` is the whole number of bytes that
     holds the bound: the largest last-part degree in the box times, for
@@ -111,66 +111,59 @@ def relaxed_count_table(
     no packing helper is shared, so one packing bug cannot corrupt both.
     """
     last = h.r - 1
-    checked = []
-    for box in boxes:
-        if len(box) != h.r:
-            raise IndexOutOfRangeError(f"{len(box)} subsets for arity {h.r}")
-        for i, sub in enumerate(box):
-            for v in sub:
-                h._check_vertex(i, v)
-        checked.append([tuple(sorted(set(sub))) for sub in box])
-    rows = []  # rows[i][v]: leg counts from v to its whole part, 0 at v itself
+    if len(box) != h.r:
+        raise IndexOutOfRangeError(f"{len(box)} subsets for arity {h.r}")
+    for i, sub in enumerate(box):
+        for v in sub:
+            h._check_vertex(i, v)
+    subs = [tuple(sorted(set(sub))) for sub in box]
+    if not all(subs):
+        return {}
+    rows = []  # rows[i][k]: leg counts from subs[i][k] to its whole part, 0 at itself
     for i in range(last):
         adj = h.flatten(i).adj
-        rows.append({
-            v: [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
-            for v in {v for subs in checked for v in subs[i]}
-        })
-    tops = [{v: max(row) for v, row in part.items()} for part in rows]
+        rows.append([
+            [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
+            for v in subs[i]
+        ])
     # mates[v][prefix]: the part r-2 mates of the closing edges through
     # last-part vertex v whose first r-2 mates are the prefix; one pass over
     # the edges, which builds no incidence lists for the other parts
-    mates: dict[int, dict[tuple[int, ...], list[int]]] = {
-        v: {} for subs in checked for v in subs[last]
-    }
+    mates: dict[int, dict[tuple[int, ...], list[int]]] = {v: {} for v in subs[last]}
     for e in h.edges:
         groups = mates.get(e[last])
         if groups is not None:
             groups.setdefault(e[: last - 1], []).append(e[last - 1])
-    degrees = {v: sum(map(len, groups.values())) for v, groups in mates.items()}
+    bound = max(sum(map(len, groups.values())) for groups in mates.values())
+    for part in rows:
+        bound *= max(map(max, part))
+    width = max(1, -(-bound.bit_length() // 8))
+    if width <= 8:  # a native unsigned int size, so one cast unpacks
+        width = 1 << (width - 1).bit_length()
+    cols = []  # built from part r-2, whose stride is one field, down to 0
+    shift = 8 * width
+    for i in range(last - 1, -1, -1):
+        cols.append(_pack_columns(rows[i], shift))
+        shift *= len(subs[i])
+    cols.reverse()
+    heads = list(itertools.product(*subs[:last]))
     out: dict[tuple[int, ...], int] = {}
-    for subs in checked:
-        if not all(subs):
-            continue
-        bound = max(degrees[v] for v in subs[last])
-        for i in range(last):
-            bound *= max(tops[i][v] for v in subs[i])
-        width = max(1, -(-bound.bit_length() // 8))
-        if width <= 8:  # a native unsigned int size, so one cast unpacks
-            width = 1 << (width - 1).bit_length()
-        cols = []  # built from part r-2, whose stride is one field, down to 0
-        shift = 8 * width
-        for i in range(last - 1, -1, -1):
-            cols.append(_pack_columns([rows[i][v] for v in subs[i]], shift))
-            shift *= len(subs[i])
-        cols.reverse()
-        heads = list(itertools.product(*subs[:last]))
-        for v_last in subs[last]:
-            # vecs[prefix]: the packed counts over the product of the subsets
-            # after the prefix, over closing edges whose mates start with it
-            col = cols[last - 1]
-            vecs = {prefix: sum(map(col.__getitem__, ws)) for prefix, ws in mates[v_last].items()}
-            for p in range(last - 2, -1, -1):
-                col = cols[p]
-                terms: dict[tuple[int, ...], int] = {}
-                for prefix, vec in vecs.items():
-                    c = col[prefix[p]]
-                    if c:
-                        terms[prefix[:p]] = terms.get(prefix[:p], 0) + c * vec
-                vecs = terms
-            counts = _unpack_fields(vecs.get((), 0), len(heads), width)
-            for head, count in zip(heads, counts):
-                out[head + (v_last,)] = count
+    for v_last in subs[last]:
+        # vecs[prefix]: the packed counts over the product of the subsets
+        # after the prefix, over closing edges whose mates start with it
+        col = cols[last - 1]
+        vecs = {prefix: sum(map(col.__getitem__, ws)) for prefix, ws in mates[v_last].items()}
+        for p in range(last - 2, -1, -1):
+            col = cols[p]
+            terms: dict[tuple[int, ...], int] = {}
+            for prefix, vec in vecs.items():
+                c = col[prefix[p]]
+                if c:
+                    terms[prefix[:p]] = terms.get(prefix[:p], 0) + c * vec
+            vecs = terms
+        counts = _unpack_fields(vecs.get((), 0), len(heads), width)
+        for head, count in zip(heads, counts):
+            out[head + (v_last,)] = count
     return out
 
 

@@ -140,13 +140,15 @@ def test_criterion_1_octopus_oracle_equivalence():
 def test_verifier_counter_oracle_equivalence():
     # check_bounds' own elimination counter on the criterion 1 suite: one
     # small box per instance, where every support must match, plus two
-    # singleton boxes, counted in one call as in the sampled branch
+    # singleton boxes, each counted in its own call
     rng = SplitMix64(2025)
     for inst in _counting_suite():
         h = inst.hypergraph
         box = [sorted({rng.next_below(s) for _ in range(2)}) for s in h.part_sizes]
         singles = [tuple(rng.next_below(s) for s in h.part_sizes) for _ in range(2)]
-        table = _elimination_counts(h, [box] + [[(v,) for v in sup] for sup in singles])
+        table = _elimination_counts(h, box)
+        for sup in singles:
+            table.update(_elimination_counts(h, [(v,) for v in sup]))
         assert table.keys() == set(product(*box)) | set(singles)
         for sup, count in table.items():
             assert count == oracle_relaxed(h, sup), (inst.meta, sup)
@@ -224,7 +226,7 @@ def test_criterion_4_general_pipeline_ledger():
         floor = Fraction(total ** (r - 1)) / (
             8 ** (r**3) * (r - 1) ** (r - 1) * k ** ((r * r + 5 * r - 4) // 2)
         )
-        table = relaxed_count_table(h, [[list(s) for s in result.subsets]])
+        table = relaxed_count_table(h, result.subsets)
         ok &= all(Fraction(c) >= floor for c in table.values())
         # growth bound in exact big integers
         s_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
@@ -262,9 +264,7 @@ def test_criterion_5_dense_ledger():
                     target = math.ceil((1 - eps) * n)
                     ok &= all(len(s) == target for s in result.subsets)
                     floor = Fraction(n ** (r * (r - 1)), 2)
-                    table = relaxed_count_table(
-                        inst.hypergraph, [[list(s) for s in result.subsets]]
-                    )
+                    table = relaxed_count_table(inst.hypergraph, result.subsets)
                     ok &= all(Fraction(c) >= floor for c in table.values())
                     s_size = len(
                         iterated_sumset(inst.subset_elemsets(result.subsets))
@@ -315,7 +315,7 @@ def test_criterion_6_representation_identity_and_counts():
         result, report = bsg_extract(inst, "measured", "measured")
         ok &= report.overall
         total = h.total_tuples
-        table = relaxed_count_table(h, [[list(s) for s in result.subsets]])
+        table = relaxed_count_table(h, result.subsets)
         l_param = min(Fraction(c, total ** (r - 1)) for c in table.values())
         ok &= l_param > 0
         rep_report = check_representations(result, inst, l_param)

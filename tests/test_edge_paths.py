@@ -1,5 +1,5 @@
-"""Less-traveled paths: arity 4, the sampled verification sweep inside a
-pipeline, deletion-repaired pivot scans, budget wiring, and cross-process
+"""Less-traveled paths: arity 4, a 16,384-support verification sweep inside
+a pipeline, deletion-repaired pivot scans, budget wiring, and cross-process
 byte stability."""
 
 import itertools
@@ -19,6 +19,7 @@ from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
 from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, _elimination_counts, check_bounds, gen_instance
+from bsgkit.jsonio import canonical_dumps
 from bsgkit.octopus import relaxed_count_table
 
 
@@ -44,17 +45,17 @@ def test_table_matches_counter(r):
     ]
     h = PartiteHypergraph.build(r, sizes, edges)
     subsets = [range(0, s, 2) for s in sizes]
-    table = relaxed_count_table(h, [subsets])
+    table = relaxed_count_table(h, subsets)
     assert len(table) == math.prod(len(sub) for sub in subsets)
-    assert table == _elimination_counts(h, [subsets])
+    assert table == _elimination_counts(h, subsets)
     assert any(count for count in table.values())
     assert all(table[sup] == 0 for sup in table if sup[-1] == isolated)
 
 
 def test_pipeline_counts_without_the_per_support_counter(monkeypatch):
-    # the pipeline sweep, exhaustive at r=4 and sampled on the 128 x 128
-    # complete instance, counts whole boxes in one relaxed_count_table call,
-    # never one support at a time through octopus_count_relaxed
+    # the pipeline sweep, at r=4 and on the 128 x 128 complete instance,
+    # counts the whole box in one relaxed_count_table call, never one
+    # support at a time through octopus_count_relaxed
     def refuse(*args):
         raise AssertionError("pipeline called octopus_count_relaxed")
 
@@ -69,23 +70,25 @@ def test_pipeline_counts_without_the_per_support_counter(monkeypatch):
         assert report.overall
 
 
-def test_sampled_sweep_inside_pipeline():
-    # 128 x 128 complete: the support product exceeds the exhaustion cap,
-    # so the pipeline verifies a fixed-seed sample and stays deterministic.
+def test_whole_box_sweep_inside_pipeline():
+    # 128 x 128 complete: the pipeline counts all 16,384 supports, and every
+    # relaxed count is the closed form 127 * 128 (127 mates w, each with 128
+    # legs); the run stays deterministic.
     inst = gen_instance(GenConfig.make(r=2, n=128, family="complete", seed=0))
     res, report = bsg_extract(inst, Fraction(1), "measured")
     assert report.overall
     entry = res.trace_entry("count-verify")
-    assert not entry["exhaustive"]
-    assert entry["checked"] == 1000
-    # both routes say the count row holds over a sample, not every support
-    sampled = ", over a fixed-seed sample of 1000 of 16384 supports"
+    assert entry["exhaustive"]
+    assert entry["checked"] == 128 * 128
+    assert entry["min_count"] == str(127 * 128)
+    # neither route qualifies the count row: it holds over every support
     recheck = check_bounds(res, inst, "general")
     for rows in (report.inequalities, recheck.inequalities):
         count_row = next(q for q in rows if q.name == "octopus-count-floor")
-        assert count_row.anchor.endswith(sampled)
+        assert "sample" not in count_row.anchor
     res2, report2 = bsg_extract(inst, Fraction(1), "measured")
-    assert res2.trace == res.trace and report2.to_json() == report.to_json()
+    assert canonical_dumps(res2.to_json()) == canonical_dumps(res.to_json())
+    assert canonical_dumps(report2.to_json()) == canonical_dumps(report.to_json())
 
 
 def _lopsided_bipartite():

@@ -27,7 +27,7 @@ from bsgkit.extraction import (
     verify_relaxed_counts,
 )
 from bsgkit.hypergraph import PartiteHypergraph
-from bsgkit.instances import GenConfig, check_bounds, gen_instance
+from bsgkit.instances import GenConfig, _elimination_counts, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
 from bsgkit.octopus import eps_good_threshold
 from oracles import brute_codegree, oracle_leg_count, oracle_relaxed
@@ -470,19 +470,44 @@ def test_pipeline_determinism():
     assert runs[0] == runs[1]
 
 
-def test_sweep_sampling_path():
-    # above the exhaustion cap (10,100 > 10^4 supports) the sweep samples
-    # with a fixed seed; raising the cap past this instance fails here
+def test_sweep_counts_the_whole_box():
+    # 10,100 supports: every one is counted, and at the shared minimum the
+    # lexicographically first support is reported
     inst = gen_instance(GenConfig.make(r=2, n=[101, 100], family="complete", seed=0))
     h = inst.hypergraph
     subsets = [list(range(101)), list(range(100))]
     full = verify_relaxed_counts(h, subsets, Fraction(1))
-    assert not full.exhaustive
-    assert full.checked == 1000
+    assert full.exhaustive
+    assert full.checked == 10100
     assert full.min_count == 100 * 100  # 100 mates w, each with 100 legs
+    assert full.min_support == (0, 0)
     again = verify_relaxed_counts(h, subsets, Fraction(1))
     assert full == again
     small = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))
     subsets = [list(range(12)), list(range(12))]
     exh = verify_relaxed_counts(small.hypergraph, subsets, Fraction(1))
     assert exh.exhaustive and exh.checked == 144
+
+
+@pytest.mark.parametrize(
+    "r, n, checked, min_count, min_support",
+    [
+        (2, 150, 13500, 1666, [126, 144]),
+        (3, 28, 12936, 10985023, [21, 3, 26]),
+    ],
+)
+def test_sweep_finds_the_minimum_over_every_support(r, n, checked, min_count, min_support):
+    # boxes above 10^4 supports, where a 1,000-support sample recorded a
+    # larger minimum (1793 at [31, 144] at r=2, 11544277 at r=3); the
+    # verifier's own counter agrees on the minimum
+    inst = gen_instance(
+        GenConfig.make(r=r, n=n, family="random-density", seed=0, k=Fraction(2))
+    )
+    res, report = bsg_extract(inst, Fraction(2))
+    assert report.overall
+    entry = res.trace_entry("count-verify")
+    assert entry["exhaustive"]
+    assert entry["checked"] == checked == math.prod(res.sizes())
+    assert entry["min_count"] == str(min_count)
+    assert entry["min_support"] == min_support
+    assert min(_elimination_counts(inst.hypergraph, res.subsets).values()) == min_count

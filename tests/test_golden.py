@@ -2,10 +2,11 @@
 
 Each run in RUNS goes gen -> extract -> verify through the CLI in-process,
 and the SHA-256 of each of the three output files is compared with a
-recorded digest. The set covers general mode at r = 2, 3 and 4, a sampled
-sweep (complete r = 2, n = 128), the dense and almost-all modes, and an
-explicit claimed C. The sum-layer run pins `measure` on a free x cyclic
-instance and `energy` and `sumset --out` on fixed sets of the same group.
+recorded digest. The set covers general mode at r = 2, 3 and 4, a sweep
+over 16,384 supports (complete r = 2, n = 128), the dense and almost-all
+modes, and an explicit claimed C. The sum-layer run pins `measure` on a
+free x cyclic instance and `energy` and `sumset --out` on fixed sets of
+the same group.
 The count runs pin `count` at one support of the general-r2 and general-r3
 instances: relaxed, `--exact named-only` and `--exact full`.
 After a deliberate change of output bytes, re-record the tables with
@@ -37,7 +38,7 @@ RUNS = {
         ["--family", "random-density", "--r", "4", "--n", "6", "--seed", "1", "--K", "2"],
         ["--mode", "general", "--K", "2"],
     ),
-    "sampled-complete-r2": (
+    "complete-r2-n128": (
         ["--family", "complete", "--r", "2", "--n", "128", "--seed", "1"],
         ["--mode", "general"],
     ),
@@ -73,10 +74,10 @@ GOLDEN = {
         '52b2cd80f19e29df6518a41068ab46007a52016316ba0ffb4c73ab566b915289',
         'f2b1b95318c18d40b2ff14939ada12b59af89eb310cd196839ecf5a374366a8c',
     ),
-    'sampled-complete-r2': (
+    'complete-r2-n128': (
         '250c45559e1203c08e278b83b12394a9d947b8537f0b93bc640937609014e4cd',
-        '8837032ff5992055130d38ecbd5bce614b1691180da38d4a2dedbc0f19c087ab',
-        '73b6203efbdd69ed28a7cc5890f851c36a68becdbf9df6aef49b8a844e3a4b95',
+        '864c2a3848b733a4901e8909469f4003f4c7a0c50e00c4198a31b3e45eb922e6',
+        '7ac0a1b344120069dba2493c13d1fc684d6b579e13d2aa2d5140603e98a08826',
     ),
     'dense': (
         '6d9faae7c27fdb11ea853ace47085cc26daaac87471a610261a54b60c589ad9e',

@@ -77,15 +77,15 @@ def suite_instances():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda h: relaxed_count_table(h, [[[1.5], [True]]]),
-        lambda h: relaxed_count_table(h, [[[0, 1], [False]]]),
+        lambda h: relaxed_count_table(h, [[1.5], [True]]),
+        lambda h: relaxed_count_table(h, [[0, 1], [False]]),
         lambda h: octopus_count_relaxed(h, (1.0, 0)),
         lambda h: octopus_count_relaxed(h, (0, True)),
         lambda h: octopus_count_exact(h, (True, 0)),
     ],
 )
 def test_counters_reject_non_int_indices(call):
-    # a truncating int() would count [[[1.5], [True]]] as the support (1, 1)
+    # a truncating int() would count [[1.5], [True]] as the support (1, 1)
     with pytest.raises(ConfigInvalidError, match="not an int"):
         call(k33())
 
@@ -114,7 +114,7 @@ def test_leg_count_examples():
         lambda h: octopus_count_relaxed(h, (0, 0, 0, 0)),
         lambda h: octopus_count_relaxed(h, (-1, 0, 0)),
         lambda h: octopus_count_relaxed(h, (0, 0, 5)),
-        lambda h: relaxed_count_table(h, [[[0], [-1], [0]]]),
+        lambda h: relaxed_count_table(h, [[0], [-1], [0]]),
     ],
     ids=[
         "leg-part-too-large", "leg-part-negative", "leg-vertex-negative",
@@ -186,7 +186,7 @@ def test_relaxed_table_matches_per_support():
     for inst in suite_instances()[:6]:
         h = inst.hypergraph
         subsets = [list(range(s)) for s in h.part_sizes]
-        table = relaxed_count_table(h, [subsets])
+        table = relaxed_count_table(h, subsets)
         for sup, count in table.items():
             assert count == oracle_relaxed(h, sup)
 
