@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, lt, mul
 from typing import Iterable, NoReturn, Sequence
 
 from .config import TUPLE_CAP, require_within_cap
@@ -350,7 +350,12 @@ class PartiteHypergraph:
 
 @dataclass(frozen=True)
 class Instance:
-    """r ground sets of group elements plus a hypergraph over their indices."""
+    """r ground sets of group elements plus a hypergraph over their indices.
+
+    Every part's elements must be strictly increasing, as ElemSet documents;
+    a part with a repeated or out-of-order element raises
+    ConfigInvalidError, whichever way the instance is built.
+    """
 
     spec: GroupSpec
     parts: tuple[ElemSet, ...]
@@ -367,6 +372,10 @@ class Instance:
         for i, part in enumerate(self.parts):
             if part.spec != self.spec:
                 raise ArityMismatchError(f"part {i} belongs to a different group")
+            if not all(map(lt, part.elems, part.elems[1:])):
+                raise ConfigInvalidError(
+                    "part elements must be distinct and in canonical sorted order"
+                )
             if self.hypergraph.part_sizes[i] != len(part):
                 raise ArityMismatchError(
                     f"part {i} has {len(part)} elements but hypergraph size "
@@ -411,14 +420,9 @@ class Instance:
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
         spec = GroupSpec.from_json(data["group"])
-        parts = []
-        for raw in data["parts"]:
-            elems = [elem_from_json(spec, e) for e in raw]
-            if sorted(set(elems)) != elems:
-                raise ConfigInvalidError(
-                    "part elements must be distinct and in canonical sorted order"
-                )
-            parts.append(ElemSet(spec, tuple(elems)))
+        parts = [
+            ElemSet(spec, tuple(elem_from_json(spec, e) for e in raw)) for raw in data["parts"]
+        ]
         sizes = [len(p) for p in parts]
         raw_edges = data["edges"]
         if raw_edges == "complete":

@@ -539,8 +539,8 @@ def brute_force_best_subsets(
     Since sumsets are monotone under inclusion, the optimum over subsets of
     size at least the floor is attained at exactly the floor. Combinations
     are searched depth first in lexicographic order and the first minimizer
-    is kept. Floors must be ints (bool is rejected). Guarded to instances
-    whose total part size is at most 24.
+    is kept. Floors must be a sequence of ints (bool is rejected). Guarded
+    to instances whose total part size is at most 24.
 
     No group addition happens per combination. The level-i sums are the
     distinct values of a level-(i-1) sum plus a part-i element, where level
@@ -555,14 +555,24 @@ def brute_force_best_subsets(
 
     Branch and bound: a union only grows and a later part adds a translate
     of the sums, so no completion of a prefix is smaller than its popcount.
-    A prefix that already reaches the best size is skipped; its completions
-    lose to, or tie, a best found earlier in lexicographic order.
+    When every modulus is 0 the group is torsion-free and its elements,
+    compared as tuples, are ordered compatibly with addition, so the bound
+    also counts sums every completion must add. Each of the need - 1 picks
+    still to come in part i is a larger element than those picked (parts
+    are strictly increasing, which Instance enforces), so its sum with the
+    largest level-(i-1) sum is new; and each later part j adds at least
+    m_j - 1 sums, as |X + B| >= |X| + |B| - 1 in such a group. In a group
+    with torsion both terms are 0. A prefix whose bound already reaches the
+    best size is skipped; its completions lose to, or tie, a best found
+    earlier in lexicographic order.
     """
     sizes = inst.part_sizes
     if sum(sizes) > BRUTE_FORCE_SIZE_GUARD:
         raise TooLargeError(
             f"total part size {sum(sizes)} exceeds guard {BRUTE_FORCE_SIZE_GUARD}"
         )
+    if not isinstance(min_sizes, Sequence):
+        raise ConfigInvalidError(f"floors {min_sizes!r} are not a sequence of ints")
     if len(min_sizes) != inst.r:
         raise ConfigInvalidError(f"{len(min_sizes)} floors for {inst.r} parts")
     for i, m in enumerate(min_sizes):
@@ -585,6 +595,9 @@ def brute_force_best_subsets(
         ])
         level = list(ids)
     last = inst.r - 1
+    # tail[i]: sums the parts after part i add to any completion (0 with torsion)
+    free = not any(spec.moduli)
+    tail = [free * sum(m - 1 for m in min_sizes[i + 1 :]) for i in range(inst.r)]
     picks: list[list[int]] = [[] for _ in sizes]
     best: tuple[tuple[tuple[int, ...], ...], int] = ((), len(level) + 1)  # above any size
 
@@ -599,11 +612,12 @@ def brute_force_best_subsets(
 
     def pick(i: int, cols: list[int], start: int, need: int, mask: int) -> None:
         nonlocal best
+        later = tail[i] + free * (need - 1)
         for v in range(start, len(cols) - need + 1):
             grown = mask | cols[v]
             size = grown.bit_count()
-            if size >= best[1]:
-                continue  # no completion is smaller than this prefix
+            if size + later >= best[1]:
+                continue  # no completion is smaller than this bound
             picks[i].append(v)
             if need > 1:
                 pick(i, cols, v + 1, need - 1, grown)

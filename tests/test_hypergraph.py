@@ -324,12 +324,28 @@ def test_instance_json_complete_shorthand():
     assert partial.hypergraph.edge_count == 2
 
 
+_PART_ORDER = "part elements must be distinct and in canonical sorted order"
+
+
 def test_instance_json_rejects_unsorted_parts():
     inst = _small_instance()
     payload = inst.to_json()
     payload["parts"][0] = list(reversed(payload["parts"][0]))
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match=f"^{_PART_ORDER}$"):
         Instance.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [((0,), (1,), (4,), (2,)), ((0,), (0,), (1,))],
+    ids=["unsorted", "repeated"],
+)
+def test_instance_rejects_parts_out_of_order(elems):
+    # ElemSet stores what it is given; the instance checks the order, which
+    # the brute-force oracle's torsion-free bound and its indices rely on
+    parts = (ElemSet(Z, ((0,), (2,))), ElemSet(Z, elems))
+    with pytest.raises(ConfigInvalidError, match=f"^{_PART_ORDER}$"):
+        Instance(Z, parts, PartiteHypergraph.complete((2, len(elems))))
 
 
 def test_canonical_edge_order():

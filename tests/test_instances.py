@@ -407,6 +407,17 @@ _PRUNE_CASES = {
     # has 3, and its prefix {3, 4} + {0} is one below the best found before it
     "one-below-best": ((0,), [[(0,), (3,), (4,)], [(0,), (1,)]], [2, 2],
                        (((1, 2), (0, 1)), 3)),
+    # Z_3 has torsion: the optimum 3 is below the free bound 1 + 1 + 2 of
+    # the first prefix, which would prune everything and return ((), 4)
+    "torsion-bound-off": ((3,), [[(0,), (1,), (2,)], [(0,), (1,), (2,)]], [2, 3],
+                          (((0, 1), (0, 1, 2)), 3)),
+    # Z x Z_2 has a free coordinate but torsion too, so the bound stays off
+    "mixed-bound-off": ((0, 2), [[(0, 0), (0, 1)], [(0, 0), (0, 1)]], [2, 2],
+                        (((0, 1), (0, 1)), 2)),
+    # in Z the bound is on; the progressions, found first, reach it exactly
+    "free-progression": ((0,), [[(0,), (1,), (2,), (3,), (10,)],
+                                [(0,), (1,), (2,), (3,), (20,)]], [4, 4],
+                         (((0, 1, 2, 3), (0, 1, 2, 3)), 7)),
 }
 
 
@@ -427,7 +438,7 @@ _ORACLE_BUDGET = 20_000
 def subset_cases(draw):
     """(moduli, parts, floors): r from 2 to 4, parts of 1 to 5 distinct
     elements, floors from 1 to the full part size."""
-    moduli = draw(st.sampled_from([(0,), (5,), (7,), (0, 3), (5, 0)]))
+    moduli = draw(st.sampled_from([(0,), (5,), (7,), (0, 3), (5, 0), (0, 0)]))
     universe = list(product(*[range(m) if m else range(-6, 7) for m in moduli]))
     r = draw(st.integers(2, 4))
     sizes = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
@@ -463,6 +474,13 @@ def test_brute_force_rejects_non_integer_floor(floor):
     inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
     with pytest.raises(ConfigInvalidError):
         brute_force_best_subsets(inst, [2, floor])
+
+
+@pytest.mark.parametrize("floors", [5, None, iter([2, 2])], ids=["int", "none", "iterator"])
+def test_brute_force_rejects_floors_that_are_not_a_sequence(floors):
+    inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
+    with pytest.raises(ConfigInvalidError, match="^floors .* are not a sequence of ints$"):
+        brute_force_best_subsets(inst, floors)
 
 
 def test_brute_force_too_large():
