@@ -14,7 +14,9 @@ produce identical traces and subsets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -165,23 +167,32 @@ def verify_relaxed_counts(
 ) -> SweepOutcome:
     """Check the relaxed count floor over every support of the subsets' box.
 
-    One relaxed_count_table call counts the whole box; each int count is
-    compared with ceil(threshold). The minimum's support is the
-    lexicographically first one at the minimum, and the failing supports
-    are listed in lexicographic order.
+    One relaxed_count_table call counts the whole box. Per last-part vertex
+    its fields give their minimum, the index of the first field at it and,
+    only where that minimum is below ceil(threshold), the fields below. The
+    minimum's support is the lexicographically first one at the minimum;
+    the failing supports are sorted.
     """
     if any(not sub for sub in subsets):
         raise EmptyPartError("cannot verify over an empty subset")
-    table = relaxed_count_table(h, subsets)
-    min_count = min(table.values())
     limit = math.ceil(threshold)  # an integer count is below t iff below ceil(t)
+    lows = []  # (minimum, index of its first field, v_last) per last-part vertex
+    failing = []  # (field index, v_last) of each support below the limit
+    for v_last, fields in relaxed_count_table(h, subsets):
+        low = min(fields)
+        lows.append((low, fields.index(low), v_last))
+        if low < limit:
+            failing += [(j, v_last) for j, c in enumerate(fields) if c < limit]
+    min_count, j, v_last = min(lows)
+    # fields[j] belongs to the j-th head, so (j, v_last) pairs sort as supports
+    heads = list(itertools.product(*(sorted(set(sub)) for sub in subsets[:-1])))
     return SweepOutcome(
         threshold=threshold,
         exhaustive=True,
-        checked=len(table),
+        checked=len(heads) * len(lows),
         min_count=min_count,
-        min_support=min(s for s, c in table.items() if c == min_count),
-        failing_supports=tuple(sorted(s for s, c in table.items() if c < limit)),
+        min_support=(*heads[j], v_last),
+        failing_supports=tuple((*heads[j], v) for j, v in sorted(failing)),
     )
 
 
@@ -457,14 +468,10 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     # as long as its part stays at or above its size floor, and re-verify.
     sweep = run_sweep()
     while sweep.failures:
-        participation: dict[tuple[int, int], int] = {}
-        for sup in sweep.failing_supports:
-            for p, v in enumerate(sup):
-                key = (p, v)
-                participation[key] = participation.get(key, 0) + 1
-        candidates = sorted(
-            participation.items(), key=lambda item: (-item[1], item[0])
+        participation = Counter(
+            (p, v) for sup in sweep.failing_supports for p, v in enumerate(sup)
         )
+        candidates = sorted(participation.items(), key=lambda item: (-item[1], item[0]))
         removed = None
         for (p, v), _count in candidates:
             new_size = len(subsets[p]) - 1

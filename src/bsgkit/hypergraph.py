@@ -41,6 +41,7 @@ from .errors import (
     EmptyPartError,
     IndexOutOfRangeError,
     NoEdgesError,
+    ShapeMismatchError,
     TooLargeError,
 )
 from .groups import GroupSpec, elem_from_json
@@ -352,9 +353,10 @@ class PartiteHypergraph:
 class Instance:
     """r ground sets of group elements plus a hypergraph over their indices.
 
-    Every part's elements must be strictly increasing, as ElemSet documents;
-    a part with a repeated or out-of-order element raises
-    ConfigInvalidError, whichever way the instance is built.
+    However it is built, each part must hold canonical elements (one int per
+    modulus, each modular one in [0, m), checked a coordinate column at a time
+    over every part) in strictly increasing order; else ShapeMismatchError or
+    ConfigInvalidError.
     """
 
     spec: GroupSpec
@@ -369,6 +371,12 @@ class Instance:
             raise ArityMismatchError(
                 f"hypergraph arity {self.hypergraph.r} != {len(self.parts)} parts"
             )
+        elems = [e for part in self.parts for e in part.elems]
+        if set(map(len, elems)) - {self.spec.width}:
+            raise ShapeMismatchError(f"an element's width is not {self.spec.width}")
+        for j, (col, m) in enumerate(zip(zip(*elems), self.spec.moduli)):
+            if set(map(type, col)) != {int} or m and (min(col) < 0 or max(col) >= m):
+                raise ConfigInvalidError(f"coordinate {j} of an element is not canonical mod {m}")
         for i, part in enumerate(self.parts):
             if part.spec != self.spec:
                 raise ArityMismatchError(f"part {i} belongs to a different group")

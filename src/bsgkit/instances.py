@@ -4,10 +4,10 @@ brute-force oracles.
 Generators are fully determined by their seed via SplitMix64; the algorithm
 identifier, family and parameters are recorded inside the instance JSON so
 files can be regenerated bit-identically. Verification here recomputes every
-quantity from scratch (relaxed counts by a packed elimination over leg rows
-built from the edge list, fresh sumsets) rather than trusting anything a pipeline
-recorded, so it serves as the second, independent route for every reported
-inequality.
+quantity from scratch (the least relaxed count over the chosen box by a packed
+elimination over leg rows built from the edge columns, fresh sumsets) rather
+than trusting anything a pipeline recorded, so it is the second, independent
+route for every reported inequality.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import product, repeat
+from operator import add, mul
 from typing import Sequence
 
 from .errors import (
@@ -334,39 +335,36 @@ def check_bounds(
     elif mode != "general":
         raise ModeMismatchError(f"unknown mode {mode!r}")
 
-    table = _elimination_counts(h, result.subsets)
+    min_count = min(min(fields) for _, fields in _elimination_counts(h, result.subsets))
     restricted_size = None if mode == "dense" else len(restricted_sumset(inst))
-    return ledger(inst, result, restricted_size, min(table.values()))
+    return ledger(inst, result, restricted_size, min_count)
 
 
 def _elimination_counts(
     h: PartiteHypergraph, box: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], int]:
+) -> list[tuple[int, Sequence[int]]]:
     """Relaxed counts of every support in the box (one index subset per part).
 
-    The verifier's own counter, built from h.edges alone. For each part
-    i < r-1, every edge is keyed by its tuple with coordinate i dropped, the
-    keys are numbered in first-seen order, and each part-i vertex gets the
-    int mask of its key ids; the leg count at (v, w) is the popcount of
-    mask[v] & mask[w], and 0 when w == v. The leg row of each vertex of the
-    box, and the grouping of the closing edges through each of its
-    last-part vertices, are built once. An empty subset gives an empty
-    table.
+    The verifier's own counter, built from h.edges alone. Returns one
+    (v_last, fields) pair per entry of the box's last subset, in the given
+    order; with the subsets as given, repeats included, the support with
+    indices (k_0, ..., k_{r-2}) into the first r-1 subsets has field index
+    k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes, and the
+    fields come highest index first. An empty subset gives an empty list.
 
-    The counts are packed into one int with a field of `size` bytes per
-    support, part 0 least significant: the support with indices
-    (k_0, ..., k_{r-2}) into the box's first r-1 subsets sits in field
-    k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes. `size`
-    is the whole number of bytes that holds the bound: the largest
-    last-part degree in the box times, for each part, the largest leg count
-    in its box rows. No count exceeds it, so no field carries into the
-    next. Up to 8 bytes, `size` is rounded up to an array item size (1, 2,
-    4 or 8), so that one array conversion reads every field. Part i's
-    column at mate w packs the box's part-i leg rows at w at that part's
-    stride. Per last-part vertex, the closing edges are contracted part 0
-    first, up to part r-2, the reverse of relaxed_count_table's order
-    (every order gives the same sum), and the sum is read back big end
-    first. This packing shares no code with octopus.py, so one packing bug
+    Each part-i vertex, i < r-1, gets an int mask with a bit at each of its
+    edges' other coordinates read as one mixed-radix int; the leg count at
+    (v, w) is the popcount of mask[v] & mask[w], and 0 when w == v. Each
+    support owns a field of `size` bytes (an array item size up to 8) at
+    its field index in one int; `size` holds the bound, the largest
+    last-part degree times each part's largest leg count in the box. Part
+    i's column at mate w packs the box's part-i leg rows at w at that
+    part's stride. One pass over the edge columns eliminates part 0 into
+    one entry per last-part vertex and int key, the mates in parts r-2
+    down to 1 in mixed radix. Per last-part vertex, parts 1 up to r-2
+    follow (the reverse of relaxed_count_table's order), each split off
+    the key by divmod as its least significant digit and multiplied in by
+    its column. No code is shared with octopus.py, so one packing bug
     cannot corrupt both routes.
     """
     last = h.r - 1
@@ -374,27 +372,22 @@ def _elimination_counts(
         for v in sub:
             h._check_vertex(i, v)
     if not all(box):
-        return {}
-    rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
+        return []
+    sizes = h.part_sizes
     coords = list(zip(*h.edges)) or [()] * h.r  # coords[i]: every edge's part-i vertex
+    rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
     for i in range(last):
-        keys = list(zip(*coords[:i], *coords[i + 1 :]))
-        ids = dict(zip(dict.fromkeys(keys), count()))
-        masks = [0] * h.part_sizes[i]
-        for v, key_id in zip(coords[i], map(ids.__getitem__, keys)):
-            masks[v] |= 1 << key_id
+        keys = repeat(0)
+        for j in filter(i.__ne__, range(h.r)):
+            keys = map(add, map(mul, keys, repeat(sizes[j])), coords[j])
+        masks = [0] * sizes[i]
+        for v, key in zip(coords[i], keys):
+            masks[v] |= 1 << key
         rows.append({
             v: [0 if w == v else (masks[v] & m).bit_count() for w, m in enumerate(masks)]
             for v in set(box[i])
         })
-    # firsts[v][suffix]: the part-0 mates of the closing edges through
-    # last-part vertex v whose mates in parts 1 to r-2 are the suffix
-    firsts: dict[int, dict[tuple[int, ...], list[int]]] = {v: {} for v in box[last]}
-    for e in h.edges:
-        if e[last] in firsts:
-            firsts[e[last]].setdefault(e[1:last], []).append(e[0])
-    degree = Counter(coords[last])
-    bound = max(degree[v] for v in box[last])
+    bound = max(map(Counter(coords[last]).__getitem__, box[last]))  # last-part degree
     for part in rows:
         bound *= max(map(max, part.values()))
     size = (bound.bit_length() + 7) // 8 or 1
@@ -404,33 +397,34 @@ def _elimination_counts(
     for i in range(last):
         cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
         shift *= len(box[i])
-    # field order: part r-2 most significant
-    heads = [head[::-1] for head in product(*box[last - 1 :: -1])]
-    out: dict[tuple[int, ...], int] = {}
-    for v_last in box[last]:
-        # vecs[suffix]: the packed counts over the product of the
-        # contracted parts' subsets, over closing edges whose mates after
-        # those parts are the suffix
-        col = cols[0]
-        vecs = {suffix: sum(map(col.__getitem__, ws)) for suffix, ws in firsts[v_last].items()}
+    keys = repeat(0)
+    for j in range(last - 1, 0, -1):
+        keys = map(add, map(mul, keys, repeat(sizes[j])), coords[j])
+    # firsts[v][key]: the packed counts over box[0] of the closing edges
+    # through v whose mates in parts r-2 down to 1 read as key
+    firsts: dict[int, dict[int, int]] = {v: {} for v in box[last]}
+    col = cols[0]
+    for v, key, w in zip(coords[last], keys, coords[0]):
+        if v in firsts:
+            firsts[v][key] = firsts[v].get(key, 0) + col[w]
+    fields = math.prod(map(len, box[:last]))
+    out = []
+    for v in box[last]:
+        vecs = firsts[v]
         for p in range(1, last):
             col = cols[p]
-            terms: dict[tuple[int, ...], int] = {}
-            for suffix, vec in vecs.items():
-                c = col[suffix[0]]
-                if c:
-                    terms[suffix[1:]] = terms.get(suffix[1:], 0) + c * vec
+            terms: dict[int, int] = {}
+            for key, vec in vecs.items():
+                rest, w = divmod(key, sizes[p])
+                if col[w]:
+                    terms[rest] = terms.get(rest, 0) + col[w] * vec
             vecs = terms
-        counts = _split_big_first(vecs.get((), 0), len(heads), size)
-        for head, value in zip(reversed(heads), counts):
-            out[head + (v_last,)] = value
+        out.append((v, _split_big_first(vecs.get(0, 0), fields, size)))
     return out
 
 
 def _packed_columns(box_rows: list[list[int]], shift: int) -> list[int]:
     """Per mate w: box_rows[0][w] + box_rows[1][w] << shift + ...."""
-    if len(box_rows) == 1:
-        return box_rows[0]
     cols = []
     for counts in zip(*box_rows):
         col = 0
@@ -445,9 +439,7 @@ def _split_big_first(packed: int, n: int, size: int) -> Sequence[int]:
     data = packed.to_bytes(n * size, byteorder="big")
     code = _ITEM_CODES.get(size)
     if code is None:
-        return [
-            int.from_bytes(data[t : t + size], byteorder="big") for t in range(0, n * size, size)
-        ]
+        return [int.from_bytes(data[t : t + size], "big") for t in range(0, n * size, size)]
     fields = array(code, data)
     if sys.byteorder == "little":
         fields.byteswap()

@@ -13,13 +13,14 @@ supports (one index subset per part). It holds the counts of the box as
 one int with a fixed-width field per support (a Kronecker packing), wide
 enough for an exact bound the kernel computes, so adding two count vectors
 is one int addition and contracting a part is one multiply-add per mate;
-everything stays exact. The pipelines count their whole chosen box in one
-call. octopus_count_relaxed, used by ``bsgkit count`` and the
-witness-budget estimate, is that kernel on the support's singleton box.
+everything stays exact. It returns each last-part vertex's fields, which
+the pipelines' sweep reduces, and builds no per-support tuple or dict.
+octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
+estimate, is that kernel on the support's singleton box.
 The verifier (check_bounds in instances.py) counts by elimination over its
-own leg rows, built from the edge list in the other part order, with its
-own packing code, and uses none of this module's counters or helpers, so
-one packing bug cannot corrupt both routes.
+own leg rows, built from the edge columns in the other part order, with
+its own packing code, and uses none of this module's counters or helpers,
+so one packing bug cannot corrupt both routes.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
@@ -31,11 +32,15 @@ directly.
 
 from __future__ import annotations
 
-import itertools
+import math
 import struct
 import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_ENUM_BUDGET
@@ -78,37 +83,31 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     relaxed_count_table on the support's singleton box.
     """
     sup = _check_support(h, support)
-    return relaxed_count_table(h, [(v,) for v in sup])[sup]
+    [(_, fields)] = relaxed_count_table(h, [(v,) for v in sup])
+    return fields[0]
 
 
 def relaxed_count_table(
     h: PartiteHypergraph, box: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], int]:
+) -> list[tuple[int, Sequence[int]]]:
     """Relaxed counts for every support in the box (one index subset per part).
 
-    One variable elimination for every arity, over counts packed into ints.
-    Leg rows come from the flattenings, one per vertex of the box, and the
-    closing edges through the box's last-part vertices are grouped in one
-    pass over the edge list. An empty subset gives an empty table.
+    Returns one (v_last, fields) pair per vertex of the box's last subset,
+    ascending; fields[j] counts the support head_j + (v_last,), head_j being
+    the j-th tuple of itertools.product over the sorted, deduplicated first
+    r-1 subsets. An empty subset gives an empty list.
 
-    Layout: the supports are numbered row-major over the first r-1
-    subsets, part 0 most significant, and support j owns the bits from
-    8*width*j up of one int. `width` is the whole number of bytes that
-    holds the bound: the largest last-part degree in the box times, for
-    each part i < r-1, the largest leg count in the box's part-i rows. Up to
-    8 bytes, it is rounded up to a native unsigned int size (1, 2, 4 or 8),
-    so that one memoryview cast unpacks every field; wider fields unpack
-    with int.from_bytes. Part i's column at mate w packs the leg counts from
-    the box's part-i vertices to w, each at that vertex's place times the
-    part's stride. Per last-part vertex, the part r-2 columns are summed per
-    group of closing edges with the same first r-2 mates, then parts r-3
-    down to 0 are contracted with one multiply-add per mate. Each product of
-    fields from different parts lands in its own field, and every count is
-    at most the bound, so no field carries into the next. The sum unpacks
-    once into the box's supports.
-
-    check_bounds counts with its own kernel (instances._elimination_counts);
-    no packing helper is shared, so one packing bug cannot corrupt both.
+    Support j owns the bits from 8*width*j up of one int; `width` bytes
+    (a native unsigned int size up to 8) hold the bound, the largest
+    last-part degree in the box times each part's largest leg count in the
+    box's rows, so no field carries into the next. Part i's column at mate
+    w packs the box's part-i leg rows at w at that part's stride. One pass
+    over the edge columns eliminates part r-2: each edge through a box
+    vertex v of the last part adds its part r-2 column to v's entry at one
+    int key, its mates in parts 0 to r-3 in mixed radix. Per v, parts r-3
+    down to 0 follow, each split off the key by divmod as its least
+    significant digit and multiplied in by its column. check_bounds counts
+    with its own kernel and shares no packing helper with this one.
     """
     last = h.r - 1
     if len(box) != h.r:
@@ -118,7 +117,7 @@ def relaxed_count_table(
             h._check_vertex(i, v)
     subs = [tuple(sorted(set(sub))) for sub in box]
     if not all(subs):
-        return {}
+        return []
     rows = []  # rows[i][k]: leg counts from subs[i][k] to its whole part, 0 at itself
     for i in range(last):
         adj = h.flatten(i).adj
@@ -126,54 +125,48 @@ def relaxed_count_table(
             [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
             for v in subs[i]
         ])
-    # mates[v][prefix]: the part r-2 mates of the closing edges through
-    # last-part vertex v whose first r-2 mates are the prefix; one pass over
-    # the edges, which builds no incidence lists for the other parts
-    mates: dict[int, dict[tuple[int, ...], list[int]]] = {v: {} for v in subs[last]}
-    for e in h.edges:
-        groups = mates.get(e[last])
-        if groups is not None:
-            groups.setdefault(e[: last - 1], []).append(e[last - 1])
-    bound = max(sum(map(len, groups.values())) for groups in mates.values())
+    bound = max(map(Counter(map(itemgetter(last), h.edges)).__getitem__, subs[last]))
     for part in rows:
         bound *= max(map(max, part))
     width = max(1, -(-bound.bit_length() // 8))
-    if width <= 8:  # a native unsigned int size, so one cast unpacks
+    if width <= 8:  # a native unsigned int size, so one array conversion unpacks
         width = 1 << (width - 1).bit_length()
     cols = []  # built from part r-2, whose stride is one field, down to 0
     shift = 8 * width
     for i in range(last - 1, -1, -1):
-        cols.append(_pack_columns(rows[i], shift))
+        cols.insert(0, _pack_columns(rows[i], shift))
         shift *= len(subs[i])
-    cols.reverse()
-    heads = list(itertools.product(*subs[:last]))
-    out: dict[tuple[int, ...], int] = {}
-    for v_last in subs[last]:
-        # vecs[prefix]: the packed counts over the product of the subsets
-        # after the prefix, over closing edges whose mates start with it
-        col = cols[last - 1]
-        vecs = {prefix: sum(map(col.__getitem__, ws)) for prefix, ws in mates[v_last].items()}
+    sizes, edges = h.part_sizes, h.edges
+    keys = repeat(0)
+    for p in range(last - 1):
+        keys = map(add, map(mul, keys, repeat(sizes[p])), map(itemgetter(p), edges))
+    # vecs[v][key]: packed counts over subs[r-2] of v's closing edges whose mates read as key
+    vecs: dict[int, dict[int, int]] = {v: {} for v in subs[last]}
+    col = cols[last - 1]
+    for v, key, w in zip(map(itemgetter(last), edges), keys, map(itemgetter(last - 1), edges)):
+        sums = vecs.get(v)
+        if sums is not None:
+            sums[key] = sums.get(key, 0) + col[w]
+    heads = math.prod(map(len, subs[:last]))
+    out = []
+    for v, sums in vecs.items():
         for p in range(last - 2, -1, -1):
             col = cols[p]
-            terms: dict[tuple[int, ...], int] = {}
-            for prefix, vec in vecs.items():
-                c = col[prefix[p]]
+            terms: dict[int, int] = {}
+            for key, vec in sums.items():
+                rest, w = divmod(key, sizes[p])
+                c = col[w]
                 if c:
-                    terms[prefix[:p]] = terms.get(prefix[:p], 0) + c * vec
-            vecs = terms
-        counts = _unpack_fields(vecs.get((), 0), len(heads), width)
-        for head, count in zip(heads, counts):
-            out[head + (v_last,)] = count
+                    terms[rest] = terms.get(rest, 0) + c * vec
+            sums = terms
+        out.append((v, _unpack_fields(sums.get(0, 0), heads, width)))
     return out
 
 
 def _pack_columns(box_rows: list[list[int]], shift: int) -> list[int]:
     """For each mate w, one int holding box_rows[k][w] at bit k * shift."""
-    if len(box_rows) == 1:
-        return box_rows[0]
     cols = [0] * len(box_rows[0])
-    for k, row in enumerate(box_rows):
-        at = k * shift
+    for at, row in zip(range(0, len(box_rows) * shift, shift), box_rows):
         cols = [x | c << at for x, c in zip(cols, row)]
     return cols
 
@@ -183,7 +176,7 @@ def _unpack_fields(packed: int, n: int, width: int) -> Sequence[int]:
     buf = packed.to_bytes(n * width, sys.byteorder)
     code = _NATIVE_UINTS.get(width)
     if code is not None:
-        return memoryview(buf).cast(code)
+        return array(code, buf)
     return [int.from_bytes(buf[j : j + width], sys.byteorder) for j in range(0, len(buf), width)]
 
 

@@ -15,7 +15,6 @@ from bsgkit.extraction import bsg_extract, almost_all_extract, iterate_extract
 from bsgkit.groups import make_group
 from bsgkit.instances import (
     GenConfig,
-    _elimination_counts,
     brute_force_best_subsets,
     check_representations,
     gen_instance,
@@ -24,7 +23,6 @@ from bsgkit.octopus import (
     enumerate_octopus_witnesses,
     octopus_count_exact,
     octopus_count_relaxed,
-    relaxed_count_table,
 )
 from bsgkit.rng import SplitMix64
 from bsgkit.sumsets import (
@@ -34,6 +32,7 @@ from bsgkit.sumsets import (
     restricted_sumset,
     sum_stats,
 )
+from kernel_tables import pipeline_table, verifier_table
 from oracles import brute_codegree, oracle_exact, oracle_relaxed
 
 Z = make_group([0])
@@ -146,9 +145,9 @@ def test_verifier_counter_oracle_equivalence():
         h = inst.hypergraph
         box = [sorted({rng.next_below(s) for _ in range(2)}) for s in h.part_sizes]
         singles = [tuple(rng.next_below(s) for s in h.part_sizes) for _ in range(2)]
-        table = _elimination_counts(h, box)
+        table = verifier_table(h, box)
         for sup in singles:
-            table.update(_elimination_counts(h, [(v,) for v in sup]))
+            table.update(verifier_table(h, [(v,) for v in sup]))
         assert table.keys() == set(product(*box)) | set(singles)
         for sup, count in table.items():
             assert count == oracle_relaxed(h, sup), (inst.meta, sup)
@@ -226,7 +225,7 @@ def test_criterion_4_general_pipeline_ledger():
         floor = Fraction(total ** (r - 1)) / (
             8 ** (r**3) * (r - 1) ** (r - 1) * k ** ((r * r + 5 * r - 4) // 2)
         )
-        table = relaxed_count_table(h, result.subsets)
+        table = pipeline_table(h, result.subsets)
         ok &= all(Fraction(c) >= floor for c in table.values())
         # growth bound in exact big integers
         s_size = len(iterated_sumset(inst.subset_elemsets(result.subsets)))
@@ -264,7 +263,7 @@ def test_criterion_5_dense_ledger():
                     target = math.ceil((1 - eps) * n)
                     ok &= all(len(s) == target for s in result.subsets)
                     floor = Fraction(n ** (r * (r - 1)), 2)
-                    table = relaxed_count_table(inst.hypergraph, result.subsets)
+                    table = pipeline_table(inst.hypergraph, result.subsets)
                     ok &= all(Fraction(c) >= floor for c in table.values())
                     s_size = len(
                         iterated_sumset(inst.subset_elemsets(result.subsets))
@@ -315,7 +314,7 @@ def test_criterion_6_representation_identity_and_counts():
         result, report = bsg_extract(inst, "measured", "measured")
         ok &= report.overall
         total = h.total_tuples
-        table = relaxed_count_table(h, result.subsets)
+        table = pipeline_table(h, result.subsets)
         l_param = min(Fraction(c, total ** (r - 1)) for c in table.values())
         ok &= l_param > 0
         rep_report = check_representations(result, inst, l_param)

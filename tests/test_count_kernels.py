@@ -2,6 +2,7 @@
 
 relaxed_count_table (the pipeline's) and _elimination_counts (check_bounds')
 pack a box's counts into one int with fixed-width fields. Here both are
+expanded to a table of every support (tests/kernel_tables.py) and
 compared with tests/oracles.py's oracle_relaxed on every support of every
 box, for r from 2 to 5: hypergraphs with no edges or isolated vertices (the
 field bound is 0), singleton boxes, subsets that repeat a vertex, and
@@ -17,8 +18,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit.hypergraph import PartiteHypergraph  # noqa: E402
-from bsgkit.instances import _elimination_counts  # noqa: E402
-from bsgkit.octopus import relaxed_count_table  # noqa: E402
+from kernel_tables import pipeline_table, verifier_table  # noqa: E402
 from oracles import oracle_relaxed  # noqa: E402
 
 SETTINGS = settings(
@@ -69,12 +69,12 @@ def test_both_kernels_match_the_oracle(case):
     expected = _expected(h, boxes)
     # the pipeline kernel takes the subsets as index sets; the verifier
     # kernel takes them as given, repeats and order included
-    assert _merged(relaxed_count_table, h, boxes) == expected
-    assert _merged(_elimination_counts, h, boxes) == expected
+    assert _merged(pipeline_table, h, boxes) == expected
+    assert _merged(verifier_table, h, boxes) == expected
 
 
 def test_an_empty_subset_adds_no_support():
     h = PartiteHypergraph.complete((2, 2, 2))
     boxes = [[[0, 1], [], [0]], [[1], [0], [1]]]
-    for kernel in (relaxed_count_table, _elimination_counts):
+    for kernel in (pipeline_table, verifier_table):
         assert _merged(kernel, h, boxes) == _expected(h, boxes)

@@ -18,9 +18,9 @@ from bsgkit.cli import main as cli_main
 from bsgkit.errors import BudgetExceededError
 from bsgkit.extraction import bsg_extract, drc_extract
 from bsgkit.hypergraph import PartiteHypergraph
-from bsgkit.instances import GenConfig, _elimination_counts, check_bounds, gen_instance
+from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import canonical_dumps
-from bsgkit.octopus import relaxed_count_table
+from kernel_tables import pipeline_table, verifier_table
 
 
 def test_arity_four_pipeline_end_to_end():
@@ -45,9 +45,9 @@ def test_table_matches_counter(r):
     ]
     h = PartiteHypergraph.build(r, sizes, edges)
     subsets = [range(0, s, 2) for s in sizes]
-    table = relaxed_count_table(h, subsets)
+    table = pipeline_table(h, subsets)
     assert len(table) == math.prod(len(sub) for sub in subsets)
-    assert table == _elimination_counts(h, subsets)
+    assert table == verifier_table(h, subsets)
     assert any(count for count in table.values())
     assert all(table[sup] == 0 for sup in table if sup[-1] == isolated)
 

@@ -27,9 +27,10 @@ from bsgkit.extraction import (
     verify_relaxed_counts,
 )
 from bsgkit.hypergraph import PartiteHypergraph
-from bsgkit.instances import GenConfig, _elimination_counts, check_bounds, gen_instance
+from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
 from bsgkit.octopus import eps_good_threshold
+from kernel_tables import verifier_table
 from oracles import brute_codegree, oracle_leg_count, oracle_relaxed
 
 
@@ -510,4 +511,4 @@ def test_sweep_finds_the_minimum_over_every_support(r, n, checked, min_count, mi
     assert entry["checked"] == checked == math.prod(res.sizes())
     assert entry["min_count"] == str(min_count)
     assert entry["min_support"] == min_support
-    assert min(_elimination_counts(inst.hypergraph, res.subsets).values()) == min_count
+    assert min(verifier_table(inst.hypergraph, res.subsets).values()) == min_count

@@ -17,6 +17,7 @@ from bsgkit.errors import (
     EmptyPartError,
     IndexOutOfRangeError,
     NoEdgesError,
+    ShapeMismatchError,
     TooLargeError,
 )
 from bsgkit.groups import make_group
@@ -346,6 +347,29 @@ def test_instance_rejects_parts_out_of_order(elems):
     parts = (ElemSet(Z, ((0,), (2,))), ElemSet(Z, elems))
     with pytest.raises(ConfigInvalidError, match=f"^{_PART_ORDER}$"):
         Instance(Z, parts, PartiteHypergraph.complete((2, len(elems))))
+
+
+def test_instance_rejects_non_canonical_elements():
+    # two representatives of one element of Z_5: the brute-force oracle
+    # would otherwise report a 2-element A with |A + B| = 1
+    z5 = make_group([5])
+    pair = PartiteHypergraph.complete((2, 2))
+    message = "^coordinate 0 of an element is not canonical mod 5$"
+    parts = (ElemSet(z5, ((2,), (7,))), ElemSet(z5, ((0,), (1,))))
+    with pytest.raises(ConfigInvalidError, match=message):
+        Instance(z5, parts, pair)
+    for bad in ((-1,), (True,), (1.0,)):
+        with pytest.raises(ConfigInvalidError, match=message):
+            Instance(z5, (ElemSet(z5, ((0,), (1,))), ElemSet(z5, ((0,), bad))), pair)
+    # a free coordinate takes any int, negative ones included
+    z_z5 = make_group([0, 5])
+    Instance(z_z5, (ElemSet(z_z5, ((-3, 4), (5, 0))),) * 2, pair)
+
+
+def test_instance_rejects_elements_of_the_wrong_width():
+    parts = (ElemSet(Z, ((0, 1),)), ElemSet(Z, ((0,),)))
+    with pytest.raises(ShapeMismatchError, match="^an element's width is not 1$"):
+        Instance(Z, parts, PartiteHypergraph.complete((1, 1)))
 
 
 def test_canonical_edge_order():

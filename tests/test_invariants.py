@@ -2,14 +2,17 @@
 of exact counts at arity 2, sumset monotonicity under inducing, and the
 repair path on the pinned degenerate instance."""
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from bsgkit.cli import main as cli_main
 from bsgkit.extraction import bsg_extract, octopus_extract
 from bsgkit.hypergraph import Instance
 from bsgkit.instances import GenConfig, gen_instance
-from bsgkit.jsonio import parse_fraction
+from bsgkit.jsonio import canonical_dumps, parse_fraction
 from bsgkit.octopus import octopus_count_exact
 from bsgkit.sumsets import restricted_sumset
 
@@ -78,6 +81,29 @@ def test_repair_on_pinned_degenerate_instance():
     assert report.overall
     for row in (t for t in res.trace if t["kind"] == "size-floor"):
         assert row["pass"]
+
+
+# The only random-density K=2 r=2 instances among n in {5, 6, 8, 10} and
+# seeds 0-39 on which the repair pass fires; each takes one round. Digests
+# are SHA-256 of the canonical result JSON, which records the repair.
+REPAIR_DIGESTS = {
+    (8, 2): "2a7b6acd0b4dafe68d017d083cfe817d378c5a7ae966619d1ef8f564bcaa23cf",
+    (8, 4): "0746a61d2bcd7b08c9bf0b1c9a78365ad19aa99bd29275830bd18831df07561c",
+    (10, 24): "ebd6b9d62292efa6eb22751e1c063fef3694941bde2a98abcd967368b456ebeb",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(REPAIR_DIGESTS))
+def test_repair_results_are_pinned(n, seed):
+    inst = gen_instance(
+        GenConfig.make(r=2, n=n, family="random-density", seed=seed, k=Fraction(2))
+    )
+    res, report = bsg_extract(inst)
+    assert report.overall
+    assert [t["kind"] for t in res.trace].count("count-repair") == 1
+    assert res.trace_entry("count-verify")["failures"] == 0
+    text = canonical_dumps(res.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPAIR_DIGESTS[n, seed]
 
 
 def test_cli_roundtrip_every_family(tmp_path, capsys):

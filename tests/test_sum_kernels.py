@@ -7,7 +7,8 @@ widths 1 to 3 and mix free coordinates (small, negative, and beyond
 +-2^64) with Z_2, Z_7 and a large cyclic modulus. Sets are either
 canonicalized or built directly from raw values, so cyclic coordinates
 outside [0, m) are covered too; representation_table on such a set must
-give the table of its canonical form.
+give the table of its canonical form. An Instance takes canonical parts
+only, so an instance whose raw parts are not canonical must be refused.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit import sumsets  # noqa: E402
-from bsgkit.errors import ArityMismatchError  # noqa: E402
+from bsgkit.errors import ArityMismatchError, ConfigInvalidError  # noqa: E402
 from bsgkit.groups import make_group  # noqa: E402
 from bsgkit.hypergraph import Instance, PartiteHypergraph  # noqa: E402
 from bsgkit.sumsets import (  # noqa: E402
@@ -99,6 +100,13 @@ def _instance(moduli, raw_parts, edges):
 @example(data=((0, 7), [(True, [(1, 2)]), (True, [(-BIG, 9)])], []))
 @example(data=((0, 7), [(False, [(1, 9)]), (False, [(-BIG, -1)])], [(0, 0)]))
 def test_restricted_sumset_matches_fold(data):
+    moduli, raw_parts, _ = data
+    spec = make_group(moduli)
+    parts = [_build(spec, raw) for raw in raw_parts]
+    if any(p.elems != ElemSet.from_iterable(spec, p.elems).elems for p in parts):
+        with pytest.raises(ConfigInvalidError, match="not canonical mod"):
+            _instance(*data)
+        return
     inst = _instance(*data)
     assert restricted_sumset(inst).elems == oracle_restricted_sumset(inst)
 

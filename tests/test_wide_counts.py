@@ -10,8 +10,7 @@ as a script with src on PYTHONPATH.
 """
 
 from bsgkit.hypergraph import PartiteHypergraph
-from bsgkit.instances import _elimination_counts
-from bsgkit.octopus import relaxed_count_table
+from kernel_tables import pipeline_table, verifier_table
 
 N = 5
 
@@ -24,7 +23,7 @@ def test_complete_n5_counts_match_the_closed_form():
         h = PartiteHypergraph.complete((N,) * r)
         # a box of 2^(r-1) supports, several fields per int, and a singleton
         box = [[0, 4], [1, 3], [2, 0], [0, 1], [1, 4], [3, 0]][: r - 1] + [[2]]
-        for kernel in (relaxed_count_table, _elimination_counts):
+        for kernel in (pipeline_table, verifier_table):
             for sub_box, size in ((box, 2 ** (r - 1)), ([[2]] * r, 1)):
                 table = kernel(h, sub_box)
                 assert len(table) == size, (r, kernel.__name__)
