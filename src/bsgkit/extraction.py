@@ -14,7 +14,6 @@ produce identical traces and subsets.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -185,15 +184,25 @@ def verify_relaxed_counts(
             failing += [(j, v_last) for j, c in enumerate(fields) if c < limit]
     min_count, j, v_last = min(lows)
     # fields[j] belongs to the j-th head, so (j, v_last) pairs sort as supports
-    heads = list(itertools.product(*(sorted(set(sub)) for sub in subsets[:-1])))
+    head_parts = [sorted(set(sub)) for sub in subsets[:-1]]
     return SweepOutcome(
         threshold=threshold,
         exhaustive=True,
-        checked=len(heads) * len(lows),
+        checked=math.prod(map(len, head_parts)) * len(lows),
         min_count=min_count,
-        min_support=(*heads[j], v_last),
-        failing_supports=tuple((*heads[j], v) for j, v in sorted(failing)),
+        min_support=(*_head(head_parts, j), v_last),
+        failing_supports=tuple((*_head(head_parts, j), v) for j, v in sorted(failing)),
     )
+
+
+def _head(head_parts: Sequence[Sequence[int]], j: int) -> tuple[int, ...]:
+    """The j-th tuple of itertools.product(*head_parts), decoded in mixed
+    radix with the last part least significant."""
+    out = []
+    for part in reversed(head_parts):
+        j, digit = divmod(j, len(part))
+        out.append(part[digit])
+    return tuple(reversed(out))
 
 
 def _low_partners(adj: Sequence[int], u: Sequence[int], threshold: Fraction) -> list[int]:
@@ -268,33 +277,34 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
     )
 
 
-def iterate_extract(
-    h: PartiteHypergraph, part: int, k: Fraction, eps: Fraction
-) -> IterateOutcome:
-    """Prune low-degree vertices of one part, then select a verified subset.
+def iterate_extract(flat: Bipartite, k: Fraction, eps: Fraction) -> IterateOutcome:
+    """Prune low-degree left vertices of a flattening, then select a verified
+    subset.
 
-    Flattens against `part`, keeps vertices of degree at least |Z|/(2k),
-    reruns the density parameter exactly on the pruned graph, and applies
-    drc_extract. The returned subset satisfies, and is checked against:
-    size at least |part|/(4k), at least a (1 - eps) fraction of ordered
-    pairs with leg count at least eps|Z|/(2k^2), and minimum degree at
-    least |Z|/(2k).
+    flat is the flattening of the current stage's hypergraph against the
+    part being selected; octopus_extract passes a cut of the ambient
+    flattening (Bipartite.restrict_leading), never an induced copy. Keeps
+    left vertices of degree at least |Z|/(2k), reading each degree once from
+    one popcount per row, reruns the density parameter exactly on the pruned
+    graph, and applies drc_extract. The returned subset satisfies, and is
+    checked against: size at least left_size/(4k), at least a (1 - eps)
+    fraction of ordered pairs with leg count at least eps|Z|/(2k^2), and
+    minimum degree at least |Z|/(2k).
     """
     k = exact_param("k", k, None)
     eps = exact_param("eps", eps, None)
-    h._check_part(part)
-    if any(s == 0 for s in h.part_sizes):
-        raise EmptyPartError("all parts must be non-empty")
-    total = h.total_tuples
-    if h.edge_count < _density_floor(total, k):
-        raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
-    flat = h.flatten(part)
+    left_size = flat.left_size
     right_size = flat.right_size
+    if left_size == 0 or right_size == 0:
+        raise EmptyPartError("all parts must be non-empty")
+    degrees = [mask.bit_count() for mask in flat.adj]
+    edge_count = sum(degrees)
+    total = left_size * right_size
+    if edge_count < _density_floor(total, k):
+        raise DensityTooLowError(f"{edge_count} edges is below {total}/{k}")
     degree_floor = Fraction(right_size) / (2 * k)
-    survivors = [
-        v for v in range(h.part_sizes[part]) if flat.degree(v) >= degree_floor
-    ]
-    e_prime = sum(flat.degree(v) for v in survivors)
+    survivors = [v for v, d in enumerate(degrees) if d >= degree_floor]
+    e_prime = sum(degrees[v] for v in survivors)
     if not survivors or e_prime == 0:
         raise NoWitnessError("pruning removed every vertex; precondition violated")
     k_prime = Fraction(len(survivors) * right_size, e_prime)
@@ -304,14 +314,14 @@ def iterate_extract(
     drc = drc_extract(g_prime, k_prime, eps)
     u = tuple(sorted(survivors[i] for i in drc.u))
 
-    if Fraction(len(u)) < Fraction(h.part_sizes[part]) / (4 * k):
+    if Fraction(len(u)) < Fraction(left_size) / (4 * k):
         raise NoWitnessError("selected subset is below its size floor")
     leg_threshold = _codegree_floor(eps, right_size, k)
     pairs = len(u) * len(u)
     good = pairs - sum(_low_partners(flat.adj, u, leg_threshold))
     if Fraction(good) < (1 - eps) * pairs:
         raise NoWitnessError("good ordered-pair fraction fell below 1 - eps")
-    if any(flat.degree(v) < degree_floor for v in u):
+    if any(degrees[v] < degree_floor for v in u):
         raise NoWitnessError("a selected vertex is below the degree floor")
     return IterateOutcome(
         u=u,
@@ -340,6 +350,14 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     itself as a good partner, so the kept set is exactly the set whose bad
     partner count is at most 2*eps times the selected size.
 
+    No stage induces a hypergraph. The parts stage s has already restricted
+    are the leading right digits of h.flatten(s), so each stage reads that
+    flattening cut to the kept lists (Bipartite.restrict_leading). The
+    stage-density count sums the kept rows' popcounts, and the last part's
+    degrees come from the right degrees of the last stage's kept rows. The
+    partner filter reads the same h.flatten(p) and the count sweep its
+    cached copy, so each part below the last is flattened once per run.
+
     After selection, the relaxed count of every support of the chosen
     subsets is verified against the derived floor and recorded in the
     trace.
@@ -364,13 +382,16 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
             "k": frac_str(k),
         }
     ]
-    h_cur = h
     subsets: list[tuple[int, ...] | None] = [None] * r
 
     for stage in range(r - 1):
         p = stage
         k_param = (2**stage) * k
-        it = iterate_extract(h_cur, p, k_param, eps)
+        # parts 0..p-1 are the leading right digits of h.flatten(p); cutting
+        # them to their kept lists gives the restricted hypergraph's flattening
+        flat = h.flatten(p)
+        cut = flat.restrict_leading(subsets[:p])
+        it = iterate_extract(cut, k_param, eps)
         a_tilde = it.u
         trace.append(
             {
@@ -399,7 +420,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
 
         leg_floor = eps_good_threshold(r, p, eps, k, ambient)
         partner_cap = 2 * eps * len(a_tilde)
-        adj = h.flatten(p).adj
+        adj = flat.adj
         low = _low_partners(adj, a_tilde, leg_floor)
         # v is its own good partner: discount the (v, v) pair when it is low
         kept = [
@@ -421,18 +442,20 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
         )
         subsets[p] = tuple(kept)
 
-        # part p is still at its ambient size, so kept indexes h_cur too
-        h_cur = h_cur.induce(
-            [kept if j == p else range(h_cur.part_sizes[j]) for j in range(r)]
+        # the kept rows of the cut flatten the hypergraph restricted on parts
+        # 0..p, against part p
+        restricted = Bipartite(len(kept), cut.right_shape, tuple(cut.adj[v] for v in kept))
+        stage_edges = restricted.edge_count
+        stage_floor = _density_floor(
+            restricted.left_size * restricted.right_size, 2 ** (stage + 1) * k
         )
-        stage_floor = _density_floor(h_cur.total_tuples, 2 ** (stage + 1) * k)
         trace.append(
             {
                 "kind": "stage-density",
                 "stage": stage + 1,
-                "edges": h_cur.edge_count,
+                "edges": stage_edges,
                 "floor": frac_str(stage_floor),
-                "pass": Fraction(h_cur.edge_count) >= stage_floor,
+                "pass": Fraction(stage_edges) >= stage_floor,
             }
         )
 
@@ -440,9 +463,10 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     tail_floor = Fraction(
         math.prod(len(subsets[i]) for i in range(r - 1))
     ) / (2**r * k)
-    kept_r = [
-        v for v in range(ambient[last]) if h_cur.degree(last, v) >= tail_floor
-    ]
+    # the last part is the least significant right digit of the last cut
+    rd = restricted.right_degrees
+    n_last = ambient[last]
+    kept_r = [v for v in range(n_last) if sum(rd[v::n_last]) >= tail_floor]
     if not kept_r:
         raise NoWitnessError("degree filter emptied the last part")
     subsets[last] = tuple(kept_r)

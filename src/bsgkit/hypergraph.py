@@ -15,7 +15,10 @@ and rescans edge by edge only to name the first bad edge;
 ``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
 plain JSON int; ``flatten``, ``induce`` and ``degree`` stream columns with
 ``map(itemgetter(i), edges)``, so no transposed copy of the edges is held;
-``Bipartite.right_degrees`` counts every right vertex in one pass.
+``Bipartite.right_degrees`` counts every right vertex in one pass;
+``Bipartite.restrict_leading`` cuts a flattening's leading right digits to
+kept lists, which is how the general pipeline reads a restricted
+hypergraph's flattening without inducing it.
 
 Every vertex index a PartiteHypergraph query takes passes one check,
 ``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
@@ -195,6 +198,47 @@ class Bipartite:
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj)
+
+    def restrict_leading(self, kept: Sequence[Sequence[int]]) -> "Bipartite":
+        """The flattening with its leading right digits cut to kept lists.
+
+        kept[d] lists the indices of right digit d that stay, strictly
+        increasing; the digits after len(kept) stay whole. The leading digits
+        are the most significant, so each cut row is a concatenation of whole
+        blocks of prod(right_shape[len(kept):]) bits, one block per kept
+        prefix in lexicographic order. On h.flatten(s) with len(kept) <= s
+        this is h.induce(kept + whole parts).flatten(s). With no lists the
+        flattening itself is returned.
+        """
+        lists = [tuple(digits) for digits in kept]
+        if not lists:
+            return self
+        lead = len(lists)
+        if lead > len(self.right_shape):
+            raise ArityMismatchError(
+                f"{lead} kept lists for {len(self.right_shape)} right digits"
+            )
+        offsets = [0]  # right index of each kept prefix, in lexicographic order
+        for d, (digits, radix) in enumerate(zip(lists, self.right_shape)):
+            for v in digits:
+                _check_index(f"right digit {d} index", v, radix)
+            if not all(map(lt, digits, digits[1:])):
+                raise ConfigInvalidError(
+                    f"kept indices of right digit {d} are not strictly increasing"
+                )
+            offsets = [o * radix + v for o in offsets for v in digits]
+        shape = tuple(map(len, lists)) + self.right_shape[lead:]
+        size = self.right_size
+        block = math.prod(self.right_shape[lead:])
+        # in a binary numeral, most significant bit first, the block of prefix
+        # o spans characters size - (o + 1) * block to size - o * block
+        starts = [size - (o + 1) * block for o in reversed(offsets)]
+        adj = []
+        for mask in self.adj:
+            bits = format(mask, f"0{size}b")
+            row = "".join([bits[i : i + block] for i in starts])
+            adj.append(int(row, 2) if row else 0)
+        return Bipartite(self.left_size, shape, tuple(adj))
 
 
 @dataclass(frozen=True)

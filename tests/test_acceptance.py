@@ -184,7 +184,7 @@ def test_criterion_3_iterate_conclusions():
         h = inst.hypergraph
         r = h.r
         eps = Fraction(1) / ((r - 1) * 2 ** (r + 3) * k)
-        out = iterate_extract(h, 0, k, eps)  # NoWitness would propagate
+        out = iterate_extract(h.flatten(0), k, eps)  # NoWitness would propagate
         z_size = math.prod(h.part_sizes[1:])
         ok &= Fraction(len(out.u)) >= Fraction(h.part_sizes[0]) / (4 * k)
         threshold = eps * z_size / (2 * k * k)

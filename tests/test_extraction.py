@@ -90,7 +90,7 @@ def g_to_h(edges):
 
 def test_iterate_complete():
     h = PartiteHypergraph.complete((6, 5))
-    out = iterate_extract(h, 0, Fraction(1), Fraction(1, 4))
+    out = iterate_extract(h.flatten(0), Fraction(1), Fraction(1, 4))
     assert out.u == tuple(range(6))
     assert out.good_fraction == 1
 
@@ -98,7 +98,7 @@ def test_iterate_complete():
 def test_iterate_density_too_low():
     h = PartiteHypergraph.build(3, (3, 3, 3), [(0, 0, 0)])
     with pytest.raises(DensityTooLowError):
-        iterate_extract(h, 0, Fraction(2), Fraction(1, 4))
+        iterate_extract(h.flatten(0), Fraction(2), Fraction(1, 4))
 
 
 def test_iterate_verified_by_independent_pass():
@@ -109,7 +109,7 @@ def test_iterate_verified_by_independent_pass():
             GenConfig.make(r=3, n=8, family="random-density", seed=seed, k=k)
         )
         h = inst.hypergraph
-        out = iterate_extract(h, 0, k, eps)
+        out = iterate_extract(h.flatten(0), k, eps)
         z_size = h.part_sizes[1] * h.part_sizes[2]
         # (a) size floor
         assert Fraction(len(out.u)) >= Fraction(h.part_sizes[0]) / (4 * k)
@@ -360,8 +360,8 @@ _EPS = Fraction(1, 25)
         (lambda inst: dense_extract(inst, "1/25"), "eps"),
         (lambda inst: dense_extract(inst, _EPS, 0.001), "delta"),
         (lambda inst: octopus_extract(inst, "2"), "k"),
-        (lambda inst: iterate_extract(inst.hypergraph, 0, 2.0, Fraction(1, 4)), "k"),
-        (lambda inst: iterate_extract(inst.hypergraph, 0, Fraction(2), 0.25), "eps"),
+        (lambda inst: iterate_extract(inst.hypergraph.flatten(0), 2.0, Fraction(1, 4)), "k"),
+        (lambda inst: iterate_extract(inst.hypergraph.flatten(0), Fraction(2), 0.25), "eps"),
         (lambda inst: drc_extract(inst.hypergraph.flatten(0), Fraction(2), "1/4"), "eps"),
         (lambda inst: drc_extract(inst.hypergraph.flatten(0), None, Fraction(1, 4)), "k"),
     ],

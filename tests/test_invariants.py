@@ -1,6 +1,7 @@
 """Cross-cutting invariants: trace-level density floors, the path-walk view
 of exact counts at arity 2, sumset monotonicity under inducing, and the
-repair path on the pinned degenerate instance."""
+repair path on the pinned degenerate instance, and pinned digests of
+pipeline results."""
 
 import hashlib
 import json
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from bsgkit.cli import main as cli_main
+from bsgkit.errors import BsgkitError
 from bsgkit.extraction import bsg_extract, octopus_extract
 from bsgkit.hypergraph import Instance
 from bsgkit.instances import GenConfig, gen_instance
@@ -104,6 +106,38 @@ def test_repair_results_are_pinned(n, seed):
     assert res.trace_entry("count-verify")["failures"] == 0
     text = canonical_dumps(res.to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == REPAIR_DIGESTS[n, seed]
+
+
+# One SHA-256 over the canonical JSON of octopus_extract at the measured k,
+# or of the error type name where the run raises, over every instance of
+# the matrix below. The digest was computed at the commit before stages
+# read cuts of the ambient flattenings, when each stage induced the
+# restricted hypergraph and flattened that copy.
+MATRIX_SIZES = {2: 16, 3: 9, 4: 6, 5: 5}
+MATRIX_FAMILIES = [
+    ("random-density", {"k": Fraction(3, 2)}),
+    ("random-density", {"k": Fraction(2)}),
+    ("random-density", {"k": Fraction(3)}),
+    ("complete", {}),
+    ("planted", {"ap_fraction": Fraction(1, 2), "target_c": Fraction(2)}),
+]
+MATRIX_DIGEST = "aa8b2184e8ddc20c44f2e51ead04090636bca07fc8c9c2434544a91effe93889"
+
+
+def _matrix_outcomes():
+    for r, n in MATRIX_SIZES.items():
+        for family, params in MATRIX_FAMILIES:
+            for seed in range(6):
+                inst = gen_instance(GenConfig.make(r=r, n=n, family=family, seed=seed, **params))
+                try:
+                    yield octopus_extract(inst, inst.hypergraph.measured_k()).to_json()
+                except BsgkitError as exc:
+                    yield {"error": type(exc).__name__}
+
+
+def test_octopus_extract_matrix_digest():
+    text = canonical_dumps(list(_matrix_outcomes()))
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_DIGEST
 
 
 def test_cli_roundtrip_every_family(tmp_path, capsys):
