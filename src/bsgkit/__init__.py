@@ -31,6 +31,7 @@ from .extraction import (
     bsg_extract,
     dense_extract,
     drc_extract,
+    eps_good_threshold,
     iterate_extract,
     octopus_extract,
     verify_relaxed_counts,
@@ -49,7 +50,6 @@ from .instances import (
 from .octopus import (
     OctopusWitness,
     enumerate_octopus_witnesses,
-    eps_good_threshold,
     leg_count,
     octopus_count_exact,
     octopus_count_relaxed,

@@ -72,26 +72,17 @@ def _fraction_or_auto(text: str):
     return _fraction_arg(text)
 
 
-def _moduli_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad moduli list {text!r}") from exc
+def _int_list(what: str):
+    """Argument type for comma-separated ints, as a tuple; a bad list is
+    reported as a bad `what`."""
 
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(x) for x in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from exc
 
-def _sizes_arg(text: str):
-    try:
-        values = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
-    return values[0] if len(values) == 1 else values
-
-
-def _support_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad support {text!r}") from exc
+    return parse
 
 
 def _write_output(payload: dict, out: str | None) -> None:
@@ -142,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True,
                        choices=["complete", "random-density", "planted", "dense"])
     p_gen.add_argument("--r", type=int, required=True)
-    p_gen.add_argument("--n", type=_sizes_arg, required=True,
+    p_gen.add_argument("--n", type=_int_list("size list"), required=True,
                        help="part size, or comma-separated per-part sizes")
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--group", type=_moduli_arg, default=(0,),
+    p_gen.add_argument("--group", type=_int_list("moduli list"), default=(0,),
                        help="comma-separated moduli, 0 for a free coordinate")
     p_gen.add_argument("--K", type=_fraction_arg, default=None)
     p_gen.add_argument("--ap-fraction", type=_fraction_arg, default=None)
@@ -168,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="octopus counts at a support")
     p_count.add_argument("--instance", required=True)
-    p_count.add_argument("--support", type=_support_arg, required=True)
+    p_count.add_argument("--support", type=_int_list("support"), required=True)
     p_count.add_argument("--exact", choices=["full", "named-only"], default=None)
     p_count.add_argument("--out", default=None)
 
@@ -210,7 +201,7 @@ def _stats_payload(stats) -> dict:
 def _cmd_gen(args) -> int:
     cfg = GenConfig.make(
         r=args.r,
-        n=args.n,
+        n=args.n[0] if len(args.n) == 1 else args.n,  # one size for every part
         family=args.family,
         seed=args.seed,
         moduli=args.group,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .hypergraph import Bipartite, Instance, PartiteHypergraph
 from .jsonio import exact_param, frac_str, is_int, parse_fraction
-from .octopus import eps_good_threshold, relaxed_count_table
+from .octopus import relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .sumsets import iterated_sumset, restricted_sumset
 
@@ -628,6 +628,24 @@ def _near_complete_floor(delta: Fraction, total: int) -> Fraction:
 def _codegree_floor(eps: Fraction, right_size: int, k: Fraction) -> Fraction:
     """Codegree floor of a good pair at density parameter k: eps |Z| / (2 k^2)."""
     return eps * right_size / (2 * k * k)
+
+
+def eps_good_threshold(
+    r: int, part: int, eps: Fraction, k: Fraction, ambient_sizes: Sequence[int]
+) -> Fraction:
+    """Leg-count floor for a good pair in `part` (0-based) at quality eps.
+
+    The floor is eps / (2^(r^2) * k^(part+2)) times the product of the
+    ambient sizes of the other parts; ambient sizes are the original part
+    sizes of the run, not the current filtered sizes.
+    """
+    if len(ambient_sizes) != r:
+        raise ConfigInvalidError(f"{len(ambient_sizes)} ambient sizes for arity {r}")
+    prod = 1
+    for j, s in enumerate(ambient_sizes):
+        if j != part:
+            prod *= s
+    return Fraction(eps) * prod / (2 ** (r * r) * Fraction(k) ** (part + 2))
 
 
 def _bsg_constant(r: int, k: Fraction) -> Fraction:

@@ -11,7 +11,7 @@ deterministic iteration order is needed. All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigInvalidError, InvalidModulusError, ShapeMismatchError
 from .jsonio import decode_coord, encode_coord, is_int
@@ -64,15 +64,6 @@ class GroupSpec:
                 f"operand has {len(a)} coordinates, spec has {self.width}"
             )
         return tuple((-x) % m if m else -x for x, m in zip(a, self.moduli))
-
-    def sub(self, a: GroupElem, b: GroupElem) -> GroupElem:
-        return self.add(a, self.neg(b))
-
-    def sum(self, elems: Iterable[GroupElem]) -> GroupElem:
-        total = self.identity()
-        for e in elems:
-            total = self.add(total, e)
-        return total
 
     def to_json(self) -> dict:
         return {"moduli": list(self.moduli)}

@@ -5,16 +5,17 @@ different parts are distinct vertices. Edges are ordered index tuples, stored
 lexicographically sorted for deterministic iteration; the edge list is the
 only per-edge storage. The bipartite flattening against one part uses
 integer bitmasks over the mixed-radix index space of the remaining parts,
-which makes its degree and codegree queries single popcounts; ``_strides``
-is the one definition of that layout.
+so a vertex's degree or a pair's codegree is one popcount of ``adj``;
+``_strides`` is the one definition of that layout.
 
 Work over the whole edge list runs a coordinate column at a time, with
 C-level ``map``/``zip``/``set``/``min``/``max`` in place of a Python loop
 per edge. ``build`` validates arity, coordinate types and ranges in bulk
 and rescans edge by edge only to name the first bad edge;
 ``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
-plain JSON int; ``flatten``, ``induce`` and ``degree`` stream columns with
-``map(itemgetter(i), edges)``, so no transposed copy of the edges is held;
+plain JSON int; ``flatten``, ``PartiteHypergraph.degree`` and ``induce``
+stream columns with ``map(itemgetter(i), edges)``, so no transposed copy of
+the edges is held;
 ``Bipartite.right_degrees`` counts every right vertex in one pass;
 ``Bipartite.restrict_leading`` cuts a flattening's leading right digits to
 kept lists, which is how the general pipeline reads a restricted
@@ -45,7 +46,6 @@ from .errors import (
     IndexOutOfRangeError,
     NoEdgesError,
     ShapeMismatchError,
-    TooLargeError,
 )
 from .groups import GroupSpec, elem_from_json
 from .jsonio import decode_coord, is_int
@@ -165,16 +165,6 @@ class Bipartite:
             index %= st
         return tuple(out)
 
-    def degree(self, v: int) -> int:
-        _check_index("left vertex", v, self.left_size)
-        return self.adj[v].bit_count()
-
-    def codegree(self, v: int, w: int) -> int:
-        """|N(v) & N(w)|; codegree(v, v) equals degree(v)."""
-        _check_index("left vertex", v, self.left_size)
-        _check_index("left vertex", w, self.left_size)
-        return (self.adj[v] & self.adj[w]).bit_count()
-
     @cached_property
     def right_degrees(self) -> tuple[int, ...]:
         """Degree of every right vertex, from one pass over the masks: each
@@ -185,10 +175,6 @@ class Bipartite:
             return (0,) * size
         rows = [format(mask, f"0{size}b").encode().translate(_BIT_BYTES) for mask in self.adj]
         return tuple(map(sum, zip(*rows)))[::-1]
-
-    def right_degree(self, z: int) -> int:
-        _check_index("right vertex", z, self.right_size)
-        return self.right_degrees[z]
 
     def left_neighbors(self, z: int) -> list[int]:
         _check_index("right vertex", z, self.right_size)
@@ -250,8 +236,8 @@ class PartiteHypergraph:
     edges: tuple[tuple[int, ...], ...]  # lex sorted, deduplicated
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ArityMismatchError(f"arity must be >= 1, got {self.r}")
+        if self.r < 2:
+            raise ArityMismatchError(f"arity must be >= 2, got {self.r}")
         if len(self.part_sizes) != self.r:
             raise ArityMismatchError(
                 f"{len(self.part_sizes)} part sizes for arity {self.r}"
@@ -351,7 +337,7 @@ class PartiteHypergraph:
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
         rest = [j for j in range(self.r) if j != i]
         # right indices column by column; the last remaining part has stride 1
-        idx = map(itemgetter(rest[-1]), self.edges) if rest else itertools.repeat(0)
+        idx = map(itemgetter(rest[-1]), self.edges)
         for j, st in zip(rest[:-1], _strides(right_shape)):
             idx = map(add, map(mul, map(itemgetter(j), self.edges), itertools.repeat(st)), idx)
         masks = [0] * self.part_sizes[i]
@@ -361,6 +347,7 @@ class PartiteHypergraph:
         self._flat_cache[i] = flat
         return flat
 
+    # no package path calls induce; it stays because perfbench/tracing.py wraps it by name
     def induce(self, subsets: Sequence[Sequence[int]]) -> "PartiteHypergraph":
         """Edges with all coordinates inside the chosen per-part subsets.
 

@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import add, mul
 from typing import Sequence
 
@@ -159,6 +159,15 @@ def _random_element(spec: GroupSpec, rng: SplitMix64, free_span: int) -> GroupEl
     return tuple(coords)
 
 
+def _pad_lex(edges: list[tuple], ranges: Sequence[range], count: int) -> None:
+    """Append to edges the lexicographically first index tuples it lacks
+    until it holds count of them."""
+    if len(edges) < count:
+        present = set(edges)
+        missing = (e for e in product(*ranges) if e not in present)
+        edges.extend(islice(missing, count - len(edges)))
+
+
 def gen_instance(cfg: GenConfig) -> Instance:
     """Deterministically generate the configured instance.
 
@@ -202,15 +211,8 @@ def gen_instance(cfg: GenConfig) -> Instance:
         edges = [
             e for e in product(*ranges) if rng.next_u64() * keep_den < (1 << 64) * keep_num
         ]
-        if len(edges) > target:
-            edges = edges[:target]  # drop lex-largest kept tuples
-        elif len(edges) < target:
-            kept = set(edges)
-            for e in product(*ranges):
-                if e not in kept:
-                    edges.append(e)
-                    if len(edges) == target:
-                        break
+        del edges[target:]  # drop lex-largest kept tuples
+        _pad_lex(edges, ranges, target)
         hg = PartiteHypergraph.build(cfg.r, sizes, edges)
     elif cfg.family == "planted":
         window = math.ceil(cfg.target_c * max(cfg.sizes))
@@ -220,14 +222,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
             for e in product(*ranges)
             if index_sum(spec, parts, e) in target_set
         ]
-        floor = math.ceil(total * cfg.ap_fraction**cfg.r)
-        if len(edges) < floor:
-            present = set(edges)
-            for e in product(*ranges):
-                if e not in present:
-                    edges.append(e)
-                    if len(edges) >= floor:
-                        break
+        _pad_lex(edges, ranges, math.ceil(total * cfg.ap_fraction**cfg.r))
         hg = PartiteHypergraph.build(cfg.r, sizes, edges)
     else:  # dense
         remove_count = math.floor(cfg.delta * total)

@@ -2,7 +2,8 @@
 
 A leg at part i on a pair (v, w) of distinct part-i vertices is a pair of
 edges that agree on every coordinate except i, where they take v and w. Its
-count equals a codegree in the bipartite flattening against part i. An
+count is the popcount of adj[v] & adj[w] in the flattening against part i;
+the count kernels and the pipelines' pair filters read it that way. An
 octopus anchored at a support tuple (v_1, ..., v_r) consists of one leg per
 part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 
@@ -38,7 +39,6 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
@@ -54,13 +54,15 @@ from .hypergraph import Instance, PartiteHypergraph
 from .sumsets import index_sum
 
 
+# no package path calls leg_count; it stays because perfbench/tracing.py wraps it by name
 def leg_count(h: PartiteHypergraph, part: int, v: int, w: int) -> int:
     """Number of legs at `part` on the distinct pair (v, w)."""
     if v == w:
         raise SameVertexError(f"leg pair needs distinct vertices, got {v} twice")
     h._check_vertex(part, v)
     h._check_vertex(part, w)
-    return h.flatten(part).codegree(v, w)
+    adj = h.flatten(part).adj
+    return (adj[v] & adj[w]).bit_count()
 
 
 def _check_support(h: PartiteHypergraph, support: Sequence[int]) -> tuple[int, ...]:
@@ -209,15 +211,6 @@ class OctopusWitness:
     def closing_edge(self) -> tuple[int, ...]:
         return self.mates + (self.support[-1],)
 
-    def all_edges(self) -> list[tuple[int, ...]]:
-        out = []
-        for i in range(len(self.mates)):
-            ev, ew = self.leg_edges(i)
-            out.append(ev)
-            out.append(ew)
-        out.append(self.closing_edge())
-        return out
-
     def representation_sums(self, inst: Instance):
         """Edge sums (xs, ys, z) with sum(support elems) = sum(xs) - sum(ys) + z."""
         spec, parts = inst.spec, inst.parts
@@ -326,22 +319,4 @@ def octopus_count_exact(
 ) -> int:
     """Exact number of octopus witnesses at the support under the given mode."""
     return sum(1 for _ in enumerate_octopus_witnesses(h, support, mode))
-
-
-def eps_good_threshold(
-    r: int, part: int, eps: Fraction, k: Fraction, ambient_sizes: Sequence[int]
-) -> Fraction:
-    """Leg-count floor for a good pair in `part` (0-based) at quality eps.
-
-    The floor is eps / (2^(r^2) * k^(part+2)) times the product of the
-    ambient sizes of the other parts; ambient sizes are the original part
-    sizes of the run, not the current filtered sizes.
-    """
-    if len(ambient_sizes) != r:
-        raise ConfigInvalidError(f"{len(ambient_sizes)} ambient sizes for arity {r}")
-    prod = 1
-    for j, s in enumerate(ambient_sizes):
-        if j != part:
-            prod *= s
-    return Fraction(eps) * prod / (2 ** (r * r) * Fraction(k) ** (part + 2))
 

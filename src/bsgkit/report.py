@@ -44,9 +44,6 @@ class BoundReport:
     def overall(self) -> bool:
         return all(q.passed for q in self.inequalities)
 
-    def failures(self) -> tuple[Inequality, ...]:
-        return tuple(q for q in self.inequalities if not q.passed)
-
     def to_json(self) -> dict:
         return {
             "inequalities": [q.to_json() for q in self.inequalities],

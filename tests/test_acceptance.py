@@ -33,7 +33,7 @@ from bsgkit.sumsets import (
     sum_stats,
 )
 from kernel_tables import pipeline_table, verifier_table
-from oracles import brute_codegree, oracle_exact, oracle_relaxed
+from oracles import brute_codegree, oracle_exact, oracle_relaxed, oracle_sum_fold
 
 Z = make_group([0])
 
@@ -297,14 +297,14 @@ def test_criterion_6_representation_identity_and_counts():
         witnesses = 0
         for _ in range(4):
             sup = tuple(rng.next_below(s) for s in h.part_sizes)
-            target = spec.sum(inst.parts[i].elems[v] for i, v in enumerate(sup))
+            target = oracle_sum_fold(spec, [inst.parts[i].elems[v] for i, v in enumerate(sup)])
             for wit in enumerate_octopus_witnesses(h, sup, mode="named-only"):
                 xs, ys, z = wit.representation_sums(inst)
                 acc = spec.identity()
                 for x in xs:
                     acc = spec.add(acc, x)
                 for y in ys:
-                    acc = spec.sub(acc, y)
+                    acc = spec.add(acc, spec.neg(y))
                 acc = spec.add(acc, z)
                 ok &= acc == target
                 witnesses += 1
@@ -330,7 +330,7 @@ def test_criterion_6_representation_identity_and_counts():
                 for i in range(r - 1):
                     acc = spec.add(acc, tup[i])
                 for i in range(r - 1, 2 * r - 2):
-                    acc = spec.sub(acc, tup[i])
+                    acc = spec.add(acc, spec.neg(tup[i]))
                 acc = spec.add(acc, tup[2 * r - 2])
                 brute[acc] = brute.get(acc, 0) + 1
             ok &= conv == brute

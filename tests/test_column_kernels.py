@@ -78,7 +78,6 @@ def test_flatten_and_right_degrees_match_scans(data):
         flat = h.flatten(part)
         assert list(flat.adj) == oracle_flatten_masks(h, part)
         assert list(flat.right_degrees) == oracle_right_degrees(h, part)
-        assert [flat.right_degree(z) for z in range(flat.right_size)] == list(flat.right_degrees)
 
 
 @SETTINGS

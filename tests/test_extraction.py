@@ -22,6 +22,7 @@ from bsgkit.extraction import (
     bsg_extract,
     dense_extract,
     drc_extract,
+    eps_good_threshold,
     iterate_extract,
     octopus_extract,
     verify_relaxed_counts,
@@ -29,7 +30,6 @@ from bsgkit.extraction import (
 from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
-from bsgkit.octopus import eps_good_threshold
 from kernel_tables import verifier_table
 from oracles import brute_codegree, oracle_leg_count, oracle_relaxed
 

@@ -52,14 +52,6 @@ def test_neg_examples():
         z5.neg((1, 2))
 
 
-def test_sum_tuple_examples():
-    z7 = make_group([7])
-    assert z7.sum([(1,), (2,), (3,)]) == (6,)
-    assert z7.sum([]) == (0,)
-    z5 = make_group([5])
-    assert z5.sum([(4,), (4,), (4,)]) == (2,)
-
-
 def _random_elem(spec, rnd):
     return spec.canon(
         tuple(

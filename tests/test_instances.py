@@ -205,8 +205,8 @@ def test_check_bounds_recounts_instead_of_trusting_the_trace():
         epsilon=res.epsilon,
         trace=res.trace,
     )
-    failed = check_bounds(tampered, inst, "general").failures()
-    assert [q.name for q in failed] == ["octopus-count-floor"]
+    rows = check_bounds(tampered, inst, "general").inequalities
+    assert [q.name for q in rows if not q.passed] == ["octopus-count-floor"]
 
 
 def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
@@ -274,7 +274,8 @@ def test_check_bounds_rechecks_the_claimed_cap():
     # a claimed C below the measured one fails its rows instead of raising
     ambient = dict(res.trace[0], c="1/2")
     tampered = dataclasses.replace(res, trace=(ambient,) + res.trace[1:])
-    failed = [q.name for q in check_bounds(tampered, inst, "general").failures()]
+    rows = check_bounds(tampered, inst, "general").inequalities
+    failed = [q.name for q in rows if not q.passed]
     assert "restricted-sumset-cap" in failed
 
 

@@ -19,12 +19,12 @@ from bsgkit.errors import (
     IndexOutOfRangeError,
     SameVertexError,
 )
+from bsgkit.extraction import eps_good_threshold
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.instances import GenConfig, gen_instance
 from bsgkit.octopus import (
     enumerate_octopus_witnesses,
-    eps_good_threshold,
     leg_count,
     octopus_count_exact,
     octopus_count_relaxed,
@@ -32,7 +32,7 @@ from bsgkit.octopus import (
 )
 
 from kernel_tables import pipeline_table
-from oracles import oracle_exact, oracle_leg_count, oracle_relaxed
+from oracles import oracle_exact, oracle_leg_count, oracle_relaxed, oracle_sum_fold
 
 Z = make_group([0])
 
@@ -83,6 +83,8 @@ def suite_instances():
         lambda h: octopus_count_relaxed(h, (1.0, 0)),
         lambda h: octopus_count_relaxed(h, (0, True)),
         lambda h: octopus_count_exact(h, (True, 0)),
+        lambda h: leg_count(h, 0, True, 0),
+        lambda h: leg_count(h, 0, 0, 2.0),
     ],
 )
 def test_counters_reject_non_int_indices(call):
@@ -199,7 +201,8 @@ def test_witness_edges_and_validity():
         edges = frozenset(h.edges)
         sup = tuple(0 for _ in range(h.r))
         for wit in enumerate_octopus_witnesses(h, sup, mode="named-only"):
-            for edge in wit.all_edges():
+            legs = [edge for i in range(h.r - 1) for edge in wit.leg_edges(i)]
+            for edge in legs + [wit.closing_edge()]:
                 assert edge in edges
             for i in range(h.r - 1):
                 assert wit.support[i] != wit.mates[i]
@@ -212,8 +215,8 @@ def test_representation_identity_on_witnesses():
         spec = inst.spec
         checked = 0
         for sup in product(*(range(min(s, 2)) for s in h.part_sizes)):
-            target = spec.sum(
-                inst.parts[i].elems[v] for i, v in enumerate(sup)
+            target = oracle_sum_fold(
+                spec, [inst.parts[i].elems[v] for i, v in enumerate(sup)]
             )
             for wit in enumerate_octopus_witnesses(h, sup, mode="named-only"):
                 xs, ys, z = wit.representation_sums(inst)
@@ -221,7 +224,7 @@ def test_representation_identity_on_witnesses():
                 for x in xs:
                     acc = spec.add(acc, x)
                 for y in ys:
-                    acc = spec.sub(acc, y)
+                    acc = spec.add(acc, spec.neg(y))
                 acc = spec.add(acc, z)
                 assert acc == target
                 checked += 1
