@@ -60,16 +60,13 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _fraction_or_measured(text: str):
-    if text == "measured":
-        return "measured"
-    return _fraction_arg(text)
+def _fraction_or(sentinel: str):
+    """Argument type for a "p/q" rational or the sentinel word itself."""
 
+    def parse(text: str):
+        return sentinel if text == sentinel else _fraction_arg(text)
 
-def _fraction_or_auto(text: str):
-    if text == "auto":
-        return "auto"
-    return _fraction_arg(text)
+    return parse
 
 
 def _int_list(what: str):
@@ -167,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--instance", required=True)
     p_extract.add_argument("--mode", choices=["general", "dense", "almost-all"],
                            default="general")
-    p_extract.add_argument("--K", type=_fraction_or_measured, default="measured")
-    p_extract.add_argument("--C", type=_fraction_or_measured, default="measured")
+    p_extract.add_argument("--K", type=_fraction_or("measured"), default="measured")
+    p_extract.add_argument("--C", type=_fraction_or("measured"), default="measured")
     p_extract.add_argument("--eps", type=_fraction_arg, default=None)
-    p_extract.add_argument("--delta", type=_fraction_or_auto, default="auto")
+    p_extract.add_argument("--delta", type=_fraction_or("auto"), default="auto")
     p_extract.add_argument("--workers", type=int, default=1,
                            help="accepted for compatibility; has no effect")
     p_extract.add_argument("--out", default=None)
@@ -267,23 +264,21 @@ def _report_payload(result: ExtractionResult, report: BoundReport, params: dict)
 
 def _cmd_extract(args) -> int:
     inst = _load_instance(args.instance)
-    params: dict = {"mode": args.mode}
     if args.mode == "general":
-        params["K"] = args.K if isinstance(args.K, str) else frac_str(args.K)
-        params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
+        given = {"K": args.K, "C": args.C}
         result, report = bsg_extract(inst, args.K, args.C)
     else:
         if args.eps is None:
             raise ConfigInvalidError(f"--eps is required for mode {args.mode}")
-        params["eps"] = frac_str(args.eps)
-        params["delta"] = args.delta if isinstance(args.delta, str) else frac_str(args.delta)
+        given = {"eps": args.eps, "delta": args.delta}
         if args.mode == "dense":
             result = dense_extract(inst, args.eps, args.delta)
             report = recorded_report(inst, result, None)
         else:
-            params["C"] = args.C if isinstance(args.C, str) else frac_str(args.C)
+            given["C"] = args.C
             result, report = almost_all_extract(inst, args.C, args.eps, args.delta)
-    _write_output(_report_payload(result, report, params), args.out)
+    params = {name: v if isinstance(v, str) else frac_str(v) for name, v in given.items()}
+    _write_output(_report_payload(result, report, {"mode": args.mode, **params}), args.out)
     if not report.overall:
         print("bsgkit: some inequalities FAILED", file=sys.stderr)
         return EXIT_CHECK_FAILED

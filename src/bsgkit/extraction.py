@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from typing import Sequence
 
 from .errors import (
@@ -26,12 +27,11 @@ from .errors import (
     EmptyPartError,
     EpsilonTooLargeError,
     HypothesisViolatedError,
-    ModeMismatchError,
     NoWitnessError,
     UnequalPartsError,
 )
 from .hypergraph import Bipartite, Instance, PartiteHypergraph
-from .jsonio import exact_param, frac_str, is_int, parse_fraction
+from .jsonio import exact_param, frac_str, parse_fraction
 from .octopus import relaxed_count_table
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .sumsets import iterated_sumset, restricted_sumset
@@ -65,7 +65,13 @@ class IterateOutcome:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Chosen index subsets plus the ordered trace of every stage."""
+    """Chosen index subsets plus the ordered trace of every stage.
+
+    However it is built, it has a known mode; trace[0] is the ambient entry,
+    with a rational k >= 1 (general) or delta (dense modes) and any recorded
+    sumset cap c > 0; the dense modes carry an epsilon; and every subset is
+    non-empty, strictly increasing int indices. Else ConfigInvalidError.
+    """
 
     mode: str
     subsets: tuple[tuple[int, ...], ...]
@@ -73,9 +79,27 @@ class ExtractionResult:
     trace: tuple[dict, ...]
 
     def __post_init__(self):
+        ambient = self.trace[0] if self.trace else None
+        if not isinstance(ambient, dict) or ambient.get("kind") != "ambient":
+            raise ConfigInvalidError("result trace does not start with an ambient entry")
+        if self.mode == "general":
+            if parse_fraction(ambient.get("k")) < 1:
+                raise ConfigInvalidError(f"density parameter k must be >= 1, got {ambient['k']}")
+        elif self.mode in ("dense", "almost-all"):
+            parse_fraction(ambient.get("delta"))
+            if self.epsilon is None:
+                raise ConfigInvalidError(f"{self.mode} result carries no epsilon")
+        else:
+            raise ConfigInvalidError(f"unknown mode {self.mode!r}")
+        if "c" in ambient and parse_fraction(ambient["c"]) <= 0:
+            raise ConfigInvalidError(f"sumset cap c must be positive, got {ambient['c']}")
         for i, sub in enumerate(self.subsets):
             if not sub:
-                raise NoWitnessError(f"chosen subset for part {i} is empty")
+                raise ConfigInvalidError(f"chosen subset for part {i} is empty")
+            if set(map(type, sub)) != {int} or not all(map(lt, sub, sub[1:])):
+                raise ConfigInvalidError(
+                    f"chosen subset for part {i} is not strictly increasing int indices"
+                )
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.subsets)
@@ -96,34 +120,12 @@ class ExtractionResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtractionResult":
-        """Parse a result, checking the ambient entry fields ledger reads and
-        that every chosen subset is a non-empty, strictly increasing list of
-        int indices, as every pipeline writes it."""
-        mode = data["mode"]
-        trace = tuple(data.get("trace", []))
-        ambient = trace[0] if trace else None
-        if not isinstance(ambient, dict) or ambient.get("kind") != "ambient":
-            raise ConfigInvalidError("result trace does not start with an ambient entry")
-        if mode == "general":
-            parse_fraction(ambient["k"])
-        elif mode in ("dense", "almost-all"):
-            parse_fraction(ambient["delta"])
-        if "c" in ambient:
-            parse_fraction(ambient["c"])
-        subsets = tuple(tuple(s) for s in data["subsets"])
-        for i, sub in enumerate(subsets):
-            if not sub:
-                raise ConfigInvalidError(f"chosen subset for part {i} is empty")
-            if not all(map(is_int, sub)) or any(a >= b for a, b in zip(sub, sub[1:])):
-                raise ConfigInvalidError(
-                    f"chosen subset for part {i} is not strictly increasing int indices"
-                )
         eps = data.get("epsilon")
         return cls(
-            mode=mode,
-            subsets=subsets,
+            mode=data["mode"],
+            subsets=tuple(tuple(s) for s in data["subsets"]),
             epsilon=None if eps is None else parse_fraction(eps),
-            trace=trace,
+            trace=tuple(data.get("trace", [])),
         )
 
 
@@ -706,9 +708,12 @@ def _restricted_cap_row(
 
 def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
     """The sumset cap a claimed C stands for: C^r in general mode, C in the
-    dense modes; None when c is "measured"."""
+    dense modes; None when c is "measured". A C <= 0 raises
+    ConfigInvalidError."""
     if c == "measured":
         return None
+    if c <= 0:
+        raise ConfigInvalidError(f"sumset cap C must be positive, got {c}")
     return c**r if mode == "general" else c
 
 
@@ -778,7 +783,7 @@ def ledger(
                 "sumset of chosen subsets against the growth cap, r-th powers",
             )
         )
-    elif mode in ("dense", "almost-all"):
+    else:
         n = part_sizes[0]
         delta = parse_fraction(ambient["delta"])
         rows = [
@@ -805,8 +810,6 @@ def ledger(
                     "sumset of chosen subsets against the linear growth cap",
                 )
             )
-    else:
-        raise ModeMismatchError(f"unknown mode {mode!r}")
     return BoundReport(tuple(rows))
 
 
@@ -821,7 +824,10 @@ def recorded_report(
 
 def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> ExtractionResult:
     """The result under `mode`, with a claimed C recorded in its ambient
-    entry so that check_bounds rechecks the same cap."""
+    entry so that check_bounds rechecks the same cap; the result itself
+    when neither changes, so it is not validated again."""
+    if c == "measured" and mode == result.mode:
+        return result
     trace = result.trace
     if c != "measured":
         trace = (dict(trace[0], c=frac_str(c)),) + trace[1:]
@@ -845,11 +851,11 @@ def bsg_extract(
     c = exact_param("c", c, "measured")
     h = inst.hypergraph
     r = inst.r
+    cap = _claimed_cap("general", r, c)
     total = h.total_tuples
     k_eff = h.measured_k() if k == "measured" else k
     if h.edge_count < _density_floor(total, k_eff):
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
-    cap = _claimed_cap("general", r, c)
     osize = len(restricted_sumset(inst))
     if cap is not None and not _restricted_cap_row("general", osize, cap, h.part_sizes).passed:
         raise HypothesisViolatedError(
@@ -873,13 +879,13 @@ def almost_all_extract(
     c = exact_param("c", c, "measured")
     eps = exact_param("eps", eps, None)
     delta = exact_param("delta", delta, "auto")
+    cap = _claimed_cap("almost-all", inst.r, c)
     h = inst.hypergraph
     if len(set(h.part_sizes)) != 1:
         raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")
     n = h.part_sizes[0]
     if n == 0:
         raise EmptyPartError("parts are empty")
-    cap = _claimed_cap("almost-all", inst.r, c)
     osize = len(restricted_sumset(inst))
     if cap is not None and not _restricted_cap_row("almost-all", osize, cap, h.part_sizes).passed:
         raise HypothesisViolatedError(

@@ -25,6 +25,8 @@ Every vertex index a PartiteHypergraph query takes passes one check,
 ``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
 the same rule to left and right indices. No hypergraph may span more than
 TUPLE_CAP index tuples; the check runs before any tuple is allocated.
+An ``Instance`` checks that its parts are of its group and of the
+hypergraph's part sizes; each part, an ``ElemSet``, checks its own elements.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import (
     EmptyPartError,
     IndexOutOfRangeError,
     NoEdgesError,
-    ShapeMismatchError,
 )
 from .groups import GroupSpec, elem_from_json
 from .jsonio import decode_coord, is_int
@@ -384,10 +385,9 @@ class PartiteHypergraph:
 class Instance:
     """r ground sets of group elements plus a hypergraph over their indices.
 
-    However it is built, each part must hold canonical elements (one int per
-    modulus, each modular one in [0, m), checked a coordinate column at a time
-    over every part) in strictly increasing order; else ShapeMismatchError or
-    ConfigInvalidError.
+    Each part is an ElemSet of the instance's group, so its elements are
+    canonical and strictly increasing, and its size is the hypergraph's size
+    of that part.
     """
 
     spec: GroupSpec
@@ -402,19 +402,9 @@ class Instance:
             raise ArityMismatchError(
                 f"hypergraph arity {self.hypergraph.r} != {len(self.parts)} parts"
             )
-        elems = [e for part in self.parts for e in part.elems]
-        if set(map(len, elems)) - {self.spec.width}:
-            raise ShapeMismatchError(f"an element's width is not {self.spec.width}")
-        for j, (col, m) in enumerate(zip(zip(*elems), self.spec.moduli)):
-            if set(map(type, col)) != {int} or m and (min(col) < 0 or max(col) >= m):
-                raise ConfigInvalidError(f"coordinate {j} of an element is not canonical mod {m}")
         for i, part in enumerate(self.parts):
             if part.spec != self.spec:
                 raise ArityMismatchError(f"part {i} belongs to a different group")
-            if not all(map(lt, part.elems, part.elems[1:])):
-                raise ConfigInvalidError(
-                    "part elements must be distinct and in canonical sorted order"
-                )
             if self.hypergraph.part_sizes[i] != len(part):
                 raise ArityMismatchError(
                     f"part {i} has {len(part)} elements but hypergraph size "

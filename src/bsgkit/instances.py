@@ -322,13 +322,8 @@ def check_bounds(
     h = inst.hypergraph
     if len(result.subsets) != inst.r:
         raise ModeMismatchError("result arity does not match the instance")
-    if mode in ("dense", "almost-all"):
-        if len(set(h.part_sizes)) != 1:
-            raise ModeMismatchError("dense verification requires equal part sizes")
-        if result.epsilon is None:
-            raise ModeMismatchError("dense result carries no epsilon")
-    elif mode != "general":
-        raise ModeMismatchError(f"unknown mode {mode!r}")
+    if mode != "general" and len(set(h.part_sizes)) != 1:
+        raise ModeMismatchError("dense verification requires equal part sizes")
 
     min_count = min(min(fields) for _, fields in _elimination_counts(h, result.subsets))
     restricted_size = None if mode == "dense" else len(restricted_sumset(inst))
@@ -546,7 +541,7 @@ def brute_force_best_subsets(
     compared as tuples, are ordered compatibly with addition, so the bound
     also counts sums every completion must add. Each of the need - 1 picks
     still to come in part i is a larger element than those picked (parts
-    are strictly increasing, which Instance enforces), so its sum with the
+    are strictly increasing, which ElemSet enforces), so its sum with the
     largest level-(i-1) sum is new; and each later part j adds at least
     m_j - 1 sums, as |X + B| >= |X| + |B| - 1 in such a group. In a group
     with torsion both terms are 0. A prefix whose bound already reaches the

@@ -37,7 +37,6 @@ import math
 import struct
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -127,7 +126,7 @@ def relaxed_count_table(
             [0 if w == v else (adj[v] & a).bit_count() for w, a in enumerate(adj)]
             for v in subs[i]
         ])
-    bound = max(map(Counter(map(itemgetter(last), h.edges)).__getitem__, subs[last]))
+    bound = max(h.degree(last, v) for v in subs[last])
     for part in rows:
         bound *= max(map(max, part))
     width = max(1, -(-bound.bit_length() // 8))

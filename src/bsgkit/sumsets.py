@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import add, itemgetter
+from operator import add, itemgetter, lt
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
 from .errors import (
     ArityMismatchError,
+    ConfigInvalidError,
     EmptySetError,
     ShapeMismatchError,
     SpecMismatchError,
@@ -40,10 +41,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class ElemSet:
-    """Deduplicated set of group elements stored in lexicographic order."""
+    """Deduplicated set of group elements stored in lexicographic order.
+
+    However it is built, every element has the group's width (else
+    ShapeMismatchError); its coordinates are ints, not bools, each cyclic
+    one in [0, m); and the elements are strictly increasing (else
+    ConfigInvalidError). Each rule runs a coordinate column or the element
+    list at a time. The kernels and every Instance trust the set as it is.
+    from_iterable is the normalizing constructor: it canonicalizes,
+    deduplicates and sorts.
+    """
 
     spec: GroupSpec
     elems: tuple[GroupElem, ...]
+
+    def __post_init__(self):
+        elems, width = self.elems, self.spec.width
+        if set(map(len, elems)) - {width}:
+            raise ShapeMismatchError(f"an element's width is not {width}")
+        for j, (col, m) in enumerate(zip(zip(*elems), self.spec.moduli)):
+            if set(map(type, col)) != {int} or m and (min(col) < 0 or max(col) >= m):
+                raise ConfigInvalidError(f"coordinate {j} of an element is not canonical mod {m}")
+        if not all(map(lt, elems, elems[1:])):
+            raise ConfigInvalidError("part elements must be distinct and in canonical sorted order")
 
     @classmethod
     def from_iterable(cls, spec: GroupSpec, items: Iterable[Sequence[int]]) -> "ElemSet":
@@ -95,18 +115,9 @@ def _pack(
     included, so every shifted value is non-negative. Coordinate j gets a bit
     field as wide as the summands' spans (max - min) at j add up to, so the
     fields of a sum never carry into each other. The decoder adds the summed
-    offsets back and reduces cyclic coordinates. An element of the wrong
-    width raises ShapeMismatchError here.
+    offsets back and reduces cyclic coordinates.
     """
-    width = spec.width
-    columns = []
-    for summand in summands:
-        for x in summand:
-            if len(x) != width:
-                raise ShapeMismatchError(
-                    f"element has {len(x)} coordinates, spec has {width}"
-                )
-        columns.append(list(zip(*summand)) or [(0,)] * width)
+    columns = [list(zip(*summand)) or [(0,)] * spec.width for summand in summands]
     lows = [[min(col) for col in cols] for cols in columns]
     fields = []  # (shift, mask, summed offset, modulus) per coordinate
     used = 0
@@ -247,9 +258,7 @@ def representation_table(spec: GroupSpec, s_set: ElemSet, r: int) -> dict[GroupE
     over all (2r-1)-tuples from s_set, which must belong to spec.
 
     Computed by r plus-convolutions and r-1 minus-convolutions of the set's
-    indicator histogram. The elements are canonicalized and deduplicated
-    first, so a directly built ElemSet gives the table of
-    ElemSet.from_iterable over the same elements. Raises ArityMismatchError
+    indicator histogram. Raises ArityMismatchError
     for r < 2, and UnsupportedGroupError when free coordinates make the
     bounding box of attainable sums exceed DEFAULT_CONV_CELL_CAP.
     """
@@ -257,7 +266,7 @@ def representation_table(spec: GroupSpec, s_set: ElemSet, r: int) -> dict[GroupE
         raise ArityMismatchError(f"arity must be >= 2, got {r}")
     if s_set.spec != spec:
         raise SpecMismatchError("set belongs to a different group")
-    elems = sorted({spec.canon(e) for e in s_set.elems})
+    elems = s_set.elems
     if not elems:
         return {}
     if any(m == 0 for m in spec.moduli):

@@ -229,6 +229,16 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
                     "trace": [{"kind": "ambient", "k": "1"}]}),
         ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
                     "trace": [{"kind": "ambient", "k": 2}]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "k": "0"}]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "k": "-2"}]}),
+        ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "k": "1", "c": "-4"}]}),
+        ("verify", {"mode": "sparse", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "k": "1"}]}),
+        ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]],
+                    "trace": [{"kind": "ambient", "delta": "0"}]}),
         ("report", {"bounds": {"inequalities": [
             {"name": "a", "relation": ">=", "lhs": "1", "rhs": "0"}]}}),
         ("report", {"inequalities": "abc"}),
@@ -238,7 +248,8 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
     ],
     ids=["no-group", "bad-modulus", "float-modulus", "result-without-subsets", "set-without-elems",
          "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
-         "k-not-a-string", "row-without-pass", "rows-not-a-list", "report-not-an-object",
+         "k-not-a-string", "k-zero", "k-negative", "c-negative", "unknown-mode",
+         "dense-without-epsilon", "row-without-pass", "rows-not-a-list", "report-not-an-object",
          "overall-true-over-failing-row", "overall-not-a-bool"],
 )
 def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
@@ -260,6 +271,28 @@ def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("bsgkit: error:") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["general", "almost-all"])
+def test_extract_rejects_a_non_positive_cap(tmp_path, capsys, mode):
+    # in general mode C = -4 stands for the cap C^2 = 16, which a planted
+    # r=2 instance meets, so every row would pass unless C itself is refused
+    if mode == "general":
+        args, inst = gen_args(tmp_path, family="planted", n=8,
+                              extra=("--ap-fraction", "1/2", "--target-C", "2"))
+        extra = []
+    else:
+        args, inst = gen_args(tmp_path, family="dense", n=10, seed=2,
+                              extra=("--delta", "1/500"))
+        extra = ["--eps", "1/25"]
+    assert main(args) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main(["extract", "--instance", str(inst), "--mode", mode, "--C", "-4",
+                 *extra, "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == "bsgkit: error: sumset cap C must be positive, got -4\n"
+    assert not report.exists()
 
 
 def test_verify_empty_subset_fails_typed(tmp_path, capsys):

@@ -2,13 +2,17 @@
 fails with a typed error, never with a raw exception.
 
 Inputs are small JSON values and mutations of valid files (one key or item
-dropped, or one value swapped for a value of another JSON type).
+dropped, one value swapped for a value of another JSON type, or one
+rational string swapped for "0", "-1" or "1/2", which keep the type and
+break a range).
 """
 
 import contextlib
 import copy
 import io
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -17,6 +21,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit.cli import main  # noqa: E402
+from bsgkit.errors import ConfigInvalidError  # noqa: E402
+from bsgkit.jsonio import parse_fraction  # noqa: E402
 
 SETTINGS = settings(
     max_examples=200,
@@ -73,16 +79,28 @@ def _paths(value, prefix=()):
             yield from _paths(item, prefix + (i,))
 
 
+def _is_rational(value):
+    try:
+        parse_fraction(value)
+    except ConfigInvalidError:
+        return False
+    return True
+
+
 @st.composite
 def mutations(draw, doc):
-    """doc with one key or item dropped, or one value of another JSON type."""
+    """doc with one key or item dropped, one value of another JSON type, or
+    one rational string swapped for another."""
     doc = copy.deepcopy(doc)
-    path = draw(st.sampled_from([p for p in _paths(doc) if p]))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    paths = [p for p in _paths(doc) if p]
+    rationals = [p for p in paths if _is_rational(reduce(getitem, p, doc))]
+    swap = bool(rationals) and draw(st.booleans())
+    path = draw(st.sampled_from(rationals if swap else paths))
+    parent = reduce(getitem, path[:-1], doc)
     old = parent[path[-1]]
-    if draw(st.booleans()):
+    if swap:
+        parent[path[-1]] = draw(st.sampled_from(["0", "-1", "1/2"]))
+    elif draw(st.booleans()):
         del parent[path[-1]]
     else:
         parent[path[-1]] = draw(

@@ -334,10 +334,10 @@ def test_instance_json_rejects_unsorted_parts():
     ids=["unsorted", "repeated"],
 )
 def test_instance_rejects_parts_out_of_order(elems):
-    # ElemSet stores what it is given; the instance checks the order, which
-    # the brute-force oracle's torsion-free bound and its indices rely on
-    parts = (ElemSet(Z, ((0,), (2,))), ElemSet(Z, elems))
+    # the part refuses the order itself, which the brute-force oracle's
+    # torsion-free bound and its indices rely on
     with pytest.raises(ConfigInvalidError, match=f"^{_PART_ORDER}$"):
+        parts = (ElemSet(Z, ((0,), (2,))), ElemSet(Z, elems))
         Instance(Z, parts, PartiteHypergraph.complete((2, len(elems))))
 
 
@@ -347,8 +347,8 @@ def test_instance_rejects_non_canonical_elements():
     z5 = make_group([5])
     pair = PartiteHypergraph.complete((2, 2))
     message = "^coordinate 0 of an element is not canonical mod 5$"
-    parts = (ElemSet(z5, ((2,), (7,))), ElemSet(z5, ((0,), (1,))))
     with pytest.raises(ConfigInvalidError, match=message):
+        parts = (ElemSet(z5, ((2,), (7,))), ElemSet(z5, ((0,), (1,))))
         Instance(z5, parts, pair)
     for bad in ((-1,), (True,), (1.0,)):
         with pytest.raises(ConfigInvalidError, match=message):
@@ -359,8 +359,8 @@ def test_instance_rejects_non_canonical_elements():
 
 
 def test_instance_rejects_elements_of_the_wrong_width():
-    parts = (ElemSet(Z, ((0, 1),)), ElemSet(Z, ((0,),)))
     with pytest.raises(ShapeMismatchError, match="^an element's width is not 1$"):
+        parts = (ElemSet(Z, ((0, 1),)), ElemSet(Z, ((0,),)))
         Instance(Z, parts, PartiteHypergraph.complete((1, 1)))
 
 

@@ -79,11 +79,15 @@ def test_instance_roundtrip(tmp_path, inst):
 
 @st.composite
 def results(draw):
+    """Valid results only: k >= 1, c > 0 and an epsilon in the dense modes."""
     mode = draw(st.sampled_from(["general", "dense", "almost-all"]))
     ambient = {"kind": "ambient", "mode": mode}
-    ambient["k" if mode == "general" else "delta"] = frac_str(draw(fractions))
+    if mode == "general":
+        ambient["k"] = frac_str(1 + abs(draw(fractions)))
+    else:
+        ambient["delta"] = frac_str(draw(fractions))
     if draw(st.booleans()):
-        ambient["c"] = frac_str(draw(fractions))
+        ambient["c"] = frac_str(draw(fractions.map(abs).filter(bool)))
     sweep = {
         "kind": "count-verify",
         "min_count": str(draw(big_ints)),
@@ -100,7 +104,7 @@ def results(draw):
     return ExtractionResult(
         mode=mode,
         subsets=tuple(tuple(s) for s in subsets),
-        epsilon=draw(st.none() | fractions),
+        epsilon=draw(st.none() | fractions if mode == "general" else fractions),
         trace=(ambient, sweep),
     )
 

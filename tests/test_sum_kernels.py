@@ -4,11 +4,10 @@ restricted_sumset, sumset, iterated_sumset, sum_stats and
 representation_table add int codes, not tuples. Each is compared here with
 tests/oracles.py, which folds GroupSpec.add over every term. Groups have
 widths 1 to 3 and mix free coordinates (small, negative, and beyond
-+-2^64) with Z_2, Z_7 and a large cyclic modulus. Sets are either
-canonicalized or built directly from raw values, so cyclic coordinates
-outside [0, m) are covered too; representation_table on such a set must
-give the table of its canonical form. An Instance takes canonical parts
-only, so an instance whose raw parts are not canonical must be refused.
++-2^64) with Z_2, Z_7 and a large cyclic modulus. Sets are canonicalized
+from raw values, so cyclic coordinates outside [0, m) are covered too. A
+set built directly must be accepted exactly when its elements are already
+in that canonical form, and refused with a typed error otherwise.
 """
 
 import math
@@ -22,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bsgkit import sumsets  # noqa: E402
-from bsgkit.errors import ArityMismatchError, ConfigInvalidError  # noqa: E402
+from bsgkit.errors import ArityMismatchError, ConfigInvalidError, ShapeMismatchError  # noqa: E402
 from bsgkit.groups import make_group  # noqa: E402
 from bsgkit.hypergraph import Instance, PartiteHypergraph  # noqa: E402
 from bsgkit.sumsets import (  # noqa: E402
@@ -58,16 +57,9 @@ def _coords(m):
 
 
 def _raw_set(moduli, min_size, max_size):
-    """(canonicalize, elements) with elements of the group's width."""
+    """Elements of the group's width, cyclic coordinates in [-m, 2m)."""
     elem = st.tuples(*[_coords(m) for m in moduli])
-    return st.tuples(st.booleans(), st.lists(elem, min_size=min_size, max_size=max_size))
-
-
-def _build(spec, raw):
-    canonicalize, elems = raw
-    if canonicalize:
-        return ElemSet.from_iterable(spec, elems)
-    return ElemSet(spec, tuple(sorted(set(elems))))
+    return st.lists(elem, min_size=min_size, max_size=max_size)
 
 
 @st.composite
@@ -83,42 +75,35 @@ def instance_data(draw):
     r = draw(st.integers(2, 4))
     parts = [draw(_raw_set(moduli, 1, 3)) for _ in range(r)]
     spec = make_group(moduli)
-    sizes = [len(_build(spec, p)) for p in parts]
+    sizes = [len(ElemSet.from_iterable(spec, p)) for p in parts]
     edges = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), max_size=12))
     return moduli, parts, edges
 
 
 def _instance(moduli, raw_parts, edges):
     spec = make_group(moduli)
-    parts = tuple(_build(spec, p) for p in raw_parts)
+    parts = tuple(ElemSet.from_iterable(spec, p) for p in raw_parts)
     hg = PartiteHypergraph.build(len(parts), [len(p) for p in parts], edges)
     return Instance(spec, parts, hg)
 
 
 @SETTINGS
 @given(data=instance_data())
-@example(data=((0, 7), [(True, [(1, 2)]), (True, [(-BIG, 9)])], []))
-@example(data=((0, 7), [(False, [(1, 9)]), (False, [(-BIG, -1)])], [(0, 0)]))
+@example(data=((0, 7), [[(1, 2)], [(-BIG, 9)]], []))
+@example(data=((0, 7), [[(1, 9)], [(-BIG, -1)]], [(0, 0)]))
 def test_restricted_sumset_matches_fold(data):
-    moduli, raw_parts, _ = data
-    spec = make_group(moduli)
-    parts = [_build(spec, raw) for raw in raw_parts]
-    if any(p.elems != ElemSet.from_iterable(spec, p.elems).elems for p in parts):
-        with pytest.raises(ConfigInvalidError, match="not canonical mod"):
-            _instance(*data)
-        return
     inst = _instance(*data)
     assert restricted_sumset(inst).elems == oracle_restricted_sumset(inst)
 
 
 @SETTINGS
 @given(family=set_families(min_sets=2))
-@example(family=((2,), [(True, [(1,)]), (False, [(3,)])]))
-@example(family=((0, 2), [(False, [(BIG, 3)]), (True, [])]))
+@example(family=((2,), [[(1,)], [(3,)]]))
+@example(family=((0, 2), [[(BIG, 3)], []]))
 def test_sumset_and_iterated_sumset_match_fold(family):
     moduli, raw_sets = family
     spec = make_group(moduli)
-    sets = [_build(spec, raw) for raw in raw_sets]
+    sets = [ElemSet.from_iterable(spec, raw) for raw in raw_sets]
     expected = oracle_sumset(spec, [s.elems for s in sets])
     assert iterated_sumset(sets).elems == expected
     if len(sets) == 2:
@@ -127,11 +112,11 @@ def test_sumset_and_iterated_sumset_match_fold(family):
 
 @SETTINGS
 @given(family=set_families(min_sets=1, max_sets=1, min_size=1, max_size=6))
-@example(family=((LARGE_MODULUS,), [(False, [(-1,)])]))
+@example(family=((LARGE_MODULUS,), [[(-1,)]]))
 def test_sum_stats_matches_fold(family):
     moduli, (raw,) = family
     spec = make_group(moduli)
-    a = _build(spec, raw)
+    a = ElemSet.from_iterable(spec, raw)
     hist = oracle_signed_histogram(spec, a.elems, (1, 1))
     stats = sum_stats(a)
     assert stats.sumset_size == len(hist)
@@ -144,9 +129,9 @@ def test_sum_stats_matches_fold(family):
     family=set_families(min_sets=1, max_sets=1, min_size=1, max_size=4),
     r=st.integers(2, 4),
 )
-@example(family=((7, 0), [(False, [(-3, -BIG)])]), r=2)
+@example(family=((7, 0), [[(-3, -BIG)]]), r=2)
 def test_representation_table_matches_fold(family, r):
-    moduli, ((_, raw),) = family
+    moduli, (raw,) = family
     spec = make_group(moduli)
     # Canonical elements only: the minus histogram keys on negated elements,
     # which are canonical. At most 4^3, 3^5 or 2^7 tuples.
@@ -160,23 +145,42 @@ def test_representation_table_matches_fold(family, r):
     assert table == dict(expected)
 
 
+@st.composite
+def element_tuples(draw):
+    """A group and a tuple of elements drawn near its canonical form: some
+    of another width, a few coordinates floats, cyclic coordinates in
+    [-m, 2m), in drawn or sorted order."""
+    moduli = tuple(draw(MODULI))
+    width = len(moduli)
+    elems = []
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+        elems.append(tuple(
+            draw(st.floats(-3, 3) if draw(st.integers(0, 7)) == 0 else _coords(moduli[j % width]))
+            for j in range(w)
+        ))
+    return moduli, tuple(sorted(elems) if draw(st.booleans()) else elems)
+
 
 @SETTINGS
-@given(
-    family=set_families(min_sets=1, max_sets=1, min_size=1, max_size=4),
-    r=st.integers(2, 4),
-)
-@example(family=((2, 2), [(False, [(0, 0), (0, 2)])]), r=2)
-def test_representation_table_of_a_raw_set_is_canonical(family, r):
-    # an ElemSet built directly may hold one element under two
-    # representatives, unsorted; the table is that of its canonical set
-    moduli, ((_, raw),) = family
+@given(data=element_tuples())
+@example(data=((2, 2), ((0, 0), (0, 2))))
+@example(data=((7,), ((1,), (3,))))
+@example(data=((0,), ((2,), (1,))))
+@example(data=((0,), ((1,), (1.5,))))
+@example(data=((0, 7), ((1,),)))
+def test_elemset_accepts_exactly_its_canonical_form(data):
+    moduli, elems = data
     spec = make_group(moduli)
-    raw = raw[: 6 - r]
-    with mock.patch.object(sumsets, "DEFAULT_CONV_CELL_CAP", math.inf):
-        table = representation_table(spec, ElemSet(spec, tuple(raw)), r)
-        expected = representation_table(spec, ElemSet.from_iterable(spec, raw), r)
-    assert table == expected
+    try:
+        canonical = ElemSet.from_iterable(spec, elems).elems
+    except (ConfigInvalidError, ShapeMismatchError):
+        canonical = None
+    if elems == canonical:
+        assert ElemSet(spec, elems).elems == elems
+    else:
+        with pytest.raises((ConfigInvalidError, ShapeMismatchError)):
+            ElemSet(spec, elems)
 
 
 def test_representation_table_rejects_low_arity():
