@@ -145,6 +145,30 @@ def test_representation_table_matches_fold(family, r):
     assert table == dict(expected)
 
 
+@SETTINGS
+@given(
+    family=set_families(min_sets=1, max_sets=1, min_size=1, max_size=4),
+    r=st.integers(2, 4),
+)
+@example(family=((2, 2), [[(0, 0), (0, 2)]]), r=2)
+def test_representation_table_of_a_raw_set_is_canonical(family, r):
+    # raw elements may hold one element under two representatives, unsorted;
+    # built directly they are refused, so the table is that of the canonical
+    # set: every key is canonical and the counts sum to |S|^(2r-1)
+    moduli, (raw,) = family
+    spec = make_group(moduli)
+    raw = tuple(raw[: 6 - r])
+    s_set = ElemSet.from_iterable(spec, raw)
+    if raw != s_set.elems:
+        with pytest.raises(ConfigInvalidError):
+            ElemSet(spec, raw)
+    with mock.patch.object(sumsets, "DEFAULT_CONV_CELL_CAP", math.inf):
+        table = representation_table(spec, s_set, r)
+    for key in table:
+        assert ElemSet(spec, (key,)).elems == (key,)
+    assert sum(table.values()) == len(s_set) ** (2 * r - 1)
+
+
 @st.composite
 def element_tuples(draw):
     """A group and a tuple of elements drawn near its canonical form: some

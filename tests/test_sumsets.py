@@ -15,6 +15,7 @@ from bsgkit import sumsets
 from bsgkit.errors import (
     ConfigInvalidError,
     EmptySetError,
+    ShapeMismatchError,
     SpecMismatchError,
     TooLargeError,
     UnsupportedGroupError,
@@ -290,6 +291,23 @@ def test_pair_cap_refuses_before_any_addition(monkeypatch):
 
 SPEC = make_group([0, 7])
 BIG = 1 << 64
+
+
+def skew():
+    return ElemSet(SPEC, ((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: sumset(ElemSet.from_iterable(SPEC, [(0, 0)]), skew()),
+    lambda: sumset(skew(), skew()),
+    lambda: sum_stats(skew()),
+    lambda: sum_stats(ElemSet(Z, ((1,), (2, 3)))),
+    lambda: representation_table(SPEC, skew(), 2),
+])
+def test_wrong_width_element_raises(kernel):
+    # the set refuses the element when built, so no kernel ever packs it
+    with pytest.raises(ShapeMismatchError, match="^an element's width is not [12]$"):
+        kernel()
 
 
 def test_kernels_run_without_group_add(monkeypatch):
