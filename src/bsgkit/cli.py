@@ -107,7 +107,7 @@ def _parse_file(path: str, parse):
         raise ConfigInvalidError(f"malformed {path}: top level is not a JSON object")
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError, IndexError, ConfigInvalidError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError, ConfigInvalidError) as exc:
         raise ConfigInvalidError(f"malformed {path}: {exc!r}") from exc
 
 

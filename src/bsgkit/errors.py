@@ -75,10 +75,6 @@ class NoWitnessError(BsgkitError):
     violated or the density parameter was understated."""
 
 
-class EpsilonTooLargeError(BsgkitError):
-    """Dense extraction requires the slack parameter below 1/(10r)."""
-
-
 class UnequalPartsError(BsgkitError):
     """Dense extraction requires all parts to have equal size."""
 
@@ -105,3 +101,7 @@ class ModeMismatchError(BsgkitError):
 
 class ConfigInvalidError(BsgkitError):
     """Invalid generator or CLI configuration."""
+
+
+class EpsilonTooLargeError(ConfigInvalidError):
+    """The dense modes require the slack parameter below 1/(10r)."""

@@ -68,8 +68,8 @@ class ExtractionResult:
     """Chosen index subsets plus the ordered trace of every stage.
 
     However it is built, it has a known mode; trace[0] is the ambient entry,
-    with a rational k >= 1 (general) or delta (dense modes) and any recorded
-    sumset cap c > 0; the dense modes carry an epsilon; and every subset is
+    whose run parameters (k, or epsilon and delta, and any claimed c) pass
+    its mode's pipeline checks at r = len(subsets); and every subset is
     non-empty, strictly increasing int indices. Else ConfigInvalidError.
     """
 
@@ -83,16 +83,16 @@ class ExtractionResult:
         if not isinstance(ambient, dict) or ambient.get("kind") != "ambient":
             raise ConfigInvalidError("result trace does not start with an ambient entry")
         if self.mode == "general":
-            if parse_fraction(ambient.get("k")) < 1:
-                raise ConfigInvalidError(f"density parameter k must be >= 1, got {ambient['k']}")
+            _check_general_run(parse_fraction(ambient.get("k")))
         elif self.mode in ("dense", "almost-all"):
-            parse_fraction(ambient.get("delta"))
+            delta = parse_fraction(ambient.get("delta"))
             if self.epsilon is None:
                 raise ConfigInvalidError(f"{self.mode} result carries no epsilon")
+            _check_dense_run(len(self.subsets), self.epsilon, delta)
         else:
             raise ConfigInvalidError(f"unknown mode {self.mode!r}")
-        if "c" in ambient and parse_fraction(ambient["c"]) <= 0:
-            raise ConfigInvalidError(f"sumset cap c must be positive, got {ambient['c']}")
+        if "c" in ambient:
+            _claimed_cap(self.mode, len(self.subsets), parse_fraction(ambient["c"]))
         for i, sub in enumerate(self.subsets):
             if not sub:
                 raise ConfigInvalidError(f"chosen subset for part {i} is empty")
@@ -336,10 +336,6 @@ def iterate_extract(flat: Bipartite, k: Fraction, eps: Fraction) -> IterateOutco
     )
 
 
-def _derived_eps(r: int, k: Fraction) -> Fraction:
-    return Fraction(1) / ((r - 1) * 2 ** (r + 3) * k)
-
-
 def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     """Select per-part subsets so that every support carries many octopuses.
 
@@ -367,15 +363,14 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     h = inst.hypergraph
     r = inst.r
     k = exact_param("k", k, None)
-    if k < 1:
-        raise ConfigInvalidError(f"density parameter must be >= 1, got {k}")
+    _check_general_run(k)
     if any(s == 0 for s in h.part_sizes):
         raise EmptyPartError("all parts must be non-empty")
     total = h.total_tuples
     if h.edge_count < _density_floor(total, k):
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
     ambient = h.part_sizes
-    eps = _derived_eps(r, k)
+    eps = Fraction(1) / ((r - 1) * 2 ** (r + 3) * k)
 
     trace: list[dict] = [
         {
@@ -485,7 +480,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     size_floors = [_size_floor(p, ambient[p], k) for p in range(r)]
 
     def run_sweep() -> SweepOutcome:
-        return verify_relaxed_counts(h, [list(s) for s in subsets], count_floor)
+        return verify_relaxed_counts(h, subsets, count_floor)
 
     # The degree and partner filters cannot rule out a support vertex whose
     # few edges all point back at the support itself; such a support carries
@@ -547,6 +542,7 @@ def dense_extract(
     trims each part to exactly ceil((1 - eps) n) vertices by dropping the
     highest indices. delta="auto" resolves to eps/(10r). Every support is
     verified against the n^(r(r-1))/2 count floor.
+    eps and the resolved delta must pass _check_dense_run, as a result does.
     """
     h = inst.hypergraph
     r = inst.r
@@ -557,15 +553,10 @@ def dense_extract(
     if n == 0:
         raise EmptyPartError("parts are empty")
     eps = exact_param("eps", eps, None)
-    if eps <= 0:
-        raise ConfigInvalidError(f"eps must be positive, got {eps}")
-    if eps >= Fraction(1, 10 * r):
-        raise EpsilonTooLargeError(f"eps {eps} is not below 1/(10*{r})")
     delta = exact_param("delta", delta, "auto")
     delta_auto = delta == "auto"
     delta_val = eps / (10 * r) if delta_auto else delta
-    if delta_val < 0:
-        raise ConfigInvalidError(f"delta must be >= 0, got {delta_val}")
+    _check_dense_run(r, eps, delta_val)
     total = h.total_tuples
     if h.edge_count < _near_complete_floor(delta_val, total):
         raise DensityTooLowError(
@@ -605,9 +596,7 @@ def dense_extract(
             }
         )
 
-    sweep = verify_relaxed_counts(
-        h, [list(s) for s in subsets], _dense_count_floor(r, n)
-    )
+    sweep = verify_relaxed_counts(h, subsets, _dense_count_floor(r, n))
     trace.append(sweep.to_trace())
     return ExtractionResult(
         mode="dense",
@@ -704,6 +693,22 @@ def _restricted_cap_row(
         cap * part_sizes[0],
         "restricted sumset size against the linear cap",
     )
+
+
+def _check_general_run(k: Fraction) -> None:
+    """The general run parameter: a density parameter k >= 1."""
+    if k < 1:
+        raise ConfigInvalidError(f"density parameter k must be >= 1, got {k}")
+
+
+def _check_dense_run(r: int, eps: Fraction, delta: Fraction) -> None:
+    """The dense modes' run parameters at arity r: 0 < eps < 1/(10r), 0 <= delta < 1."""
+    if eps <= 0:
+        raise ConfigInvalidError(f"eps must be positive, got {eps}")
+    if 10 * r * eps >= 1:
+        raise EpsilonTooLargeError(f"eps {eps} is not below 1/(10*{r})")
+    if not 0 <= delta < 1:
+        raise ConfigInvalidError(f"delta must lie in [0, 1), got {delta}")
 
 
 def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
@@ -854,6 +859,7 @@ def bsg_extract(
     cap = _claimed_cap("general", r, c)
     total = h.total_tuples
     k_eff = h.measured_k() if k == "measured" else k
+    _check_general_run(k_eff)
     if h.edge_count < _density_floor(total, k_eff):
         raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
     osize = len(restricted_sumset(inst))

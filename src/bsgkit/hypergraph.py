@@ -10,8 +10,8 @@ so a vertex's degree or a pair's codegree is one popcount of ``adj``;
 
 Work over the whole edge list runs a coordinate column at a time, with
 C-level ``map``/``zip``/``set``/``min``/``max`` in place of a Python loop
-per edge. ``build`` validates arity, coordinate types and ranges in bulk
-and rescans edge by edge only to name the first bad edge;
+per edge. ``build`` validates edge arity, coordinate types and ranges in
+bulk and rescans edge by edge only to name the first bad edge;
 ``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
 plain JSON int; ``flatten``, ``PartiteHypergraph.degree`` and ``induce``
 stream columns with ``map(itemgetter(i), edges)``, so no transposed copy of
@@ -21,12 +21,14 @@ the edges is held;
 kept lists, which is how the general pipeline reads a restricted
 hypergraph's flattening without inducing it.
 
-Every vertex index a PartiteHypergraph query takes passes one check,
+A hypergraph's shape (an int arity r >= 2, one int size >= 0 per part, at
+most TUPLE_CAP index tuples) has one check, the PartiteHypergraph
+constructor; ``build`` and ``complete`` run it on an edgeless graph before
+they touch an edge. Every vertex index a query takes passes one check,
 ``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
-the same rule to left and right indices. No hypergraph may span more than
-TUPLE_CAP index tuples; the check runs before any tuple is allocated.
-An ``Instance`` checks that its parts are of its group and of the
-hypergraph's part sizes; each part, an ``ElemSet``, checks its own elements.
+the same rule to left and right indices. An ``Instance`` checks that its
+parts are of its group and of the hypergraph's arity and part sizes; each
+part, an ``ElemSet``, checks its own elements.
 """
 
 from __future__ import annotations
@@ -59,21 +61,6 @@ def tuple_total(sizes: Sequence[int]) -> int:
     return require_within_cap(
         math.prod(sizes), TUPLE_CAP, f"index tuples over part sizes {tuple(sizes)}"
     )
-
-
-def _checked_sizes(r: int, part_sizes: Sequence[int]) -> tuple[int, ...]:
-    """r part sizes as a tuple: r >= 2, every size an int (not a bool), and
-    their product within TUPLE_CAP."""
-    if r < 2:
-        raise ArityMismatchError(f"arity must be >= 2, got {r}")
-    sizes = tuple(part_sizes)
-    for s in sizes:
-        if not is_int(s):
-            raise ConfigInvalidError(f"part size {s!r} is not an int")
-    if len(sizes) != r:
-        raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
-    tuple_total(sizes)
-    return sizes
 
 
 def _check_index(what: str, v: int, size: int) -> None:
@@ -237,12 +224,20 @@ class PartiteHypergraph:
     edges: tuple[tuple[int, ...], ...]  # lex sorted, deduplicated
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ArityMismatchError(f"arity must be >= 2, got {self.r}")
-        if len(self.part_sizes) != self.r:
-            raise ArityMismatchError(
-                f"{len(self.part_sizes)} part sizes for arity {self.r}"
-            )
+        """The one check of shape; see the module docstring."""
+        r, sizes = self.r, self.part_sizes
+        if not is_int(r):
+            raise ConfigInvalidError(f"arity {r!r} is not an int")
+        if r < 2:
+            raise ArityMismatchError(f"arity must be >= 2, got {r}")
+        for s in sizes:
+            if not is_int(s):
+                raise ConfigInvalidError(f"part size {s!r} is not an int")
+            if s < 0:
+                raise ConfigInvalidError(f"part size {s} is negative")
+        if len(sizes) != r:
+            raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
+        tuple_total(sizes)
 
     @classmethod
     def build(
@@ -253,14 +248,12 @@ class PartiteHypergraph:
     ) -> "PartiteHypergraph":
         """Validate, deduplicate and sort an edge list.
 
-        The arity, part sizes and coordinates must be ints; a bool, float or
-        any other value raises ConfigInvalidError naming it, with no rounding.
-        The edges are checked in bulk; on a fault, _raise_first_fault names
-        the first bad edge in input order.
+        The shape is checked first, by the constructor. Coordinates must be
+        ints; a bool, float or any other value raises ConfigInvalidError
+        naming it, with no rounding. The edges are checked in bulk; on a
+        fault, _raise_first_fault names the first bad edge in input order.
         """
-        if not is_int(r):
-            raise ConfigInvalidError(f"arity {r!r} is not an int")
-        sizes = _checked_sizes(r, part_sizes)
+        sizes = cls(r, tuple(part_sizes), ()).part_sizes
         raw = list(edge_list)
         try:
             edges = list(map(tuple, raw))
@@ -274,8 +267,8 @@ class PartiteHypergraph:
 
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
-        """Every index tuple over parts of these sizes, checked as in build."""
-        sizes = _checked_sizes(len(part_sizes), part_sizes)
+        """Every index tuple over parts of these sizes, shape checked first."""
+        sizes = cls(len(part_sizes), tuple(part_sizes), ()).part_sizes
         return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
 
     @cached_property
@@ -396,8 +389,6 @@ class Instance:
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ArityMismatchError("an instance needs at least 2 parts")
         if self.hypergraph.r != len(self.parts):
             raise ArityMismatchError(
                 f"hypergraph arity {self.hypergraph.r} != {len(self.parts)} parts"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, le
 
 
 @dataclass(frozen=True)
@@ -51,20 +52,22 @@ class BoundReport:
         }
 
 
-def check_le(name: str, lhs: Fraction | int, rhs: Fraction | int, anchor: str) -> Inequality:
-    """Record lhs <= rhs, cross-multiplied to integers."""
+def _compare(name: str, relation: str, holds, lhs, rhs, anchor: str) -> Inequality:
+    """Record lhs `relation` rhs, cross-multiplied to integers, which holds compares."""
     lf, rf = Fraction(lhs), Fraction(rhs)
     left = lf.numerator * rf.denominator
     right = rf.numerator * lf.denominator
-    return Inequality(name, "<=", left, right, left <= right, anchor)
+    return Inequality(name, relation, left, right, holds(left, right), anchor)
+
+
+def check_le(name: str, lhs: Fraction | int, rhs: Fraction | int, anchor: str) -> Inequality:
+    """Record lhs <= rhs, cross-multiplied to integers."""
+    return _compare(name, "<=", le, lhs, rhs, anchor)
 
 
 def check_ge(name: str, lhs: Fraction | int, rhs: Fraction | int, anchor: str) -> Inequality:
     """Record lhs >= rhs, cross-multiplied to integers."""
-    lf, rf = Fraction(lhs), Fraction(rhs)
-    left = lf.numerator * rf.denominator
-    right = rf.numerator * lf.denominator
-    return Inequality(name, ">=", left, right, left >= right, anchor)
+    return _compare(name, ">=", ge, lhs, rhs, anchor)
 
 
 def check_eq(name: str, lhs: int, rhs: int, anchor: str) -> Inequality:

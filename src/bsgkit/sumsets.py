@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from operator import add, itemgetter, lt
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, itemgetter, lt, mod
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
@@ -49,7 +50,7 @@ class ElemSet:
     ConfigInvalidError). Each rule runs a coordinate column or the element
     list at a time. The kernels and every Instance trust the set as it is.
     from_iterable is the normalizing constructor: it canonicalizes,
-    deduplicates and sorts.
+    deduplicates and sorts, a coordinate column at a time.
     """
 
     spec: GroupSpec
@@ -67,21 +68,18 @@ class ElemSet:
 
     @classmethod
     def from_iterable(cls, spec: GroupSpec, items: Iterable[Sequence[int]]) -> "ElemSet":
-        canon = {spec.canon(tuple(e)) for e in items}
-        return cls(spec, tuple(sorted(canon)))
-
-    @cached_property
-    def _as_set(self) -> frozenset:
-        return frozenset(self.elems)
+        raw, width = list(map(tuple, items)), spec.width
+        if set(map(len, raw)) - {width}:
+            raise ShapeMismatchError(f"an element's width is not {width}")
+        cols = list(zip(*raw))
+        for j, (col, m) in enumerate(zip(cols, spec.moduli)):
+            if set(map(type, col)) != {int}:  # before reduction turns True into 1
+                raise ConfigInvalidError(f"coordinate {j} of an element is not canonical mod {m}")
+        cols = [map(mod, col, repeat(m)) if m else col for col, m in zip(cols, spec.moduli)]
+        return cls(spec, tuple(sorted(set(zip(*cols)))))
 
     def __len__(self) -> int:
         return len(self.elems)
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __contains__(self, elem) -> bool:
-        return elem in self._as_set
 
     def to_json(self) -> list:
         return [elem_to_json(e) for e in self.elems]

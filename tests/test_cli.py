@@ -221,6 +221,7 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
         ("measure", {"group": {"moduli": [7.9]}, "parts": [[[0]], [[1]]],
                      "edges": "complete"}),
         ("verify", {"result": {"mode": "general"}}),
+        ("verify", {"result": None}),
         ("energy", {"group": {"moduli": [0]}}),
         ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]]}),
         ("verify", {"mode": "general", "subsets": [[0, 1], [0, 1]],
@@ -239,6 +240,16 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
                     "trace": [{"kind": "ambient", "k": "1"}]}),
         ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]],
                     "trace": [{"kind": "ambient", "delta": "0"}]}),
+        ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]], "epsilon": "1/2",
+                    "trace": [{"kind": "ambient", "delta": "0"}]}),
+        ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]], "epsilon": "1/25",
+                    "trace": [{"kind": "ambient", "delta": "1"}]}),
+        ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]], "epsilon": "1/25",
+                    "trace": [{"kind": "ambient", "delta": "-1/100"}]}),
+        ("verify", {"mode": "dense", "subsets": [[0, 1], [0, 1]], "epsilon": "0",
+                    "trace": [{"kind": "ambient", "delta": "0"}]}),
+        ("verify", {"mode": "almost-all", "subsets": [[0, 1], [0, 1]], "epsilon": "1/20",
+                    "trace": [{"kind": "ambient", "delta": "0"}]}),
         ("report", {"bounds": {"inequalities": [
             {"name": "a", "relation": ">=", "lhs": "1", "rhs": "0"}]}}),
         ("report", {"inequalities": "abc"}),
@@ -246,10 +257,12 @@ def test_sumset_statistics_have_their_own_cap(tmp_path, capsys, monkeypatch):
         ("report", {"inequalities": [_FAILING_ROW], "overall": True}),
         ("report", {"inequalities": [_FAILING_ROW], "overall": "false"}),
     ],
-    ids=["no-group", "bad-modulus", "float-modulus", "result-without-subsets", "set-without-elems",
-         "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
+    ids=["no-group", "bad-modulus", "float-modulus", "result-without-subsets", "result-null",
+         "set-without-elems", "result-without-trace", "ambient-without-k", "epsilon-not-a-string",
          "k-not-a-string", "k-zero", "k-negative", "c-negative", "unknown-mode",
-         "dense-without-epsilon", "row-without-pass", "rows-not-a-list", "report-not-an-object",
+         "dense-without-epsilon", "dense-epsilon-too-large", "dense-delta-one",
+         "dense-delta-negative", "dense-epsilon-zero", "almost-all-epsilon-at-cap",
+         "row-without-pass", "rows-not-a-list", "report-not-an-object",
          "overall-true-over-failing-row", "overall-not-a-bool"],
 )
 def test_malformed_input_fails_typed(tmp_path, capsys, command, payload):

@@ -379,6 +379,34 @@ def test_pipeline_parameter_must_be_exact(call, name):
         call(gen_instance(_COMPLETE_12))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda inst: dense_extract(inst, _EPS, Fraction(2)), "delta must lie in [0, 1), got 2"),
+        (lambda inst: dense_extract(inst, _EPS, Fraction(1)), "delta must lie in [0, 1), got 1"),
+        (lambda inst: dense_extract(inst, _EPS, Fraction(-1, 100)),
+         "delta must lie in [0, 1), got -1/100"),
+        (lambda inst: dense_extract(inst, Fraction(0)), "eps must be positive, got 0"),
+        (lambda inst: almost_all_extract(inst, "measured", _EPS, Fraction(1)),
+         "delta must lie in [0, 1), got 1"),
+        (lambda inst: octopus_extract(inst, Fraction(1, 2)),
+         "density parameter k must be >= 1, got 1/2"),
+        (lambda inst: bsg_extract(inst, 0), "density parameter k must be >= 1, got 0"),
+        (lambda inst: bsg_extract(inst, Fraction(1, 2)),
+         "density parameter k must be >= 1, got 1/2"),
+    ],
+    ids=["dense-delta-two", "dense-delta-one", "dense-delta-negative", "dense-eps-zero",
+         "almost-all-delta-one", "octopus-k-half", "bsg-k-zero", "bsg-k-half"],
+)
+def test_run_parameter_out_of_range_is_refused(call, message):
+    # a delta >= 1 made the edge-density floor vacuous, and bsg_extract
+    # divided by a k of 0 before any check saw it
+    with pytest.raises(ConfigInvalidError) as info:
+        call(gen_instance(_COMPLETE_12))
+    assert type(info.value) is ConfigInvalidError
+    assert str(info.value) == message
+
+
 def test_ambient_entry_records_each_run_fact_once():
     # the result's own mode and epsilon are the only copies
     inst = gen_instance(GenConfig.make(r=2, n=12, family="complete", seed=0))

@@ -364,6 +364,21 @@ def test_instance_rejects_elements_of_the_wrong_width():
         Instance(Z, parts, PartiteHypergraph.complete((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PartiteHypergraph.build(2, (-2, -3), []),
+        lambda: PartiteHypergraph.complete((-2, -3)),
+        lambda: PartiteHypergraph(2, (-2, -3), ()),
+    ],
+    ids=["build", "complete", "constructor"],
+)
+def test_negative_part_sizes_are_refused(make):
+    # (-2, -3) was accepted as a graph of 6 tuples and no edges
+    with pytest.raises(ConfigInvalidError, match=r"^part size -2 is negative$"):
+        make()
+
+
 def test_canonical_edge_order():
     h = PartiteHypergraph.build(2, (3, 3), [(2, 1), (0, 2), (0, 1)])
     assert h.edges == ((0, 1), (0, 2), (2, 1))

@@ -79,13 +79,24 @@ def test_instance_roundtrip(tmp_path, inst):
 
 @st.composite
 def results(draw):
-    """Valid results only: k >= 1, c > 0 and an epsilon in the dense modes."""
+    """Valid results only: k >= 1, c > 0, and in the dense modes
+    0 <= delta < 1 and an epsilon in (0, 1/(10r)), r the number of subsets."""
     mode = draw(st.sampled_from(["general", "dense", "almost-all"]))
+    unit = fractions.map(abs).map(lambda f: f / (1 + f))  # in [0, 1)
+    subsets = draw(
+        st.lists(
+            st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True).map(sorted),
+            min_size=2,
+            max_size=4,
+        )
+    )
     ambient = {"kind": "ambient", "mode": mode}
     if mode == "general":
         ambient["k"] = frac_str(1 + abs(draw(fractions)))
+        epsilon = draw(st.none() | fractions)
     else:
-        ambient["delta"] = frac_str(draw(fractions))
+        ambient["delta"] = frac_str(draw(unit))
+        epsilon = draw(unit.filter(bool)) / (10 * len(subsets))
     if draw(st.booleans()):
         ambient["c"] = frac_str(draw(fractions.map(abs).filter(bool)))
     sweep = {
@@ -94,17 +105,10 @@ def results(draw):
         "checked": draw(st.integers(1, 10**4)),
         "exhaustive": draw(st.booleans()),
     }
-    subsets = draw(
-        st.lists(
-            st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True).map(sorted),
-            min_size=2,
-            max_size=4,
-        )
-    )
     return ExtractionResult(
         mode=mode,
         subsets=tuple(tuple(s) for s in subsets),
-        epsilon=draw(st.none() | fractions if mode == "general" else fractions),
+        epsilon=epsilon,
         trace=(ambient, sweep),
     )
 

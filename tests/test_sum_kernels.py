@@ -172,15 +172,19 @@ def test_representation_table_of_a_raw_set_is_canonical(family, r):
 @st.composite
 def element_tuples(draw):
     """A group and a tuple of elements drawn near its canonical form: some
-    of another width, a few coordinates floats, cyclic coordinates in
-    [-m, 2m), in drawn or sorted order."""
+    of another width, a few coordinates floats or bools, cyclic coordinates
+    in [-m, 2m), in drawn or sorted order."""
     moduli = tuple(draw(MODULI))
     width = len(moduli)
     elems = []
     for _ in range(draw(st.integers(0, 4))):
         w = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
         elems.append(tuple(
-            draw(st.floats(-3, 3) if draw(st.integers(0, 7)) == 0 else _coords(moduli[j % width]))
+            draw(
+                st.floats(-3, 3) | st.booleans()
+                if draw(st.integers(0, 7)) == 0
+                else _coords(moduli[j % width])
+            )
             for j in range(w)
         ))
     return moduli, tuple(sorted(elems) if draw(st.booleans()) else elems)
@@ -192,6 +196,8 @@ def element_tuples(draw):
 @example(data=((7,), ((1,), (3,))))
 @example(data=((0,), ((2,), (1,))))
 @example(data=((0,), ((1,), (1.5,))))
+@example(data=((5,), ((True,), (2,))))
+@example(data=((0,), ((False,), (2,))))
 @example(data=((0, 7), ((1,),)))
 def test_elemset_accepts_exactly_its_canonical_form(data):
     moduli, elems = data

@@ -341,12 +341,16 @@ def test_kernels_run_without_group_add(monkeypatch):
 def test_elemset_dedup_and_order():
     s = ElemSet.from_iterable(Z5, [(7,), (2,), (2,), (0,)])
     assert s.elems == ((0,), (2,))
-    assert (2,) in s and (1,) not in s
+    assert (2,) in s.elems and (1,) not in s.elems
 
 
-@pytest.mark.parametrize("items", [[(1.5,), (2,)], [(True,), (2,)]], ids=["float", "bool"])
-def test_elemset_from_iterable_rejects_non_int_coordinates(items):
-    # a free coordinate passes canonicalization as it is, so the set itself
-    # must refuse it before any kernel packs it
-    with pytest.raises(ConfigInvalidError, match="^coordinate 0 of an element is not canonical mod 0$"):
-        ElemSet.from_iterable(Z, items)
+@pytest.mark.parametrize(
+    "spec, items",
+    [(Z, [(1.5,), (2,)]), (Z, [(True,), (2,)]), (Z5, [(True,), (2,)]), (Z5, [(1.0,), (2,)])],
+    ids=["float", "bool", "bool-mod-5", "float-mod-5"],
+)
+def test_elemset_from_iterable_rejects_non_int_coordinates(spec, items):
+    # refused before reduction mod 5, which turns True into the int 1
+    m = spec.moduli[0]
+    with pytest.raises(ConfigInvalidError, match=f"^coordinate 0 of an element is not canonical mod {m}$"):
+        ElemSet.from_iterable(spec, items)
