@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConfigInvalidError,
@@ -220,10 +220,10 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
 
     Requires edge count >= left*right/k. Scans right pivots in descending
     degree (ties by index), starts from the pivot's neighborhood, and while
-    the subset stays above its size floor deletes the vertex participating
-    in the most bad ordered pairs. Both claimed conditions are verified
-    before returning; ordered pairs include (v, v), whose codegree is the
-    degree of v. Any pivot that passes is a valid witness; the first one in
+    the subset is at or above its size floor deletes the vertex
+    participating in the most bad ordered pairs. Both claimed conditions are
+    verified before returning; ordered pairs include (v, v), whose codegree
+    is the degree of v. Any pivot that passes is a valid witness; the first one in
     scan order is returned, so identical inputs give identical outcomes.
     """
     k = exact_param("k", k, None)
@@ -261,8 +261,6 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
                     bad_pair_fraction=fraction,
                     codegree_threshold=cothreshold,
                 )
-            if Fraction(len(u)) <= size_floor:
-                break
             worst = None
             worst_score = -1
             for idx, v in enumerate(u):
@@ -340,13 +338,15 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     """Select per-part subsets so that every support carries many octopuses.
 
     The pair-quality parameter is eps = 1/((r-1) 2^(r+3) k); since k >= 1 is
-    required, eps <= 1/32. Runs one prune-and-select round per part below
-    the last (drc_extract, pivots in descending degree), each followed by
-    a partner filter that keeps vertices forming good pairs with all but a
-    2*eps fraction of the selected set, then keeps last-part vertices of high
-    degree in the filtered hypergraph. Partner counting treats the vertex
-    itself as a good partner, so the kept set is exactly the set whose bad
-    partner count is at most 2*eps times the selected size.
+    required, eps <= 1/32; the first round's iterate_extract checks on
+    h.flatten(0) that no part is empty and that there are total/k edges.
+    Runs one prune-and-select round per part below the last (drc_extract,
+    pivots in descending degree), each followed by a partner filter that
+    keeps vertices forming good pairs with all but a 2*eps fraction of the
+    selected set, then keeps last-part vertices of high degree in the
+    filtered hypergraph. Partner counting treats the vertex itself as a
+    good partner, so the kept set is exactly the set whose bad partner
+    count is at most 2*eps times the selected size.
 
     No stage induces a hypergraph. The parts stage s has already restricted
     are the leading right digits of h.flatten(s), so each stage reads that
@@ -364,11 +364,6 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     r = inst.r
     k = exact_param("k", k, None)
     _check_general_run(k)
-    if any(s == 0 for s in h.part_sizes):
-        raise EmptyPartError("all parts must be non-empty")
-    total = h.total_tuples
-    if h.edge_count < _density_floor(total, k):
-        raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k}")
     ambient = h.part_sizes
     eps = Fraction(1) / ((r - 1) * 2 ** (r + 3) * k)
 
@@ -476,7 +471,7 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
         }
     )
 
-    count_floor = _general_count_floor(r, k, total)
+    count_floor = _general_count_floor(r, k, h.total_tuples)
     size_floors = [_size_floor(p, ambient[p], k) for p in range(r)]
 
     def run_sweep() -> SweepOutcome:
@@ -546,8 +541,7 @@ def dense_extract(
     """
     h = inst.hypergraph
     r = inst.r
-    sizes = set(h.part_sizes)
-    if len(sizes) != 1:
+    if len(set(h.part_sizes)) != 1:
         raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")
     n = h.part_sizes[0]
     if n == 0:
@@ -707,6 +701,11 @@ def _check_dense_run(r: int, eps: Fraction, delta: Fraction) -> None:
         raise ConfigInvalidError(f"eps must be positive, got {eps}")
     if 10 * r * eps >= 1:
         raise EpsilonTooLargeError(f"eps {eps} is not below 1/(10*{r})")
+    _check_delta(delta)
+
+
+def _check_delta(delta: Fraction) -> None:
+    """The near-complete parameter of the dense modes and generator: 0 <= delta < 1."""
     if not 0 <= delta < 1:
         raise ConfigInvalidError(f"delta must lie in [0, 1), got {delta}")
 
@@ -839,6 +838,26 @@ def _as_claimed(result: ExtractionResult, mode: str, c: Fraction | str) -> Extra
     return dataclasses.replace(result, mode=mode, trace=trace)
 
 
+def _reported_run(
+    inst: Instance, mode: str, c: Fraction | str, pipeline: Callable[[], ExtractionResult]
+) -> tuple[ExtractionResult, BoundReport]:
+    """Check a claimed c, and its cap against the restricted sumset (computed
+    once), before pipeline() does any work; then report its result in mode."""
+    part_sizes = inst.part_sizes
+    r = inst.r
+    cap = _claimed_cap(mode, r, c)
+    osize = len(restricted_sumset(inst))
+    if cap is not None and not _restricted_cap_row(mode, osize, cap, part_sizes).passed:
+        raise HypothesisViolatedError(
+            "restricted-sumset-cap",
+            f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {math.prod(part_sizes)}"
+            if mode == "general"
+            else f"|restricted sumset| = {osize} exceeds {cap} * {part_sizes[0]}",
+        )
+    result = _as_claimed(pipeline(), mode, c)
+    return result, recorded_report(inst, result, osize)
+
+
 def bsg_extract(
     inst: Instance,
     k: Fraction | str = "measured",
@@ -851,27 +870,18 @@ def bsg_extract(
     exact rational c^r throughout, and the growth bound is compared after
     raising both sides to the r-th power so no irrational arithmetic occurs.
     A claimed c is recorded in the ambient trace entry.
+
+    Checks, in order: the types of k and c and a C <= 0, before any work; a
+    claimed C^r against the restricted sumset (HypothesisViolatedError);
+    then octopus_extract's own (k >= 1, non-empty parts, density floor).
     """
     k = exact_param("k", k, "measured")
     c = exact_param("c", c, "measured")
-    h = inst.hypergraph
-    r = inst.r
-    cap = _claimed_cap("general", r, c)
-    total = h.total_tuples
-    k_eff = h.measured_k() if k == "measured" else k
-    _check_general_run(k_eff)
-    if h.edge_count < _density_floor(total, k_eff):
-        raise DensityTooLowError(f"{h.edge_count} edges is below {total}/{k_eff}")
-    osize = len(restricted_sumset(inst))
-    if cap is not None and not _restricted_cap_row("general", osize, cap, h.part_sizes).passed:
-        raise HypothesisViolatedError(
-            "restricted-sumset-cap",
-            f"|restricted sumset|^{r} = {osize**r} exceeds c^{r} * {total}",
-        )
 
-    result = octopus_extract(inst, k_eff)
-    result = _as_claimed(result, "general", c)
-    return result, recorded_report(inst, result, osize)
+    def pipeline() -> ExtractionResult:
+        return octopus_extract(inst, inst.hypergraph.measured_k() if k == "measured" else k)
+
+    return _reported_run(inst, "general", c, pipeline)
 
 
 def almost_all_extract(
@@ -881,24 +891,11 @@ def almost_all_extract(
     delta: Fraction | str = "auto",
 ) -> tuple[ExtractionResult, BoundReport]:
     """Dense pipeline plus the linear sumset bound 2 c^(2r-1) n. A claimed c
-    is recorded in the ambient trace entry."""
-    c = exact_param("c", c, "measured")
-    eps = exact_param("eps", eps, None)
-    delta = exact_param("delta", delta, "auto")
-    cap = _claimed_cap("almost-all", inst.r, c)
-    h = inst.hypergraph
-    if len(set(h.part_sizes)) != 1:
-        raise UnequalPartsError(f"part sizes {h.part_sizes} are not all equal")
-    n = h.part_sizes[0]
-    if n == 0:
-        raise EmptyPartError("parts are empty")
-    osize = len(restricted_sumset(inst))
-    if cap is not None and not _restricted_cap_row("almost-all", osize, cap, h.part_sizes).passed:
-        raise HypothesisViolatedError(
-            "restricted-sumset-cap",
-            f"|restricted sumset| = {osize} exceeds {cap} * {n}",
-        )
+    is recorded in the ambient trace entry.
 
-    result = dense_extract(inst, eps, delta)
-    result = _as_claimed(result, "almost-all", c)
-    return result, recorded_report(inst, result, osize)
+    Checks, in order: the type of c and a C <= 0, before any work; a claimed
+    C against the restricted sumset (HypothesisViolatedError); then
+    dense_extract's own (equal non-empty parts, eps, delta, density floor).
+    """
+    c = exact_param("c", c, "measured")
+    return _reported_run(inst, "almost-all", c, lambda: dense_extract(inst, eps, delta))

@@ -28,7 +28,7 @@ from .errors import (
     NoEdgesError,
     TooLargeError,
 )
-from .extraction import ExtractionResult, ledger
+from .extraction import ExtractionResult, _check_delta, _check_general_run, ledger
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
 from .jsonio import exact_param, frac_str, is_int
@@ -55,8 +55,8 @@ class GenConfig:
     family parameters: k for random-density, ap_fraction and target_c for
     planted, delta for dense. Unused parameters must stay None. r, sizes,
     moduli and seed are ints and the family parameters ints or Fractions;
-    validate rejects anything else (bool and float included) rather than
-    rounding it.
+    building a config rejects anything else (bool and float included), or a
+    parameter out of its family's range, with ConfigInvalidError.
     """
 
     r: int
@@ -82,14 +82,14 @@ class GenConfig:
         target_c: Fraction | None = None,
         delta: Fraction | None = None,
     ) -> "GenConfig":
-        # a non-int r is left for validate to reject by name
+        # a non-int r is left for __post_init__ to reject by name
         sizes = tuple(n) if isinstance(n, Sequence) else (n,) * (r if is_int(r) else 1)
         return cls(
             r=r, sizes=sizes, moduli=tuple(moduli), seed=seed, family=family,
             k=k, ap_fraction=ap_fraction, target_c=target_c, delta=delta,
         )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("r", "sizes", "moduli", "seed"):
             value = getattr(self, name)
             values = value if name in ("sizes", "moduli") else (value,)
@@ -110,16 +110,18 @@ class GenConfig:
         if not 0 <= self.seed < (1 << 64):
             raise ConfigInvalidError("seed must be a 64-bit unsigned integer")
         if self.family == "random-density":
-            if self.k is None or self.k < 1:
-                raise ConfigInvalidError("random-density requires k >= 1")
+            if self.k is None:
+                raise ConfigInvalidError("random-density requires k")
+            _check_general_run(self.k)
         if self.family == "planted":
             if self.ap_fraction is None or not 0 < self.ap_fraction <= 1:
                 raise ConfigInvalidError("planted requires ap_fraction in (0, 1]")
             if self.target_c is None or self.target_c <= 0:
                 raise ConfigInvalidError("planted requires target_c > 0")
         if self.family == "dense":
-            if self.delta is None or not 0 <= self.delta < 1:
-                raise ConfigInvalidError("dense requires delta in [0, 1)")
+            if self.delta is None:
+                raise ConfigInvalidError("dense requires delta")
+            _check_delta(self.delta)
 
     def meta(self) -> dict:
         params: dict = {}
@@ -174,7 +176,6 @@ def gen_instance(cfg: GenConfig) -> Instance:
     Index tuples come from one lexicographic stream, product over the part
     ranges; the dense family removes tuples by their position in it.
     """
-    cfg.validate()
     total = tuple_total(cfg.sizes)
     spec = make_group(cfg.moduli)
     rng = SplitMix64(cfg.seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, le
+from operator import eq, ge, le
 
 
 @dataclass(frozen=True)
@@ -71,4 +71,5 @@ def check_ge(name: str, lhs: Fraction | int, rhs: Fraction | int, anchor: str) -
 
 
 def check_eq(name: str, lhs: int, rhs: int, anchor: str) -> Inequality:
-    return Inequality(name, "==", int(lhs), int(rhs), int(lhs) == int(rhs), anchor)
+    """Record lhs == rhs; integer sides cross-multiply by a denominator of 1."""
+    return _compare(name, "==", eq, lhs, rhs, anchor)

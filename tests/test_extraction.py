@@ -11,6 +11,7 @@ from bsgkit import extraction
 from bsgkit.errors import (
     ConfigInvalidError,
     DensityTooLowError,
+    EmptyPartError,
     EpsilonTooLargeError,
     HypothesisViolatedError,
     NoWitnessError,
@@ -27,11 +28,16 @@ from bsgkit.extraction import (
     octopus_extract,
     verify_relaxed_counts,
 )
-from bsgkit.hypergraph import PartiteHypergraph
+from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import parse_fraction
+from bsgkit.sumsets import ElemSet
 from kernel_tables import verifier_table
 from oracles import brute_codegree, oracle_leg_count, oracle_relaxed
+
+
+_COMPLETE_12 = GenConfig.make(r=2, n=12, family="complete", seed=0)
+_EPS = Fraction(1, 25)
 
 
 def test_drc_complete():
@@ -138,14 +144,21 @@ def test_octopus_extract_complete_r2():
     assert res.sizes() == (16, 16)
 
 
-def test_octopus_extract_density_too_low():
-    h = PartiteHypergraph.build(2, (4, 4), [(0, 0), (1, 1)])
+def _sparse_4x4():
+    # 2 of the 16 index tuples of a complete 4x4 instance
     inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
-    from bsgkit.hypergraph import Instance
+    return Instance(inst.spec, inst.parts, PartiteHypergraph.build(2, (4, 4), [(0, 0), (1, 1)]))
 
-    sparse = Instance(inst.spec, inst.parts, h)
+
+def _empty_first_part():
+    inst = gen_instance(GenConfig.make(r=2, n=4, family="complete", seed=0))
+    empty = ElemSet.from_iterable(inst.spec, [])
+    return Instance(inst.spec, (empty, inst.parts[1]), PartiteHypergraph.build(2, (0, 4), []))
+
+
+def test_octopus_extract_density_too_low():
     with pytest.raises(DensityTooLowError):
-        octopus_extract(sparse, Fraction(2))
+        octopus_extract(_sparse_4x4(), Fraction(2))
 
 
 def test_octopus_extract_planted_posthoc_recount():
@@ -292,6 +305,64 @@ def test_bsg_extract_hypothesis_violated():
 
 
 @pytest.mark.parametrize(
+    "build, call, error, message",
+    [
+        (_sparse_4x4, lambda inst: bsg_extract(inst, Fraction(2)),
+         DensityTooLowError, "2 edges is below 16/2"),
+        (_sparse_4x4, lambda inst: bsg_extract(inst, Fraction(2), Fraction(2)),
+         DensityTooLowError, "2 edges is below 16/2"),
+        (lambda: gen_instance(GenConfig.make(r=2, n=[6, 8], family="complete", seed=0)),
+         lambda inst: almost_all_extract(inst, "measured"),
+         UnequalPartsError, "part sizes (6, 8) are not all equal"),
+        (_empty_first_part, lambda inst: octopus_extract(inst, Fraction(1)),
+         EmptyPartError, "all parts must be non-empty"),
+        (_empty_first_part, lambda inst: bsg_extract(inst, Fraction(1)),
+         EmptyPartError, "all parts must be non-empty"),
+    ],
+    ids=["bsg-sparse", "bsg-sparse-cap-holds", "almost-all-unequal", "octopus-empty-part",
+         "bsg-empty-part"],
+)
+def test_single_fault_raises_the_pipeline_error(build, call, error, message):
+    # the wrappers and octopus_extract leave these checks to the code they
+    # call, whose type and message come through unchanged
+    with pytest.raises(error) as info:
+        call(build())
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _no_extraction(*args):
+    raise AssertionError("extraction ran before the cap was checked")
+
+
+@pytest.mark.parametrize(
+    "cfg, call, detail",
+    [
+        (_COMPLETE_12, lambda inst: bsg_extract(inst, Fraction(1), Fraction(1, 2)),
+         "|restricted sumset|^2 = 529 exceeds c^2 * 144"),
+        (_COMPLETE_12, lambda inst: almost_all_extract(inst, Fraction(1, 2)),
+         "|restricted sumset| = 23 exceeds 1/2 * 12"),
+        # also below the density floor at k = 1, which octopus_extract refuses
+        (GenConfig.make(r=3, n=6, family="random-density", seed=1, k=Fraction(3)),
+         lambda inst: bsg_extract(inst, Fraction(1), Fraction(1, 2)),
+         "|restricted sumset|^3 = 1331 exceeds c^3 * 216"),
+        # also unequal parts, which dense_extract refuses
+        (GenConfig.make(r=2, n=[6, 7], family="complete", seed=0),
+         lambda inst: almost_all_extract(inst, Fraction(1, 2)),
+         "|restricted sumset| = 12 exceeds 1/2 * 6"),
+    ],
+    ids=["general", "almost-all", "general-density-too-low", "almost-all-unequal-parts"],
+)
+def test_violated_cap_fails_before_any_extraction(monkeypatch, cfg, call, detail):
+    inst = gen_instance(cfg)
+    monkeypatch.setattr(extraction, "octopus_extract", _no_extraction)
+    monkeypatch.setattr(extraction, "dense_extract", _no_extraction)
+    with pytest.raises(HypothesisViolatedError) as info:
+        call(inst)
+    assert str(info.value) == f"hypothesis violated: restricted-sumset-cap ({detail})"
+
+
+@pytest.mark.parametrize(
     "c_general, c_linear",
     [("measured", "measured"), (Fraction(64), Fraction(8))],
     ids=["measured", "claimed"],
@@ -338,10 +409,6 @@ def test_almost_all_extract_complete():
     assert report.overall
     target = math.ceil((1 - eps) * 12)
     assert all(len(s) == target for s in res.subsets)
-
-
-_COMPLETE_12 = GenConfig.make(r=2, n=12, family="complete", seed=0)
-_EPS = Fraction(1, 25)
 
 
 @pytest.mark.parametrize(

@@ -104,14 +104,34 @@ def test_gen_planted_floor():
 
 
 def test_gen_config_validation():
+    # a config checks itself when it is built
     with pytest.raises(ConfigInvalidError):
-        GenConfig.make(r=1, n=4, family="complete", seed=0).validate()
+        GenConfig.make(r=1, n=4, family="complete", seed=0)
     with pytest.raises(ConfigInvalidError):
-        GenConfig.make(r=2, n=4, family="bogus", seed=0).validate()
+        GenConfig.make(r=2, n=4, family="bogus", seed=0)
     with pytest.raises(ConfigInvalidError):
-        GenConfig.make(r=2, n=4, family="random-density", seed=0).validate()
+        GenConfig.make(r=2, n=4, family="random-density", seed=0)
     with pytest.raises(ConfigInvalidError):
         gen_instance(GenConfig.make(r=2, n=9, family="complete", seed=0, moduli=(5,)))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(family="random-density"), "random-density requires k"),
+        (dict(family="random-density", k=Fraction(1, 2)),
+         "density parameter k must be >= 1, got 1/2"),
+        (dict(family="dense"), "dense requires delta"),
+        (dict(family="dense", delta=Fraction(1)), "delta must lie in [0, 1), got 1"),
+        (dict(family="dense", delta=Fraction(-1, 2)), "delta must lie in [0, 1), got -1/2"),
+    ],
+    ids=["k-missing", "k-half", "delta-missing", "delta-one", "delta-negative"],
+)
+def test_gen_config_family_parameter_checks(kwargs, message):
+    # k and delta are checked by the same rules as an extraction run's
+    with pytest.raises(ConfigInvalidError) as info:
+        GenConfig.make(r=2, n=4, seed=0, **kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -126,9 +146,8 @@ def test_gen_config_validation():
 )
 def test_gen_config_rejects_non_exact_fields(kwargs, field):
     # each must be rejected, not rounded to an int or a binary fraction
-    cfg = GenConfig.make(**{"r": 2, "family": "complete", **kwargs})
     with pytest.raises(ConfigInvalidError, match=f"^{field} must be"):
-        gen_instance(cfg)
+        GenConfig.make(**{"r": 2, "family": "complete", **kwargs})
 
 
 def test_measure_examples():
