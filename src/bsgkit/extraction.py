@@ -226,12 +226,7 @@ def drc_extract(g: Bipartite, k: Fraction, eps: Fraction) -> DrcOutcome:
     is the degree of v. Any pivot that passes is a valid witness; the first one in
     scan order is returned, so identical inputs give identical outcomes.
     """
-    k = exact_param("k", k, None)
-    eps = exact_param("eps", eps, None)
-    if not 0 < eps < 1:
-        raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps}")
-    if k <= 0:
-        raise ConfigInvalidError(f"density parameter must be positive, got {k}")
+    k, eps = _drc_params(k, eps)
     a_size = g.left_size
     b_size = g.right_size
     if g.edge_count < _density_floor(a_size * b_size, k):
@@ -283,7 +278,8 @@ def iterate_extract(flat: Bipartite, k: Fraction, eps: Fraction) -> IterateOutco
 
     flat is the flattening of the current stage's hypergraph against the
     part being selected; octopus_extract passes a cut of the ambient
-    flattening (Bipartite.restrict_leading), never an induced copy. Keeps
+    flattening (Bipartite.restrict_leading), never an induced copy. k and
+    eps must meet drc_extract's rules, k > 0 and 0 < eps < 1. Keeps
     left vertices of degree at least |Z|/(2k), reading each degree once from
     one popcount per row, reruns the density parameter exactly on the pruned
     graph, and applies drc_extract. The returned subset satisfies, and is
@@ -291,8 +287,7 @@ def iterate_extract(flat: Bipartite, k: Fraction, eps: Fraction) -> IterateOutco
     fraction of ordered pairs with leg count at least eps|Z|/(2k^2), and
     minimum degree at least |Z|/(2k).
     """
-    k = exact_param("k", k, None)
-    eps = exact_param("eps", eps, None)
+    k, eps = _drc_params(k, eps)
     left_size = flat.left_size
     right_size = flat.right_size
     if left_size == 0 or right_size == 0:
@@ -689,6 +684,18 @@ def _restricted_cap_row(
     )
 
 
+def _drc_params(k: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """k and eps of drc_extract and iterate_extract as exact values, with
+    k > 0 and 0 < eps < 1; else ConfigInvalidError."""
+    k = exact_param("k", k, None)
+    eps = exact_param("eps", eps, None)
+    if not 0 < eps < 1:
+        raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps}")
+    if k <= 0:
+        raise ConfigInvalidError(f"density parameter must be positive, got {k}")
+    return k, eps
+
+
 def _check_general_run(k: Fraction) -> None:
     """The general run parameter: a density parameter k >= 1."""
     if k < 1:
@@ -716,9 +723,14 @@ def _claimed_cap(mode: str, r: int, c: Fraction | str) -> Fraction | None:
     ConfigInvalidError."""
     if c == "measured":
         return None
+    _check_cap(c)
+    return c**r if mode == "general" else c
+
+
+def _check_cap(c: Fraction) -> None:
+    """A sumset cap C, claimed for a run or planted by the generator: C > 0."""
     if c <= 0:
         raise ConfigInvalidError(f"sumset cap C must be positive, got {c}")
-    return c**r if mode == "general" else c
 
 
 def ledger(

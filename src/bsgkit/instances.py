@@ -5,9 +5,9 @@ Generators are fully determined by their seed via SplitMix64; the algorithm
 identifier, family and parameters are recorded inside the instance JSON so
 files can be regenerated bit-identically. Verification here recomputes every
 quantity from scratch (the least relaxed count over the chosen box by a packed
-elimination over leg rows built from the edge columns, fresh sumsets) rather
-than trusting anything a pipeline recorded, so it is the second, independent
-route for every reported inequality.
+elimination over leg rows cut from a 0/1 byte image of the edges, fresh
+sumsets) rather than trusting anything a pipeline recorded, so it is the
+second, independent route for every reported inequality.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product, repeat
-from operator import add, mul
+from itertools import compress, islice, product
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -28,7 +27,13 @@ from .errors import (
     NoEdgesError,
     TooLargeError,
 )
-from .extraction import ExtractionResult, _check_delta, _check_general_run, ledger
+from .extraction import (
+    ExtractionResult,
+    _check_cap,
+    _check_delta,
+    _check_general_run,
+    ledger,
+)
 from .groups import GroupElem, GroupSpec, make_group
 from .hypergraph import Instance, PartiteHypergraph, tuple_total
 from .jsonio import exact_param, frac_str, is_int
@@ -116,8 +121,9 @@ class GenConfig:
         if self.family == "planted":
             if self.ap_fraction is None or not 0 < self.ap_fraction <= 1:
                 raise ConfigInvalidError("planted requires ap_fraction in (0, 1]")
-            if self.target_c is None or self.target_c <= 0:
-                raise ConfigInvalidError("planted requires target_c > 0")
+            if self.target_c is None:
+                raise ConfigInvalidError("planted requires target_c")
+            _check_cap(self.target_c)
         if self.family == "dense":
             if self.delta is None:
                 raise ConfigInvalidError("dense requires delta")
@@ -314,9 +320,11 @@ def check_bounds(
     Uses the run parameters recorded in the result (k, or eps and delta,
     and the claimed sumset cap C when the run was given one). The relaxed
     count of every support of the chosen subsets is recomputed by one
-    _elimination_counts call over their whole box, sumsets from the chosen
-    elements; nothing else the pipeline recorded is trusted. The rows come
-    from the same ledger as the pipeline's.
+    _elimination_counts call over their whole box, which reads the edges
+    through a 0/1 byte image of at most TUPLE_CAP bytes and never through
+    a flattening; sumsets come from the chosen elements. Nothing else the
+    pipeline recorded is trusted. The rows come from the same ledger as
+    the pipeline's.
     """
     if result.mode != mode:
         raise ModeMismatchError(f"result mode {result.mode!r} != requested {mode!r}")
@@ -343,20 +351,27 @@ def _elimination_counts(
     k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes, and the
     fields come highest index first. An empty subset gives an empty list.
 
-    Each part-i vertex, i < r-1, gets an int mask with a bit at each of its
-    edges' other coordinates read as one mixed-radix int; the leg count at
-    (v, w) is the popcount of mask[v] & mask[w], and 0 when w == v. Each
-    support owns a field of `size` bytes (an array item size up to 8) at
-    its field index in one int; `size` holds the bound, the largest
-    last-part degree times each part's largest leg count in the box. Part
-    i's column at mate w packs the box's part-i leg rows at w at that
-    part's stride. One pass over the edge columns eliminates part 0 into
-    one entry per last-part vertex and int key, the mates in parts r-2
-    down to 1 in mixed radix. Per last-part vertex, parts 1 up to r-2
-    follow (the reverse of relaxed_count_table's order), each split off
-    the key by divmod as its least significant digit and multiplied in by
-    its column. No code is shared with octopus.py, so one packing bug
-    cannot corrupt both routes.
+    Everything is read from the edge image (_edge_image): one 0/1 byte per
+    index tuple in lexicographic order, at most TUPLE_CAP bytes, plus one
+    ASCII copy of it. The tuples through vertex v of part i, i < r-1, are
+    contiguous blocks of the image, one per prefix over parts 0..i-1; the
+    join of v's blocks in the ASCII copy, read by int(..., 2), is v's leg
+    mask, and the leg count at (v, w) is the popcount of mask[v] & mask[w],
+    and 0 when w == v. A last-part vertex's degree is the count of 1 bytes
+    in the image's slice strided by the last part's size. Each support owns
+    a field of `size` bytes (an array item size up to 8) at its field index
+    in one int; `size` holds the bound, the largest last-part degree times
+    each part's largest leg count in the box. Part i's column at mate w
+    packs the box's part-i leg rows at w at that part's stride. Part 0 is
+    eliminated first: per last-part vertex v and tuple of mates in parts 1
+    up to r-2, the image strided by the part-0 step selects, with compress,
+    the part-0 columns of the closing edges, whose sum is stored under the
+    mates read as one int key, parts r-2 down to 1 in mixed radix. Per
+    last-part vertex, parts 1 up to r-2 follow (the reverse of
+    relaxed_count_table's order), each split off the key by divmod as its
+    least significant digit and multiplied in by its column. No code is
+    shared with octopus.py or flatten, so one packing bug cannot corrupt
+    both routes.
     """
     last = h.r - 1
     for i, sub in enumerate(box):
@@ -365,20 +380,24 @@ def _elimination_counts(
     if not all(box):
         return []
     sizes = h.part_sizes
-    coords = list(zip(*h.edges)) or [()] * h.r  # coords[i]: every edge's part-i vertex
+    total = h.total_tuples
+    image = _edge_image(h)
+    bits = image.translate(_ASCII_BITS)
     rows: list[dict[int, list[int]]] = []  # rows[i][v][w]: legs at part i on (v, w)
+    # span: the tuples under one prefix over parts < i; block: those through one part-i vertex
+    block = total
     for i in range(last):
-        keys = repeat(0)
-        for j in filter(i.__ne__, range(h.r)):
-            keys = map(add, map(mul, keys, repeat(sizes[j])), coords[j])
-        masks = [0] * sizes[i]
-        for v, key in zip(coords[i], keys):
-            masks[v] |= 1 << key
+        span, block = block, block // sizes[i]
+        masks = [
+            int(b"".join(bits[s : s + block] for s in range(v * block, total, span)), 2)
+            for v in range(sizes[i])
+        ]
         rows.append({
             v: [0 if w == v else (masks[v] & m).bit_count() for w, m in enumerate(masks)]
             for v in set(box[i])
         })
-    bound = max(map(Counter(coords[last]).__getitem__, box[last]))  # last-part degree
+    n_last = sizes[last]
+    bound = max(image[v::n_last].count(1) for v in box[last])  # last-part degree
     for part in rows:
         bound *= max(map(max, part.values()))
     size = (bound.bit_length() + 7) // 8 or 1
@@ -388,16 +407,20 @@ def _elimination_counts(
     for i in range(last):
         cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
         shift *= len(box[i])
-    keys = repeat(0)
-    for j in range(last - 1, 0, -1):
-        keys = map(add, map(mul, keys, repeat(sizes[j])), coords[j])
+    # keys of the mates in parts 1..r-2 in lexicographic order, part 1 least significant
+    keys = [0]
+    weight = 1
+    for j in range(1, last):
+        keys = [key + w * weight for key in keys for w in range(sizes[j])]
+        weight *= sizes[j]
     # firsts[v][key]: the packed counts over box[0] of the closing edges
-    # through v whose mates in parts r-2 down to 1 read as key
-    firsts: dict[int, dict[int, int]] = {v: {} for v in box[last]}
+    # through v whose mates in parts r-2 down to 1 read as key, zero sums left out
+    step = total // sizes[0]  # image distance between part-0 neighbours
     col = cols[0]
-    for v, key, w in zip(coords[last], keys, coords[0]):
-        if v in firsts:
-            firsts[v][key] = firsts[v].get(key, 0) + col[w]
+    firsts: dict[int, dict[int, int]] = {}
+    for v in set(box[last]):
+        sums = (sum(compress(col, image[t::step])) for t in range(v, step, n_last))
+        firsts[v] = {key: s for key, s in zip(keys, sums) if s}
     fields = math.prod(map(len, box[:last]))
     out = []
     for v in box[last]:
@@ -412,6 +435,30 @@ def _elimination_counts(
             vecs = terms
         out.append((v, _split_big_first(vecs.get(0, 0), fields, size)))
     return out
+
+
+def _edge_image(h: PartiteHypergraph) -> bytearray:
+    """One byte per index tuple of h in lexicographic order: 1 at an edge,
+    else 0. The shape check caps its length at TUPLE_CAP.
+
+    Every edge's index is found at once: each edge column becomes one int
+    of 4-byte fields, and Horner's rule over the columns, part 0 first,
+    leaves edge e's index in field e. No field carries, since each holds an
+    index below TUPLE_CAP < 2^32.
+    """
+    code = _ITEM_CODES[4]
+    index = 0
+    for j, size in enumerate(h.part_sizes):
+        col = array(code, map(itemgetter(j), h.edges))
+        index = index * size + int.from_bytes(col, sys.byteorder)
+    image = bytearray(h.total_tuples)
+    for x in array(code, index.to_bytes(4 * h.edge_count, sys.byteorder)):
+        image[x] = 1
+    return image
+
+
+# the image's 0/1 bytes as the ASCII digits int(..., 2) reads
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _packed_columns(box_rows: list[list[int]], shift: int) -> list[int]:

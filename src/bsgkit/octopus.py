@@ -18,10 +18,11 @@ everything stays exact. It returns each last-part vertex's fields, which
 the pipelines' sweep reduces, and builds no per-support tuple or dict.
 octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
 estimate, is that kernel on the support's singleton box.
-The verifier (check_bounds in instances.py) counts by elimination over its
-own leg rows, built from the edge columns in the other part order, with
-its own packing code, and uses none of this module's counters or helpers,
-so one packing bug cannot corrupt both routes.
+The verifier (check_bounds in instances.py) counts by elimination in the
+other part order over its own leg rows, which it cuts from a 0/1 byte
+image of the edge set rather than from a flattening, with its own packing
+code, and uses none of this module's counters or helpers, so one packing
+bug cannot corrupt both routes.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.

@@ -107,6 +107,26 @@ def test_iterate_density_too_low():
         iterate_extract(h.flatten(0), Fraction(2), Fraction(1, 4))
 
 
+@pytest.mark.parametrize(
+    "k, eps, message",
+    [
+        (Fraction(0), Fraction(1, 4), "density parameter must be positive, got 0"),
+        (Fraction(-1), Fraction(1, 4), "density parameter must be positive, got -1"),
+        (Fraction(1), Fraction(0), "eps must lie in (0, 1), got 0"),
+    ],
+    ids=["k-zero", "k-negative", "eps-zero"],
+)
+def test_iterate_refuses_drc_extract_parameters(k, eps, message):
+    # k = 0 escaped as a ZeroDivisionError, and k = -1 turned every floor
+    # negative and returned all four vertices as a verified subset
+    flat = PartiteHypergraph.complete((4, 4)).flatten(0)
+    for extract in (iterate_extract, drc_extract):
+        with pytest.raises(ConfigInvalidError) as info:
+            extract(flat, k, eps)
+        assert type(info.value) is ConfigInvalidError
+        assert str(info.value) == message
+
+
 def test_iterate_verified_by_independent_pass():
     k = Fraction(2)
     eps = Fraction(1, 64)

@@ -124,11 +124,18 @@ def test_gen_config_validation():
         (dict(family="dense"), "dense requires delta"),
         (dict(family="dense", delta=Fraction(1)), "delta must lie in [0, 1), got 1"),
         (dict(family="dense", delta=Fraction(-1, 2)), "delta must lie in [0, 1), got -1/2"),
+        (dict(family="planted", ap_fraction=Fraction(1, 2)), "planted requires target_c"),
+        (dict(family="planted", ap_fraction=Fraction(1, 2), target_c=Fraction(0)),
+         "sumset cap C must be positive, got 0"),
+        (dict(family="planted", ap_fraction=Fraction(1, 2), target_c=Fraction(-1)),
+         "sumset cap C must be positive, got -1"),
     ],
-    ids=["k-missing", "k-half", "delta-missing", "delta-one", "delta-negative"],
+    ids=["k-missing", "k-half", "delta-missing", "delta-one", "delta-negative",
+         "target-c-missing", "target-c-zero", "target-c-negative"],
 )
 def test_gen_config_family_parameter_checks(kwargs, message):
-    # k and delta are checked by the same rules as an extraction run's
+    # k, delta and the planted C are checked by the same rules as an
+    # extraction run's
     with pytest.raises(ConfigInvalidError) as info:
         GenConfig.make(r=2, n=4, seed=0, **kwargs)
     assert str(info.value) == message
