@@ -263,13 +263,13 @@ def _report_payload(result: ExtractionResult, report: BoundReport, params: dict)
 
 
 def _cmd_extract(args) -> int:
+    if args.mode != "general" and args.eps is None:
+        raise ConfigInvalidError(f"--eps is required for mode {args.mode}")
     inst = _load_instance(args.instance)
     if args.mode == "general":
         given = {"K": args.K, "C": args.C}
         result, report = bsg_extract(inst, args.K, args.C)
     else:
-        if args.eps is None:
-            raise ConfigInvalidError(f"--eps is required for mode {args.mode}")
         given = {"eps": args.eps, "delta": args.delta}
         if args.mode == "dense":
             result = dense_extract(inst, args.eps, args.delta)
@@ -286,13 +286,13 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = _load_instance(args.instance)
     result = _parse_file(
         args.result,
         lambda data: ExtractionResult.from_json(
             data["result"] if "result" in data else data
         ),
     )
+    inst = _load_instance(args.instance)
     report = check_bounds(result, inst, args.mode)
     _write_output(
         {"bounds": report.to_json(), "mode": args.mode},

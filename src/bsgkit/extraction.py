@@ -155,7 +155,7 @@ class SweepOutcome:
             "threshold": frac_str(self.threshold),
             "exhaustive": self.exhaustive,
             "checked": self.checked,
-            "min_count": str(self.min_count),
+            "min_count": frac_str(self.min_count),
             "min_support": list(self.min_support),
             "failures": self.failures,
         }

@@ -13,9 +13,9 @@ C-level ``map``/``zip``/``set``/``min``/``max`` in place of a Python loop
 per edge. ``build`` validates edge arity, coordinate types and ranges in
 bulk and rescans edge by edge only to name the first bad edge;
 ``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
-plain JSON int; ``flatten``, ``PartiteHypergraph.degree`` and ``induce``
-stream columns with ``map(itemgetter(i), edges)``, so no transposed copy of
-the edges is held;
+plain JSON int; ``build``, ``flatten``, ``PartiteHypergraph.degree`` and
+``induce`` stream columns with ``map(itemgetter(i), edges)``, so no
+transposed copy of the edges is held;
 ``Bipartite.right_degrees`` counts every right vertex in one pass;
 ``Bipartite.restrict_leading`` cuts a flattening's leading right digits to
 kept lists, which is how the general pipeline reads a restricted
@@ -24,11 +24,15 @@ hypergraph's flattening without inducing it.
 A hypergraph's shape (an int arity r >= 2, one int size >= 0 per part, at
 most TUPLE_CAP index tuples) has one check, the PartiteHypergraph
 constructor; ``build`` and ``complete`` run it on an edgeless graph before
-they touch an edge. Every vertex index a query takes passes one check,
-``_check_vertex``: an int, not a bool, in range; ``Bipartite`` queries apply
-the same rule to left and right indices. An ``Instance`` checks that its
-parts are of its group and of the hypergraph's arity and part sizes; each
-part, an ``ElemSet``, checks its own elements.
+they touch an edge. Every vertex index passes one rule, an int (not a
+bool) in range: ``_check_vertex`` checks one vertex, and ``_check_box`` a
+box of one vertex list per part (a support is a box of singletons); it
+raises ArityMismatchError on a wrong number of lists and checks each list
+in bulk with ``_column_valid``, rescanning it only to name a bad vertex.
+``Bipartite`` queries apply the same rule to left and right indices, to
+``restrict_leading``'s kept lists in bulk first. An ``Instance`` checks
+that its parts are of its group and of the hypergraph's arity and part
+sizes; each part, an ``ElemSet``, checks its own elements.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ def _edges_valid(sizes: tuple[int, ...], edges: list[tuple]) -> bool:
         return True
     if set(map(len, edges)) != {len(sizes)}:
         return False
-    return all(map(_column_valid, zip(*edges), sizes))
+    return all(
+        _column_valid(list(map(itemgetter(j), edges)), size) for j, size in enumerate(sizes)
+    )
 
 
 def _raise_first_fault(sizes: tuple[int, ...], edge_list: Iterable) -> NoReturn:
@@ -194,8 +200,9 @@ class Bipartite:
             )
         offsets = [0]  # right index of each kept prefix, in lexicographic order
         for d, (digits, radix) in enumerate(zip(lists, self.right_shape)):
-            for v in digits:
-                _check_index(f"right digit {d} index", v, radix)
+            if not _column_valid(digits, radix):  # name the first bad index
+                for v in digits:
+                    _check_index(f"right digit {d} index", v, radix)
             if not all(map(lt, digits, digits[1:])):
                 raise ConfigInvalidError(
                     f"kept indices of right digit {d} are not strictly increasing"
@@ -301,6 +308,17 @@ class PartiteHypergraph:
                 f"vertex {v} out of range [0, {self.part_sizes[i]}) in part {i}"
             )
 
+    def _check_box(self, box: Sequence[Sequence[int]]) -> None:
+        """Raise unless box holds one list per part of vertices that pass
+        _check_vertex; each list is checked in bulk, and vertex by vertex
+        only to name its first bad vertex."""
+        if len(box) != self.r:
+            raise ArityMismatchError(f"{len(box)} subsets for arity {self.r}")
+        for i, sub in enumerate(box):
+            if not _column_valid(sub, self.part_sizes[i]):
+                for v in sub:
+                    self._check_vertex(i, v)
+
     def density(self) -> Fraction:
         """|E| / (product of part sizes)."""
         if any(s == 0 for s in self.part_sizes):
@@ -350,13 +368,10 @@ class PartiteHypergraph:
         coordinate column is mapped through its part's rank list, which
         holds None for the vertices left out.
         """
-        if len(subsets) != self.r:
-            raise ArityMismatchError(f"{len(subsets)} subsets for arity {self.r}")
+        self._check_box(subsets)
         ranks: list[list[int | None]] = []
         sizes: list[int] = []
-        for i, subset in enumerate(map(tuple, subsets)):
-            for v in subset:
-                self._check_vertex(i, v)
+        for i, subset in enumerate(subsets):
             ordered = sorted(set(subset))
             rank: list[int | None] = [None] * self.part_sizes[i]
             for k, v in enumerate(ordered):
@@ -412,15 +427,11 @@ class Instance:
 
     def subset_elemsets(self, subsets: Sequence[Sequence[int]]) -> tuple[ElemSet, ...]:
         """Index subsets per part, materialized as element sets."""
-        if len(subsets) != self.r:
-            raise ArityMismatchError(f"{len(subsets)} subsets for {self.r} parts")
-        out = []
-        for i, subset in enumerate(subsets):
-            part = self.parts[i]
-            for v in subset:
-                self.hypergraph._check_vertex(i, v)
-            out.append(ElemSet.from_iterable(self.spec, (part.elems[v] for v in subset)))
-        return tuple(out)
+        self.hypergraph._check_box(subsets)
+        return tuple(
+            ElemSet.from_iterable(self.spec, map(part.elems.__getitem__, subset))
+            for part, subset in zip(self.parts, subsets)
+        )
 
     def to_json(self) -> dict:
         edges: object

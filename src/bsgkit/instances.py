@@ -373,10 +373,8 @@ def _elimination_counts(
     shared with octopus.py or flatten, so one packing bug cannot corrupt
     both routes.
     """
+    h._check_box(box)
     last = h.r - 1
-    for i, sub in enumerate(box):
-        for v in sub:
-            h._check_vertex(i, v)
     if not all(box):
         return []
     sizes = h.part_sizes

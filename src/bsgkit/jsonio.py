@@ -3,14 +3,15 @@
 Integer coordinates small enough for IEEE doubles are emitted as JSON
 numbers; anything at or beyond 2^53 in magnitude is emitted as a decimal
 string so values survive round-trips through double-based JSON parsers.
-Counts and inequality sides are always decimal strings. Rationals travel
-as "p/q" strings and decimal notation is rejected on input so no rounding
-can sneak in through a command line or file.
+Counts and inequality sides are always decimal strings, of any size.
+Rationals travel as "p/q" strings and decimal notation is rejected on input
+so no rounding can sneak in through a command line or file.
 """
 
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ConfigInvalidError
@@ -43,9 +44,13 @@ def decode_coord(value) -> int:
     raise ConfigInvalidError(f"coordinate must be an integer or decimal string, got {type(value).__name__}")
 
 
-def frac_str(value: Fraction) -> str:
-    """Exact "p/q" rendering; integers render without the denominator."""
-    return str(Fraction(value))
+def frac_str(value: Fraction | int) -> str:
+    """Exact "p/q" rendering of any size; integers render without the
+    denominator. The digits come from decimal.Decimal, which converts an int
+    exactly and is not bound by CPython's int-to-str digit limit."""
+    n, d = value.as_integer_ratio()
+    p = str(Decimal(n))
+    return p if d == 1 else f"{p}/{Decimal(d)}"
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -27,9 +27,10 @@ The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
 from coinciding with any anchor vertex.
 
-Indices are validated once per public call (a support, a subset box, or a
-leg pair); the counting loops then read the flattenings' adjacency masks
-directly.
+Indices are validated once per public call: a subset box or a support,
+the singleton box of its vertices, by PartiteHypergraph._check_box, and a
+leg pair by _check_vertex; the counting loops then read the flattenings'
+adjacency masks directly.
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_ENUM_BUDGET
-from .errors import (
-    BudgetExceededError,
-    ConfigInvalidError,
-    IndexOutOfRangeError,
-    SameVertexError,
-)
+from .errors import BudgetExceededError, ConfigInvalidError, SameVertexError
 from .hypergraph import Instance, PartiteHypergraph
 from .sumsets import index_sum
 
@@ -65,17 +61,6 @@ def leg_count(h: PartiteHypergraph, part: int, v: int, w: int) -> int:
     return (adj[v] & adj[w]).bit_count()
 
 
-def _check_support(h: PartiteHypergraph, support: Sequence[int]) -> tuple[int, ...]:
-    sup = tuple(support)
-    if len(sup) != h.r:
-        raise IndexOutOfRangeError(
-            f"support has {len(sup)} vertices for arity {h.r}"
-        )
-    for i, v in enumerate(sup):
-        h._check_vertex(i, v)
-    return sup
-
-
 def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     """Sum over closing edges of the product of leg counts.
 
@@ -84,8 +69,7 @@ def octopus_count_relaxed(h: PartiteHypergraph, support: Sequence[int]) -> int:
     No disjointness between legs is enforced beyond w_i != v_i. Counted by
     relaxed_count_table on the support's singleton box.
     """
-    sup = _check_support(h, support)
-    [(_, fields)] = relaxed_count_table(h, [(v,) for v in sup])
+    [(_, fields)] = relaxed_count_table(h, [(v,) for v in support])
     return fields[0]
 
 
@@ -111,12 +95,8 @@ def relaxed_count_table(
     significant digit and multiplied in by its column. check_bounds counts
     with its own kernel and shares no packing helper with this one.
     """
+    h._check_box(box)
     last = h.r - 1
-    if len(box) != h.r:
-        raise IndexOutOfRangeError(f"{len(box)} subsets for arity {h.r}")
-    for i, sub in enumerate(box):
-        for v in sub:
-            h._check_vertex(i, v)
     subs = [tuple(sorted(set(sub))) for sub in box]
     if not all(subs):
         return []
@@ -257,7 +237,12 @@ def enumerate_octopus_witnesses(
     """
     if mode not in _MODES:
         raise ConfigInvalidError(f"mode must be one of {_MODES}, got {mode!r}")
-    sup = _check_support(h, support)
+    sup = tuple(support)
+    # The relaxed count bounds the witnesses before disjointness is enforced;
+    # it is also the one check of the support.
+    estimate = octopus_count_relaxed(h, sup)
+    if estimate > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(estimate, DEFAULT_ENUM_BUDGET)
     r = h.r
     last = r - 1
 
@@ -265,11 +250,6 @@ def enumerate_octopus_witnesses(
         e[:last] for e in h.edges
         if e[last] == sup[last] and all(w != v for w, v in zip(e, sup[:last]))
     ]
-
-    # The relaxed count bounds the witnesses before disjointness is enforced.
-    estimate = octopus_count_relaxed(h, sup)
-    if estimate > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(estimate, DEFAULT_ENUM_BUDGET)
 
     other_parts = {i: [j for j in range(r) if j != i] for i in range(last)}
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, ge, le
 
+from .jsonio import frac_str
+
 
 @dataclass(frozen=True)
 class Inequality:
@@ -27,11 +29,11 @@ class Inequality:
     def to_json(self) -> dict:
         return {
             "anchor": self.anchor,
-            "lhs": str(self.lhs),
+            "lhs": frac_str(self.lhs),
             "name": self.name,
             "pass": self.passed,
             "relation": self.relation,
-            "rhs": str(self.rhs),
+            "rhs": frac_str(self.rhs),
         }
 
 

@@ -407,3 +407,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["K"] == "1"
+
+
+@pytest.mark.parametrize("r", [9, 10])
+def test_high_arity_runs_end_in_reports(tmp_path, capsys, r):
+    # the growth cap's side has 6100 digits at r = 9, past the 4300 that
+    # CPython's int-to-str conversion allows by default; rows render it exactly
+    args, inst = gen_args(tmp_path, r=r, n=2)
+    assert main(args) == 0
+    report, verdict = tmp_path / "report.json", tmp_path / "verdict.json"
+    assert main(["extract", "--instance", str(inst), "--out", str(report)]) == 0
+    assert main(["verify", "--instance", str(inst), "--result", str(report),
+                 "--mode", "general", "--out", str(verdict)]) == 0
+    bounds = json.loads(verdict.read_text())["bounds"]
+    assert bounds == json.loads(report.read_text())["bounds"]
+    assert bounds["overall"] is True
+    assert max(len(row["rhs"]) for row in bounds["inequalities"]) > 4300
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extract", "--instance", "inst.json", "--mode", "almost-all"],
+         "--eps is required for mode almost-all"),
+        (["verify", "--instance", "inst.json", "--result", "result.json", "--mode", "general"],
+         "malformed result.json: KeyError('mode')"),
+    ],
+    ids=["extract-without-eps", "verify-malformed-result"],
+)
+def test_instance_free_faults_are_reported_before_the_instance_loads(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def refuse(path):
+        raise AssertionError("the instance was loaded")
+
+    monkeypatch.setattr(bsgkit.cli, "_load_instance", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("result.json").write_text('{"subsets": [[0], [0]]}')
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"bsgkit: error: {message}\n"

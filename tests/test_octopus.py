@@ -14,6 +14,7 @@ import pytest
 
 from bsgkit import octopus
 from bsgkit.errors import (
+    ArityMismatchError,
     BudgetExceededError,
     ConfigInvalidError,
     IndexOutOfRangeError,
@@ -107,17 +108,19 @@ def test_leg_count_examples():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda h: leg_count(h, 3, 0, 1),
-        lambda h: leg_count(h, -1, 0, 1),
-        lambda h: leg_count(h, 0, -1, 1),
-        lambda h: leg_count(h, 0, 0, 3),
-        lambda h: octopus_count_relaxed(h, (0, 0)),
-        lambda h: octopus_count_relaxed(h, (0, 0, 0, 0)),
-        lambda h: octopus_count_relaxed(h, (-1, 0, 0)),
-        lambda h: octopus_count_relaxed(h, (0, 0, 5)),
-        lambda h: relaxed_count_table(h, [[0], [-1], [0]]),
+        (lambda h: leg_count(h, 3, 0, 1), IndexOutOfRangeError),
+        (lambda h: leg_count(h, -1, 0, 1), IndexOutOfRangeError),
+        (lambda h: leg_count(h, 0, -1, 1), IndexOutOfRangeError),
+        (lambda h: leg_count(h, 0, 0, 3), IndexOutOfRangeError),
+        # a support is the singleton box of its vertices, so a wrong length
+        # is a wrong number of box lists
+        (lambda h: octopus_count_relaxed(h, (0, 0)), ArityMismatchError),
+        (lambda h: octopus_count_relaxed(h, (0, 0, 0, 0)), ArityMismatchError),
+        (lambda h: octopus_count_relaxed(h, (-1, 0, 0)), IndexOutOfRangeError),
+        (lambda h: octopus_count_relaxed(h, (0, 0, 5)), IndexOutOfRangeError),
+        (lambda h: relaxed_count_table(h, [[0], [-1], [0]]), IndexOutOfRangeError),
     ],
     ids=[
         "leg-part-too-large", "leg-part-negative", "leg-vertex-negative",
@@ -125,10 +128,74 @@ def test_leg_count_examples():
         "support-vertex-negative", "support-vertex-too-large", "table-vertex-negative",
     ],
 )
-def test_indices_are_validated_at_the_api_boundary(call):
+def test_indices_are_validated_at_the_api_boundary(call, error):
     # a negative vertex would silently wrap in the counting loops' list indexing
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(error):
         call(PartiteHypergraph.complete((3, 4, 5)))
+
+
+# Every entry point that takes a box of vertex lists (a support is the
+# singleton box of its vertices) checks it with one rule: a wrong number of
+# lists is an ArityMismatchError, and a bad vertex, however late in a long
+# list, is named as a single-vertex check names it.
+BOX_SIZES = (30, 2, 30)
+LONG = list(range(29))  # valid part-0 vertices; the bad one goes after them
+BOX_CALLS = {
+    "relaxed_count_table": lambda inst, bad: relaxed_count_table(
+        inst.hypergraph, [LONG + [bad], [0], [0]]),
+    "induce": lambda inst, bad: inst.hypergraph.induce([LONG + [bad], [0], [0]]),
+    "subset_elemsets": lambda inst, bad: inst.subset_elemsets([LONG + [bad], [0], [0]]),
+    "octopus_count_relaxed": lambda inst, bad: octopus_count_relaxed(
+        inst.hypergraph, (0, 0, bad)),
+    "octopus_count_exact": lambda inst, bad: octopus_count_exact(inst.hypergraph, (0, 0, bad)),
+    "restrict_leading": lambda inst, bad: inst.hypergraph.flatten(1).restrict_leading(
+        [LONG + [bad]]),
+}
+WRONG_LENGTH_CALLS = {
+    "relaxed_count_table": (lambda inst: relaxed_count_table(inst.hypergraph, [[0], [0]]),
+                            "2 subsets for arity 3"),
+    "induce": (lambda inst: inst.hypergraph.induce([[0]] * 4), "4 subsets for arity 3"),
+    "subset_elemsets": (lambda inst: inst.subset_elemsets([[0], [0]]), "2 subsets for arity 3"),
+    "octopus_count_relaxed": (lambda inst: octopus_count_relaxed(inst.hypergraph, (0, 0)),
+                              "2 subsets for arity 3"),
+    "octopus_count_exact": (lambda inst: octopus_count_exact(inst.hypergraph, (0, 0, 0, 0)),
+                            "4 subsets for arity 3"),
+    "restrict_leading": (lambda inst: inst.hypergraph.flatten(1).restrict_leading([[0]] * 3),
+                         "3 kept lists for 2 right digits"),
+}
+
+
+@pytest.fixture(scope="module")
+def box_instance():
+    return gen_instance(GenConfig.make(r=3, n=BOX_SIZES, family="complete", seed=0))
+
+
+@pytest.mark.parametrize("entry", list(WRONG_LENGTH_CALLS))
+def test_a_box_with_the_wrong_number_of_lists_is_an_arity_mismatch(box_instance, entry):
+    call, message = WRONG_LENGTH_CALLS[entry]
+    with pytest.raises(ArityMismatchError) as info:
+        call(box_instance)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", list(BOX_CALLS))
+@pytest.mark.parametrize(
+    "bad, error, template",
+    [
+        (True, ConfigInvalidError, "vertex True in part {part} is not an int"),
+        (1.5, ConfigInvalidError, "vertex 1.5 in part {part} is not an int"),
+        (30, IndexOutOfRangeError, "vertex 30 out of range [0, 30) in part {part}"),
+    ],
+    ids=["bool", "float", "above"],
+)
+def test_a_bad_box_vertex_is_named_as_a_single_vertex_check_names_it(
+    box_instance, entry, bad, error, template
+):
+    if entry == "restrict_leading":  # a kept list indexes a right digit, not a part
+        template = template.replace("vertex", "right digit 0 index").replace(" in part {part}", "")
+    with pytest.raises(error) as info:
+        BOX_CALLS[entry](box_instance, bad)
+    assert str(info.value) == template.format(part=2 if entry.startswith("octopus") else 0)
 
 
 def test_leg_count_symmetry_and_oracle():
