@@ -20,6 +20,8 @@ from pathlib import Path
 from .errors import BsgkitError, ConfigInvalidError
 from .extraction import (
     ExtractionResult,
+    _check_cap,
+    _check_general_run,
     almost_all_extract,
     bsg_extract,
     dense_extract,
@@ -263,8 +265,13 @@ def _report_payload(result: ExtractionResult, report: BoundReport, params: dict)
 
 
 def _cmd_extract(args) -> int:
+    # the rules that need no instance run before it loads, in bsg_extract's order
     if args.mode != "general" and args.eps is None:
         raise ConfigInvalidError(f"--eps is required for mode {args.mode}")
+    if args.mode != "dense" and args.C != "measured":
+        _check_cap(args.C)
+    if args.mode == "general" and args.K != "measured":
+        _check_general_run(args.K)
     inst = _load_instance(args.instance)
     if args.mode == "general":
         given = {"K": args.K, "C": args.C}

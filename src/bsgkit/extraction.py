@@ -13,9 +13,10 @@ produce identical traces and subsets.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
@@ -469,38 +470,55 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
     count_floor = _general_count_floor(r, k, h.total_tuples)
     size_floors = [_size_floor(p, ambient[p], k) for p in range(r)]
 
-    def run_sweep() -> SweepOutcome:
-        return verify_relaxed_counts(h, subsets, count_floor)
-
     # The degree and partner filters cannot rule out a support vertex whose
     # few edges all point back at the support itself; such a support carries
     # no octopus at all. When that happens, shrink the subsets minimally:
-    # repeatedly drop the vertex participating in the most failing supports,
-    # as long as its part stays at or above its size floor, and re-verify.
-    sweep = run_sweep()
-    while sweep.failures:
-        participation = Counter(
-            (p, v) for sup in sweep.failing_supports for p, v in enumerate(sup)
-        )
-        candidates = sorted(participation.items(), key=lambda item: (-item[1], item[0]))
-        removed = None
-        for (p, v), _count in candidates:
-            new_size = len(subsets[p]) - 1
-            if new_size >= 1 and Fraction(new_size) >= size_floors[p]:
-                subsets[p] = tuple(x for x in subsets[p] if x != v)
-                removed = (p, v)
-                break
-        if removed is None:
-            break  # cannot shrink further without breaching a size floor
+    # repeatedly drop the vertex participating in the most failing supports
+    # (ties by part, then vertex), as long as its part stays at or above its
+    # size floor. A support's relaxed count reads only the ambient
+    # hypergraph, so dropping a vertex fails no new support: the failing
+    # supports are the first sweep's less those through a dropped vertex,
+    # and each vertex's participation count follows them. The queue holds
+    # (count, -part, -vertex) in ascending order, so its last entry is the
+    # next candidate. Counts only fall, so an entry whose count has fallen
+    # goes back in with its new count; parts only shrink, so a vertex of a
+    # part at its floor leaves for good. One final sweep over the repaired
+    # box writes count-verify.
+    sweep = verify_relaxed_counts(h, subsets, count_floor)
+    failing = set(sweep.failing_supports)
+    through = defaultdict(list)  # the failing supports through each (part, vertex)
+    for sup in failing:
+        for key in enumerate(sup):
+            through[key].append(sup)
+    participation = {key: len(sups) for key, sups in through.items()}
+    queue = sorted((n, -p, -v) for (p, v), n in participation.items())
+    while failing and queue:
+        n, p, v = queue.pop()
+        p, v = -p, -v
+        if n != participation[p, v]:
+            if participation[p, v]:
+                bisect.insort(queue, (participation[p, v], -p, -v))
+            continue
+        new_size = len(subsets[p]) - 1
+        if new_size < 1 or Fraction(new_size) < size_floors[p]:
+            continue  # cannot shrink part p further without breaching its floor
+        at = bisect.bisect_left(subsets[p], v)
+        subsets[p] = subsets[p][:at] + subsets[p][at + 1 :]
         trace.append(
             {
                 "kind": "count-repair",
-                "part": removed[0],
-                "vertex": removed[1],
-                "failures_before": sweep.failures,
+                "part": p,
+                "vertex": v,
+                "failures_before": len(failing),
             }
         )
-        sweep = run_sweep()
+        for sup in through.pop((p, v)):
+            if sup in failing:
+                failing.remove(sup)
+                for other in enumerate(sup):
+                    participation[other] -= 1
+    if len(failing) < sweep.failures:
+        sweep = verify_relaxed_counts(h, subsets, count_floor)
 
     for p in range(r):
         trace.append(

@@ -1,31 +1,41 @@
 """Storage and query layer for r-partite r-uniform hypergraphs.
 
 Vertices are identified by (part, position); equal group elements sitting in
-different parts are distinct vertices. Edges are ordered index tuples, stored
-lexicographically sorted for deterministic iteration; the edge list is the
-only per-edge storage. The bipartite flattening against one part uses
-integer bitmasks over the mixed-radix index space of the remaining parts,
-so a vertex's degree or a pair's codegree is one popcount of ``adj``;
-``_strides`` is the one definition of that layout.
+different parts are distinct vertices. The edge set is stored as one
+``array`` column per part, ``columns[j][e]`` being edge e's index in part j,
+with the edges in lexicographic order and no repeats; each column uses the
+smallest unsigned type code that holds its part's indices. The columns are
+the only per-edge storage: ``edges``, the tuples, is a view built on each
+read for ``to_json`` and tests, and no package path reads it. The bipartite
+flattening against one part uses integer bitmasks over the mixed-radix
+index space of the remaining parts, so a vertex's degree or a pair's
+codegree is one popcount of ``adj``; ``_strides`` is the one definition of
+that layout.
 
-Work over the whole edge list runs a coordinate column at a time, with
-C-level ``map``/``zip``/``set``/``min``/``max`` in place of a Python loop
-per edge. ``build`` validates edge arity, coordinate types and ranges in
-bulk and rescans edge by edge only to name the first bad edge;
-``Instance.from_json`` skips ``decode_coord`` when every coordinate is a
-plain JSON int; ``build``, ``flatten``, ``PartiteHypergraph.degree`` and
-``induce`` stream columns with ``map(itemgetter(i), edges)``, so no
-transposed copy of the edges is held;
+Work over the whole edge set runs a column at a time, with C-level
+``map``/``zip``/``set``/``min``/``max`` in place of a Python loop per edge.
+``build`` and ``Instance.from_json`` load an edge list in one pass over its
+columns (``_edge_columns``): one arity check, then per column one type set,
+one unsigned 4-byte array (which refuses a negative or wide coordinate) and
+one max; Horner's rule over those arrays, read as ints of 4-byte fields,
+gives every edge's lexicographic index, and input already sorted without
+repeats, as every written instance file is, is stored as it is, without a
+sort. ``_rescanned_edges`` rescans edge by edge only when that pass fails,
+to name the first bad edge (or to read edges that are not sequences). ``from_json`` makes no scan of its own:
+it decodes coordinates written as decimal strings only when the pass
+fails, then builds from the decoded list. ``flatten``,
+``PartiteHypergraph.degree`` and ``induce`` read the columns directly;
 ``Bipartite.right_degrees`` counts every right vertex in one pass;
 ``Bipartite.restrict_leading`` cuts a flattening's leading right digits to
 kept lists, which is how the general pipeline reads a restricted
 hypergraph's flattening without inducing it.
 
 A hypergraph's shape (an int arity r >= 2, one int size >= 0 per part, at
-most TUPLE_CAP index tuples) has one check, the PartiteHypergraph
-constructor; ``build`` and ``complete`` run it on an edgeless graph before
-they touch an edge. Every vertex index passes one rule, an int (not a
-bool) in range: ``_check_vertex`` checks one vertex, and ``_check_box`` a
+most TUPLE_CAP index tuples) has one check, ``_check_shape``; the
+PartiteHypergraph constructor runs it, and also refuses a number of
+columns other than r, and ``build``, ``complete`` and ``from_json`` run it
+before they touch an edge. Every vertex index passes one rule, an int (not a bool) in
+range: ``_check_vertex`` checks one vertex, and ``_check_box`` a
 box of one vertex list per part (a support is a box of singletons); it
 raises ArityMismatchError on a wrong number of lists and checks each list
 in bulk with ``_column_valid``, rescanning it only to name a bad vertex.
@@ -39,12 +49,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, lt, mul
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 from .config import TUPLE_CAP, require_within_cap
 from .errors import (
@@ -100,22 +112,107 @@ def _column_valid(col: Sequence, size: int) -> bool:
     return not col or (0 <= min(col) and max(col) < size)
 
 
-def _edges_valid(sizes: tuple[int, ...], edges: list[tuple]) -> bool:
-    """True when every edge has one valid coordinate per part; checked a
-    column at a time, not edge by edge."""
-    if not edges:
-        return True
-    if set(map(len, edges)) != {len(sizes)}:
-        return False
-    return all(
-        _column_valid(list(map(itemgetter(j), edges)), size) for j, size in enumerate(sizes)
+# array type codes of the unsigned item sizes 1, 2, 4 and 8 bytes, smallest first
+_UINT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+# (number of indices an item holds, type code) per item size, smallest first
+_CODE_LIMITS = tuple((1 << 8 * item, code) for item, code in _UINT_CODES.items())
+# the item of the arrays an edge list is first read into; every index fits,
+# since a part with an edge has at most TUPLE_CAP < 2^31 vertices
+_WIDE = _UINT_CODES[4]
+
+
+def _column_code(size: int) -> str:
+    """Type code of the smallest unsigned array item that holds every index
+    of a part of this size."""
+    for limit, code in _CODE_LIMITS:
+        if size <= limit:
+            return code
+    return _UINT_CODES[8]
+
+
+def _edge_columns(sizes: tuple[int, ...], raw) -> tuple[array, ...] | None:
+    """The edges of the list raw as one column per part, lexicographically
+    sorted without repeats, or None unless every edge has one int (not bool)
+    coordinate in range per part.
+
+    One arity check, then per column one type set, one 4-byte array (which
+    raises OverflowError on a negative or wider coordinate) and one max.
+    Read as an int of 4-byte fields, column j holds every edge's part-j
+    index at once, so Horner's rule over the columns leaves each edge's
+    lexicographic index in its field; no field carries, since each index is
+    below TUPLE_CAP. Input whose indices already increase strictly is stored
+    as it is, each column narrowed to its part's type code; other input is
+    sorted and deduplicated by index.
+    """
+    if not isinstance(raw, list):
+        return None
+    if not raw:
+        return tuple(array(_column_code(s)) for s in sizes)
+    try:
+        if set(map(len, raw)) != {len(sizes)}:
+            return None
+        wides = []
+        index = 0
+        for j, size in enumerate(sizes):
+            col = list(map(itemgetter(j), raw))
+            types = set(map(type, col))
+            if types != {int} and not all(
+                issubclass(t, int) and not issubclass(t, bool) for t in types
+            ):
+                return None
+            wide = array(_WIDE, col)
+            if max(col) >= size:
+                return None
+            wides.append(wide)
+            index = index * size + int.from_bytes(wide, sys.byteorder)
+    except (TypeError, LookupError, OverflowError):  # an edge without len or items; a wide index
+        return None
+    if _increasing(index, len(raw)):
+        return tuple(_narrowed(wide, _column_code(s)) for wide, s in zip(wides, sizes))
+    unique = sorted(set(array(_WIDE, index.to_bytes(4 * len(raw), sys.byteorder))))
+    return tuple(
+        array(_column_code(s), [x // st % s for x in unique])
+        for s, st in zip(sizes, _strides(sizes))
     )
 
 
-def _raise_first_fault(sizes: tuple[int, ...], edge_list: Iterable) -> NoReturn:
-    """Raise the error of the first faulty edge in input order: its arity,
-    else its first coordinate that is not an int or is out of range."""
+def _increasing(index: int, n: int) -> bool:
+    """True when the n 4-byte fields of index, each below 2^31, increase
+    strictly in native array order (low field first on a little-endian
+    host). Each field of high + 2^31 - low - 1, where high holds every field
+    but the first and low every field but the last, lies in [0, 2^32), so
+    no field borrows from the next, and its top bit is set exactly where
+    the later field exceeds the earlier one."""
+    ones = int.from_bytes(b"\1\0\0\0" * (n - 1), "little")
+    low, high = index & ((1 << 32 * (n - 1)) - 1), index >> 32
+    if sys.byteorder == "big":
+        low, high = high, low
+    top = ones << 31
+    return (high + top - low - ones) & top == top
+
+
+def _narrowed(wide: array, code: str) -> array:
+    """The items of a 4-byte array, each known to fit type code `code`, as
+    an array of that code, copying the low-order bytes of every item by
+    strided slices."""
+    if code == wide.typecode:
+        return wide
+    item, step = array(code).itemsize, wide.itemsize
+    data = wide.tobytes()
+    low = 0 if sys.byteorder == "little" else step - item
+    out = bytearray(item * len(wide))
+    for t in range(item):
+        out[t::item] = data[low + t :: step]
+    return array(code, out)
+
+
+def _rescanned_edges(sizes: tuple[int, ...], edge_list: Iterable) -> list[tuple[int, ...]]:
+    """The edges as tuples, checked one by one in input order. Raises the
+    error of the first faulty edge: its arity, else its first coordinate
+    that is not an int or is out of range. Edges that pass are iterables
+    the column pass could not read, such as generators."""
     r = len(sizes)
+    edges = []
     for raw in edge_list:
         e = tuple(raw)
         if len(e) != r:
@@ -127,7 +224,8 @@ def _raise_first_fault(sizes: tuple[int, ...], edge_list: Iterable) -> NoReturn:
                 raise IndexOutOfRangeError(
                     f"edge {e}: index {v} out of range [0, {sizes[i]}) in part {i}"
                 )
-    raise AssertionError("bulk edge validation failed on edges that pass one by one")
+        edges.append(e)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -222,29 +320,43 @@ class Bipartite:
         return Bipartite(self.left_size, shape, tuple(adj))
 
 
+def _check_shape(r: int, sizes: tuple[int, ...]) -> None:
+    """The one check of a hypergraph's shape; see the module docstring."""
+    if not is_int(r):
+        raise ConfigInvalidError(f"arity {r!r} is not an int")
+    if r < 2:
+        raise ArityMismatchError(f"arity must be >= 2, got {r}")
+    for s in sizes:
+        if not is_int(s):
+            raise ConfigInvalidError(f"part size {s!r} is not an int")
+        if s < 0:
+            raise ConfigInvalidError(f"part size {s} is negative")
+    if len(sizes) != r:
+        raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
+    tuple_total(sizes)
+
+
 @dataclass(frozen=True)
 class PartiteHypergraph:
-    """r-partite r-uniform hypergraph on indexed parts."""
+    """r-partite r-uniform hypergraph on indexed parts.
+
+    columns[j][e] is edge e's index in part j; the edges are in
+    lexicographic order without repeats (build sorts and validates; the
+    constructor trusts them). An empty tuple of columns is the edgeless
+    graph. Arrays are unhashable, so the hash leaves the columns out.
+    """
 
     r: int
     part_sizes: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]  # lex sorted, deduplicated
+    columns: tuple[array, ...] = field(hash=False)
 
     def __post_init__(self):
-        """The one check of shape; see the module docstring."""
         r, sizes = self.r, self.part_sizes
-        if not is_int(r):
-            raise ConfigInvalidError(f"arity {r!r} is not an int")
-        if r < 2:
-            raise ArityMismatchError(f"arity must be >= 2, got {r}")
-        for s in sizes:
-            if not is_int(s):
-                raise ConfigInvalidError(f"part size {s!r} is not an int")
-            if s < 0:
-                raise ConfigInvalidError(f"part size {s} is negative")
-        if len(sizes) != r:
-            raise ArityMismatchError(f"{len(sizes)} part sizes for arity {r}")
-        tuple_total(sizes)
+        _check_shape(r, sizes)
+        if self.columns == ():
+            object.__setattr__(self, "columns", tuple(array(_column_code(s)) for s in sizes))
+        elif len(self.columns) != r:
+            raise ArityMismatchError(f"{len(self.columns)} edge columns for arity {r}")
 
     @classmethod
     def build(
@@ -253,30 +365,46 @@ class PartiteHypergraph:
         part_sizes: Sequence[int],
         edge_list: Iterable[Sequence[int]],
     ) -> "PartiteHypergraph":
-        """Validate, deduplicate and sort an edge list.
+        """Validate, deduplicate and sort an edge list of index sequences.
 
         The shape is checked first, by the constructor. Coordinates must be
         ints; a bool, float or any other value raises ConfigInvalidError
-        naming it, with no rounding. The edges are checked in bulk; on a
-        fault, _raise_first_fault names the first bad edge in input order.
+        naming it, with no rounding. The edges are checked in one pass over
+        their columns (_edge_columns); when that fails, _rescanned_edges
+        names the first bad edge in input order, or reads edges that are
+        iterables but not sequences.
         """
-        sizes = cls(r, tuple(part_sizes), ()).part_sizes
+        sizes = tuple(part_sizes)
+        _check_shape(r, sizes)
         raw = list(edge_list)
-        try:
-            edges = list(map(tuple, raw))
-        except TypeError:  # an edge that is not iterable
-            _raise_first_fault(sizes, raw)
-        if not _edges_valid(sizes, edges):
-            _raise_first_fault(sizes, raw)
-        # dict.fromkeys keeps each edge's first occurrence in input order, as
-        # a set would, and leaves sorted input in order for a linear sort
-        return cls(r, sizes, tuple(sorted(dict.fromkeys(edges))))
+        columns = _edge_columns(sizes, raw)
+        if columns is None:
+            columns = _edge_columns(sizes, _rescanned_edges(sizes, raw))
+        return cls(r, sizes, columns)
 
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartiteHypergraph":
-        """Every index tuple over parts of these sizes, shape checked first."""
-        sizes = cls(len(part_sizes), tuple(part_sizes), ()).part_sizes
-        return cls(len(sizes), sizes, tuple(itertools.product(*map(range, sizes))))
+        """Every index tuple over parts of these sizes, shape checked first.
+        In lexicographic order, column j repeats each index of part j once
+        per tuple over the later parts, and that run once per tuple over the
+        earlier parts."""
+        sizes = tuple(part_sizes)
+        _check_shape(len(sizes), sizes)
+        total = math.prod(sizes)
+        columns = []
+        for j, size in enumerate(sizes):
+            run = itertools.chain.from_iterable(
+                map(itertools.repeat, range(size), itertools.repeat(math.prod(sizes[j + 1 :])))
+            )
+            # an empty part leaves no tuple, however large the other parts are
+            columns.append(array(_column_code(size), run if total else ()) * math.prod(sizes[:j]))
+        return cls(len(sizes), sizes, tuple(columns))
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as index tuples, in lexicographic order; built from the
+        columns on each read, for to_json and tests."""
+        return tuple(zip(*self.columns))
 
     @cached_property
     def _flat_cache(self) -> dict:
@@ -288,7 +416,7 @@ class PartiteHypergraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.columns[0])
 
     @property
     def total_tuples(self) -> int:
@@ -337,7 +465,7 @@ class PartiteHypergraph:
         self._check_vertex(i, v)
         counts = self._degree_cache.get(i)
         if counts is None:
-            counts = self._degree_cache[i] = Counter(map(itemgetter(i), self.edges))
+            counts = self._degree_cache[i] = Counter(self.columns[i])
         return counts[v]
 
     def flatten(self, i: int) -> Bipartite:
@@ -347,13 +475,14 @@ class PartiteHypergraph:
         if cached is not None:
             return cached
         right_shape = self.part_sizes[:i] + self.part_sizes[i + 1 :]
-        rest = [j for j in range(self.r) if j != i]
+        cols = self.columns
+        rest = [cols[j] for j in range(self.r) if j != i]
         # right indices column by column; the last remaining part has stride 1
-        idx = map(itemgetter(rest[-1]), self.edges)
-        for j, st in zip(rest[:-1], _strides(right_shape)):
-            idx = map(add, map(mul, map(itemgetter(j), self.edges), itertools.repeat(st)), idx)
+        idx = iter(rest[-1])
+        for col, st in zip(rest[:-1], _strides(right_shape)):
+            idx = map(add, map(mul, col, itertools.repeat(st)), idx)
         masks = [0] * self.part_sizes[i]
-        for v, z in zip(map(itemgetter(i), self.edges), idx):
+        for v, z in zip(cols[i], idx):
             masks[v] |= 1 << z
         flat = Bipartite(self.part_sizes[i], right_shape, tuple(masks))
         self._flat_cache[i] = flat
@@ -366,7 +495,8 @@ class PartiteHypergraph:
         Vertices are reindexed by rank inside each (sorted, deduplicated)
         subset; the subsets themselves are the old-to-new mapping. Each
         coordinate column is mapped through its part's rank list, which
-        holds None for the vertices left out.
+        holds None for the vertices left out; an edge is kept when no
+        coordinate maps to None.
         """
         self._check_box(subsets)
         ranks: list[list[int | None]] = []
@@ -378,12 +508,14 @@ class PartiteHypergraph:
                 rank[v] = k
             ranks.append(rank)
             sizes.append(len(ordered))
-        columns = [
-            map(rank.__getitem__, map(itemgetter(j), self.edges)) for j, rank in enumerate(ranks)
-        ]
+        mapped = [list(map(rank.__getitem__, col)) for rank, col in zip(ranks, self.columns)]
+        kept = [None not in e for e in zip(*mapped)]
         # ranks are increasing, so the kept edges stay lexicographic
-        new_edges = tuple(e for e in zip(*columns) if None not in e)
-        return PartiteHypergraph(self.r, tuple(sizes), new_edges)
+        columns = tuple(
+            array(_column_code(size), itertools.compress(col, kept))
+            for size, col in zip(sizes, mapped)
+        )
+        return PartiteHypergraph(self.r, tuple(sizes), columns)
 
     def is_complete(self) -> bool:
         return self.edge_count == self.total_tuples and self.edge_count > 0
@@ -450,20 +582,25 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        """An instance from its JSON. The shape is checked before any edge;
+        an edge list is read in one pass over its columns, and only when
+        that fails (coordinates written as decimal strings, or a fault) is
+        every coordinate decoded with decode_coord, before build checks the
+        edges again and names the first bad one."""
         spec = GroupSpec.from_json(data["group"])
         parts = [
             ElemSet(spec, tuple(elem_from_json(spec, e) for e in raw)) for raw in data["parts"]
         ]
-        sizes = [len(p) for p in parts]
+        r, sizes = len(parts), tuple(map(len, parts))
         raw_edges = data["edges"]
         if raw_edges == "complete":
             hg = PartiteHypergraph.complete(sizes)
         else:
-            try:  # plain JSON ints need no decoding
-                plain = set(map(type, itertools.chain.from_iterable(raw_edges))) <= {int}
-            except TypeError:
-                plain = False
-            if not plain:
-                raw_edges = [[decode_coord(v) for v in e] for e in raw_edges]
-            hg = PartiteHypergraph.build(len(parts), sizes, raw_edges)
+            _check_shape(r, sizes)
+            columns = _edge_columns(sizes, raw_edges)
+            if columns is None:
+                decoded = [[decode_coord(v) for v in e] for e in raw_edges]
+                hg = PartiteHypergraph.build(r, sizes, decoded)
+            else:
+                hg = PartiteHypergraph(r, sizes, columns)
         return cls(spec, tuple(parts), hg, meta=data.get("meta"))

@@ -18,7 +18,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice, product
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -344,7 +343,7 @@ def _elimination_counts(
 ) -> list[tuple[int, Sequence[int]]]:
     """Relaxed counts of every support in the box (one index subset per part).
 
-    The verifier's own counter, built from h.edges alone. Returns one
+    The verifier's own counter, built from h's edge columns alone. Returns one
     (v_last, fields) pair per entry of the box's last subset, in the given
     order; with the subsets as given, repeats included, the support with
     indices (k_0, ..., k_{r-2}) into the first r-1 subsets has field index
@@ -439,20 +438,35 @@ def _edge_image(h: PartiteHypergraph) -> bytearray:
     """One byte per index tuple of h in lexicographic order: 1 at an edge,
     else 0. The shape check caps its length at TUPLE_CAP.
 
-    Every edge's index is found at once: each edge column becomes one int
-    of 4-byte fields, and Horner's rule over the columns, part 0 first,
-    leaves edge e's index in field e. No field carries, since each holds an
-    index below TUPLE_CAP < 2^32.
+    Every edge's index is found at once: each edge column, widened to
+    4-byte items by strided byte copies, is read as one int of 4-byte
+    fields, and Horner's rule over the columns, part 0 first, leaves edge
+    e's index in field e. No field carries, since each holds an index below
+    TUPLE_CAP < 2^32.
     """
-    code = _ITEM_CODES[4]
-    index = 0
-    for j, size in enumerate(h.part_sizes):
-        col = array(code, map(itemgetter(j), h.edges))
-        index = index * size + int.from_bytes(col, sys.byteorder)
     image = bytearray(h.total_tuples)
-    for x in array(code, index.to_bytes(4 * h.edge_count, sys.byteorder)):
+    if not h.edge_count:
+        return image
+    index = 0
+    for size, col in zip(h.part_sizes, h.columns):
+        index = index * size + int.from_bytes(_widened(col), sys.byteorder)
+    for x in array(_ITEM_CODES[4], index.to_bytes(4 * h.edge_count, sys.byteorder)):
         image[x] = 1
     return image
+
+
+def _widened(col: array) -> bytes:
+    """The bytes of col's items as native 4-byte unsigned ints; each item's
+    bytes are copied by a strided slice to the low-order end of its field."""
+    item = col.itemsize
+    data = col.tobytes()
+    if item == 4:
+        return data
+    low = 0 if sys.byteorder == "little" else 4 - item
+    out = bytearray(4 * len(col))
+    for t in range(item):
+        out[low + t :: 4] = data[t::item]
+    return out
 
 
 # the image's 0/1 bytes as the ASCII digits int(..., 2) reads

@@ -14,8 +14,9 @@ supports (one index subset per part). It holds the counts of the box as
 one int with a fixed-width field per support (a Kronecker packing), wide
 enough for an exact bound the kernel computes, so adding two count vectors
 is one int addition and contracting a part is one multiply-add per mate;
-everything stays exact. It returns each last-part vertex's fields, which
-the pipelines' sweep reduces, and builds no per-support tuple or dict.
+everything stays exact. It reads the hypergraph's edge columns directly,
+returns each last-part vertex's fields, which the pipelines' sweep
+reduces, and builds no per-support tuple or dict.
 octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
 estimate, is that kernel on the support's singleton box.
 The verifier (check_bounds in instances.py) counts by elimination in the
@@ -25,7 +26,9 @@ code, and uses none of this module's counters or helpers, so one packing
 bug cannot corrupt both routes.
 The exact counter enumerates witnesses and enforces vertex-disjointness
 between legs; the "full" mode additionally forbids leg interior vertices
-from coinciding with any anchor vertex.
+from coinciding with any anchor vertex. It finds the closing edges by one
+scan of the edge columns, keeping the rows whose last-part index is the
+last anchor.
 
 Indices are validated once per public call: a subset box or a support,
 the singleton box of its vertices, by PartiteHypergraph._check_box, and a
@@ -40,8 +43,8 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, mul
+from itertools import compress, repeat
+from operator import add, eq, mul, ne
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_ENUM_BUDGET
@@ -118,14 +121,14 @@ def relaxed_count_table(
     for i in range(last - 1, -1, -1):
         cols.insert(0, _pack_columns(rows[i], shift))
         shift *= len(subs[i])
-    sizes, edges = h.part_sizes, h.edges
+    sizes, columns = h.part_sizes, h.columns
     keys = repeat(0)
     for p in range(last - 1):
-        keys = map(add, map(mul, keys, repeat(sizes[p])), map(itemgetter(p), edges))
+        keys = map(add, map(mul, keys, repeat(sizes[p])), columns[p])
     # vecs[v][key]: packed counts over subs[r-2] of v's closing edges whose mates read as key
     vecs: dict[int, dict[int, int]] = {v: {} for v in subs[last]}
     col = cols[last - 1]
-    for v, key, w in zip(map(itemgetter(last), edges), keys, map(itemgetter(last - 1), edges)):
+    for v, key, w in zip(columns[last], keys, columns[last - 1]):
         sums = vecs.get(v)
         if sums is not None:
             sums[key] = sums.get(key, 0) + col[w]
@@ -246,9 +249,12 @@ def enumerate_octopus_witnesses(
     r = h.r
     last = r - 1
 
+    # the mates of the closing edges: edges through the last anchor, read
+    # from the columns, that avoid every other anchor in its part
+    through = map(eq, h.columns[last], repeat(sup[last]))
     mate_edges = [
-        e[:last] for e in h.edges
-        if e[last] == sup[last] and all(w != v for w, v in zip(e, sup[:last]))
+        mates for mates in compress(zip(*h.columns[:last]), through)
+        if all(map(ne, mates, sup[:last]))
     ]
 
     other_parts = {i: [j for j in range(r) if j != i] for i in range(last)}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
-from operator import add, itemgetter, lt, mod
+from operator import add, lt, mod
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONV_CELL_CAP, PAIR_CAP, TUPLE_CAP, require_within_cap
@@ -197,13 +197,11 @@ def sum_stats(a: ElemSet) -> SumStats:
 
 
 def restricted_sumset(inst: "Instance") -> ElemSet:
-    """Sums over edges of the instance hypergraph only: each part's column
-    of edge coordinates is mapped to packed codes and the columns are added
-    code by code, giving one code sum per edge; each distinct sum is then
-    decoded once."""
+    """Sums over edges of the instance hypergraph only: each part's edge
+    column is mapped to packed codes and the columns are added code by code,
+    giving one code sum per edge; each distinct sum is then decoded once."""
     codes, decode = _pack(inst.spec, [part.elems for part in inst.parts])
-    edges = inst.hypergraph.edges
-    columns = [map(code.__getitem__, map(itemgetter(j), edges)) for j, code in enumerate(codes)]
+    columns = map(map, [code.__getitem__ for code in codes], inst.hypergraph.columns)
     sums = set(reduce(partial(map, add), columns))
     return _decoded_set(inst.spec, sums, decode)
 

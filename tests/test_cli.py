@@ -433,8 +433,19 @@ def test_high_arity_runs_end_in_reports(tmp_path, capsys, r):
          "--eps is required for mode almost-all"),
         (["verify", "--instance", "inst.json", "--result", "result.json", "--mode", "general"],
          "malformed result.json: KeyError('mode')"),
+        (["extract", "--instance", "inst.json", "--C", "-4"],
+         "sumset cap C must be positive, got -4"),
+        (["extract", "--instance", "inst.json", "--mode", "almost-all", "--eps", "1/25",
+          "--C", "0"],
+         "sumset cap C must be positive, got 0"),
+        (["extract", "--instance", "inst.json", "--K", "1/2"],
+         "density parameter k must be >= 1, got 1/2"),
+        # bsg_extract checks a claimed C before k, and so does the CLI
+        (["extract", "--instance", "inst.json", "--K", "1/2", "--C", "-1"],
+         "sumset cap C must be positive, got -1"),
     ],
-    ids=["extract-without-eps", "verify-malformed-result"],
+    ids=["extract-without-eps", "verify-malformed-result", "extract-general-cap",
+         "extract-almost-all-cap", "extract-k-below-one", "extract-cap-before-k"],
 )
 def test_instance_free_faults_are_reported_before_the_instance_loads(
     tmp_path, capsys, monkeypatch, argv, message

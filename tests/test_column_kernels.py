@@ -4,7 +4,8 @@ build, flatten, Bipartite.right_degrees, degree, induce and
 restricted_sumset work on per-part coordinate columns. Each is compared
 here with tests/oracles.py, which scans every index tuple against a set of
 the edges. Hypergraphs have arity 2 to 4 and parts of 0 to 3 vertices,
-and are built from edge lists that may be empty, unsorted or repeat edges.
+and are built from edge lists that may be empty, unsorted or repeat edges;
+build is also run at part sizes on both sides of each column item limit.
 """
 
 import pytest
@@ -64,6 +65,41 @@ def test_build_deduplicates_and_sorts(data):
     h = _build(data)
     assert h.edges == tuple(sorted(set(data[2])))
     assert h.part_sizes == data[1]
+
+
+# part sizes on both sides of the 1- and 2-byte item limits
+ITEM_EDGES = (255, 256, 257, 65535, 65536, 65537)
+
+
+@st.composite
+def wide_edge_lists(draw):
+    """(r, part sizes, raw edge list) with one part of a size in ITEM_EDGES
+    and the others small; coordinates cluster at both ends of each part,
+    and edges may repeat, come in any order and be lists or tuples."""
+    small = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    sizes = tuple(draw(st.permutations([draw(st.sampled_from(ITEM_EDGES))] + small)))
+    edge = st.tuples(*(
+        st.integers(0, min(2, s - 1)) | st.integers(max(0, s - 3), s - 1) | st.integers(0, s - 1)
+        for s in sizes
+    ))
+    distinct = draw(st.lists(edge, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=8)) if distinct else []
+    raw = [draw(st.sampled_from([tuple, list]))(e) for e in distinct + repeats]
+    return len(sizes), sizes, draw(st.permutations(raw))
+
+
+@SETTINGS
+@given(data=wide_edge_lists())
+@example(data=(2, (65537, 2), [(65536, 1), (65536, 1), (0, 0)]))
+@example(data=(2, (2, 256), [(0, 255), (1, 0), (1, 0)]))
+@example(data=(3, (1, 257, 1), [(0, 256, 0), (0, 0, 0), (0, 256, 0)]))
+def test_build_stores_sorted_unique_edges_in_the_smallest_columns(data):
+    r, sizes, raw = data
+    h = PartiteHypergraph.build(r, sizes, raw)
+    assert h.edges == tuple(sorted(set(map(tuple, raw))))
+    assert [col.itemsize for col in h.columns] == [
+        1 if size <= 256 else 2 if size <= 65536 else 4 for size in sizes
+    ]
 
 
 @SETTINGS

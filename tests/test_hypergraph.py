@@ -5,6 +5,7 @@ import enum
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,10 @@ from bsgkit.errors import (
     ShapeMismatchError,
     TooLargeError,
 )
+from bsgkit.extraction import bsg_extract
 from bsgkit.groups import make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph, tuple_total
-from bsgkit.instances import GenConfig, gen_instance
+from bsgkit.instances import GenConfig, check_bounds, gen_instance
 from bsgkit.jsonio import canonical_dumps
 from bsgkit.octopus import leg_count
 from bsgkit.sumsets import ElemSet
@@ -48,6 +50,9 @@ def test_build_examples():
     # built directly, r = 1 was once accepted and then counted to a raw IndexError
     with pytest.raises(ArityMismatchError, match=r"^arity must be >= 2, got 1$"):
         PartiteHypergraph(1, (3,), ((0,), (2,)))
+    # edges that are iterables but not sequences are read by the edge-by-edge rescan
+    lazy = PartiteHypergraph.build(2, (3, 3), [iter((2, 1)), range(0, 2), (x for x in (2, 1))])
+    assert lazy.edges == ((0, 1), (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -281,6 +286,14 @@ def test_tuple_cap_is_checked_before_allocation():
     ]:
         with pytest.raises(TooLargeError):
             gen_instance(GenConfig.make(r=2, n=over, family=family, seed=1, **params))
+    # an empty part admits the other parts at any size, and no column is filled
+    tracemalloc.start()
+    try:
+        empty = PartiteHypergraph.complete((0, 10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert empty.edge_count == 0 and peak < 1 << 20
 
 
 def test_instance_validation():
@@ -451,9 +464,16 @@ _JSON_BASE = {"group": {"moduli": [0]}, "parts": [[[0], [1], [2], [3]], [[0], [1
         ([[0, 1, 2], [0, "3"]], ArityMismatchError, "edge (0, 1, 2) has arity 3, expected 2"),
         ([[0, 4]], IndexOutOfRangeError, "edge (0, 4): index 4 out of range [0, 4) in part 1"),
         (7, TypeError, "'int' object is not iterable"),
+        ([[0, -1]], IndexOutOfRangeError, "edge (0, -1): index -1 out of range [0, 4) in part 1"),
+        # wider than any array item: the bulk pass must not let OverflowError escape
+        ([[0, 2**64]], IndexOutOfRangeError,
+         f"edge (0, {2**64}): index {2**64} out of range [0, 4) in part 1"),
+        ([[2, 1], [0, 3], [2, 1], [0, 0]], None, ((0, 0), (0, 3), (2, 1))),
+        ([[0, _Idx.ONE], [2, 0]], None, ((0, 1), (2, 0))),
     ],
     ids=["string-coordinate", "bool", "bare-int-edge", "float", "non-decimal-string",
-         "arity-then-bool", "arity-then-string", "range", "bare-int-edge-list"],
+         "arity-then-bool", "arity-then-string", "range", "bare-int-edge-list",
+         "negative", "two-to-the-64", "unsorted-with-repeat", "int-enum"],
 )
 def test_malformed_json_edges_fail_with_pinned_errors(tmp_path, capsys, edges, error, message):
     payload = dict(_JSON_BASE, edges=edges)
@@ -474,3 +494,20 @@ def test_malformed_json_edges_fail_with_pinned_errors(tmp_path, capsys, edges, e
     wrapped = error in (ConfigInvalidError, TypeError)
     shown = f"malformed {path}: {info.value!r}" if wrapped else message
     assert capsys.readouterr().err == f"bsgkit: error: {shown}\n"
+
+
+def test_no_extract_or_verify_path_reads_the_edge_tuples(monkeypatch):
+    # a general-r3-shaped instance, loaded the way extract and verify load it
+    inst = gen_instance(
+        GenConfig.make(r=3, n=12, family="random-density", seed=1, k=Fraction(3, 2))
+    )
+    data = json.loads(canonical_dumps(inst.to_json()))
+
+    def refuse(self):
+        raise AssertionError("the edge tuples were rebuilt")
+
+    monkeypatch.setattr(PartiteHypergraph, "edges", property(refuse))
+    result, report = bsg_extract(Instance.from_json(data))
+    verdict = check_bounds(result, Instance.from_json(data), "general")
+    assert report.overall
+    assert verdict.to_json() == report.to_json()

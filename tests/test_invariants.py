@@ -1,7 +1,7 @@
 """Cross-cutting invariants: trace-level density floors, the path-walk view
 of exact counts at arity 2, sumset monotonicity under inducing, and the
-repair path on the pinned degenerate instance, and pinned digests of
-pipeline results."""
+repair path on the pinned degenerate instance and on a skewed instance
+whose repair takes 43 rounds, and pinned digests of pipeline results."""
 
 import hashlib
 import json
@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsgkit import extraction
 from bsgkit.cli import main as cli_main
 from bsgkit.errors import BsgkitError
 from bsgkit.extraction import bsg_extract, octopus_extract
@@ -106,6 +107,52 @@ def test_repair_results_are_pinned(n, seed):
     assert res.trace_entry("count-verify")["failures"] == 0
     text = canonical_dumps(res.to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == REPAIR_DIGESTS[n, seed]
+
+
+def test_repair_filters_the_first_sweep_instead_of_sweeping_each_round(monkeypatch):
+    # part sizes (3, 500): the repair drops 43 last-part vertices, one per
+    # round; the digest is of the result the repair gave when it swept the
+    # whole box again after every round (44 sweeps)
+    inst = gen_instance(
+        GenConfig.make(r=2, n=(3, 500), family="random-density", seed=1, k=Fraction(2))
+    )
+    sweeps = []
+    sweep = extraction.verify_relaxed_counts
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(extraction, "verify_relaxed_counts", counted)
+    res, report = bsg_extract(inst)
+    assert report.overall
+    assert [t["kind"] for t in res.trace].count("count-repair") == 43
+    assert len(sweeps) <= 2
+    text = canonical_dumps(res.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c9c836bb3a3fa6185252db6ae9dfa1f45e7b9a7b85a990c05c3c6a65cc525a3f"
+    )
+
+
+# r=3 random-density K=2 seed 0 instances whose repair drops vertices of
+# several parts, so a vertex's participation count falls while it waits for
+# its turn; digests of the result when the repair swept again every round
+SHARED_REPAIR_DIGESTS = {
+    (3, 3, 20): "d9a404c65ddd33c9537219e1e7990fd8472bb60ba0d88d6eccfca071db567aec",
+    (2, 3, 30): "4a63da029be5bf75a99ec200be4342ac6cad246875e72db899b5c7be76061eee",
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(SHARED_REPAIR_DIGESTS))
+def test_repair_over_several_parts_is_pinned(sizes):
+    inst = gen_instance(
+        GenConfig.make(r=3, n=sizes, family="random-density", seed=0, k=Fraction(2))
+    )
+    res, report = bsg_extract(inst)
+    assert report.overall
+    assert len({t["part"] for t in res.trace if t["kind"] == "count-repair"}) >= 2
+    text = canonical_dumps(res.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == SHARED_REPAIR_DIGESTS[sizes]
 
 
 # One SHA-256 over the canonical JSON of octopus_extract at the measured k,
