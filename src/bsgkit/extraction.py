@@ -472,19 +472,52 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
 
     # The degree and partner filters cannot rule out a support vertex whose
     # few edges all point back at the support itself; such a support carries
-    # no octopus at all. When that happens, shrink the subsets minimally:
-    # repeatedly drop the vertex participating in the most failing supports
-    # (ties by part, then vertex), as long as its part stays at or above its
-    # size floor. A support's relaxed count reads only the ambient
-    # hypergraph, so dropping a vertex fails no new support: the failing
-    # supports are the first sweep's less those through a dropped vertex,
-    # and each vertex's participation count follows them. The queue holds
-    # (count, -part, -vertex) in ascending order, so its last entry is the
-    # next candidate. Counts only fall, so an entry whose count has fallen
-    # goes back in with its new count; parts only shrink, so a vertex of a
-    # part at its floor leaves for good. One final sweep over the repaired
-    # box writes count-verify.
+    # no octopus at all. When that happens, the subsets are shrunk minimally.
     sweep = verify_relaxed_counts(h, subsets, count_floor)
+    if sweep.failures:
+        sweep = _repair_counts(h, subsets, size_floors, sweep, trace)
+
+    for p in range(r):
+        trace.append(
+            {
+                "kind": "size-floor",
+                "part": p,
+                "size": len(subsets[p]),
+                "floor": frac_str(size_floors[p]),
+                "pass": Fraction(len(subsets[p])) >= size_floors[p],
+            }
+        )
+    trace.append(sweep.to_trace())
+    return ExtractionResult(
+        mode="general",
+        subsets=tuple(subsets),
+        epsilon=eps,
+        trace=tuple(trace),
+    )
+
+
+def _repair_counts(
+    h: PartiteHypergraph,
+    subsets: list[tuple[int, ...]],
+    size_floors: Sequence[Fraction],
+    sweep: SweepOutcome,
+    trace: list[dict],
+) -> SweepOutcome:
+    """Shrink the subsets of a failed sweep, in place, and return the sweep
+    of the repaired box.
+
+    Repeatedly drops the vertex participating in the most failing supports
+    (ties by part, then vertex), as long as its part stays at or above its
+    size floor, and appends a count-repair entry to trace for each. A
+    support's relaxed count reads only the ambient hypergraph, so dropping
+    a vertex fails no new support: the failing supports are the first
+    sweep's less those through a dropped vertex, and each vertex's
+    participation count follows them. The queue holds (count, -part,
+    -vertex) in ascending order, so its last entry is the next candidate.
+    Counts only fall, so an entry whose count has fallen goes back in with
+    its new count; parts only shrink, so a vertex of a part at its floor
+    leaves for good. One final sweep over the repaired box follows.
+    """
     failing = set(sweep.failing_supports)
     through = defaultdict(list)  # the failing supports through each (part, vertex)
     for sup in failing:
@@ -517,26 +550,9 @@ def octopus_extract(inst: Instance, k: Fraction) -> ExtractionResult:
                 failing.remove(sup)
                 for other in enumerate(sup):
                     participation[other] -= 1
-    if len(failing) < sweep.failures:
-        sweep = verify_relaxed_counts(h, subsets, count_floor)
-
-    for p in range(r):
-        trace.append(
-            {
-                "kind": "size-floor",
-                "part": p,
-                "size": len(subsets[p]),
-                "floor": frac_str(size_floors[p]),
-                "pass": Fraction(len(subsets[p])) >= size_floors[p],
-            }
-        )
-    trace.append(sweep.to_trace())
-    return ExtractionResult(
-        mode="general",
-        subsets=tuple(subsets),
-        epsilon=eps,
-        trace=tuple(trace),
-    )
+    if len(failing) == sweep.failures:
+        return sweep
+    return verify_relaxed_counts(h, subsets, sweep.threshold)
 
 
 def dense_extract(
