@@ -21,14 +21,14 @@ one max; Horner's rule over those arrays, read as ints of 4-byte fields,
 gives every edge's lexicographic index, and input already sorted without
 repeats, as every written instance file is, is stored as it is, without a
 sort. ``_rescanned_edges`` rescans edge by edge only when that pass fails,
-to name the first bad edge (or to read edges that are not sequences). ``from_json`` makes no scan of its own:
-it decodes coordinates written as decimal strings only when the pass
-fails, then builds from the decoded list. ``flatten``,
-``PartiteHypergraph.degree`` and ``induce`` read the columns directly;
-``Bipartite.right_degrees`` counts every right vertex in one pass;
-``Bipartite.restrict_leading`` cuts a flattening's leading right digits to
-kept lists, which is how the general pipeline reads a restricted
-hypergraph's flattening without inducing it.
+to name the first bad edge (or to read edges that are not sequences).
+``from_json`` makes no scan of its own: it decodes coordinates written as
+decimal strings only when the pass fails, then builds from the decoded
+list. ``flatten``, ``PartiteHypergraph.degree`` and ``induce`` read the
+columns directly; ``Bipartite.right_degrees`` counts every right vertex in
+one pass; ``Bipartite.restrict_leading`` cuts a flattening's leading right
+digits to kept lists, which is how the general pipeline reads a
+restricted hypergraph's flattening without inducing it.
 
 A hypergraph's shape (an int arity r >= 2, one int size >= 0 per part, at
 most TUPLE_CAP index tuples) has one check, ``_check_shape``; the
