@@ -143,7 +143,9 @@ SHARED_REPAIR_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("sizes", sorted(SHARED_REPAIR_DIGESTS))
+@pytest.mark.parametrize(
+    "sizes", sorted(SHARED_REPAIR_DIGESTS), ids=lambda sizes: "x".join(map(str, sizes))
+)
 def test_repair_over_several_parts_is_pinned(sizes):
     inst = gen_instance(
         GenConfig.make(r=3, n=sizes, family="random-density", seed=0, k=Fraction(2))
