@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice, product
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -360,17 +361,22 @@ def _elimination_counts(
     in the image's slice strided by the last part's size. Each support owns
     a field of `size` bytes (an array item size up to 8) at its field index
     in one int; `size` holds the bound, the largest last-part degree times
-    each part's largest leg count in the box. Part i's column at mate w
-    packs the box's part-i leg rows at w at that part's stride. Part 0 is
-    eliminated first: per last-part vertex v and tuple of mates in parts 1
-    up to r-2, the image strided by the part-0 step selects, with compress,
-    the part-0 columns of the closing edges, whose sum is stored under the
-    mates read as one int key, parts r-2 down to 1 in mixed radix. Per
-    last-part vertex, parts 1 up to r-2 follow (the reverse of
-    relaxed_count_table's order), each split off the key by divmod as its
-    least significant digit and multiplied in by its column. No code is
-    shared with octopus.py or flatten, so one packing bug cannot corrupt
-    both routes.
+    each part's largest leg count in the box, and no partial sum below
+    exceeds it. Part 0's column at mate w packs the box's part-0 leg rows
+    at w, one field each. Part 0 is eliminated first: per last-part vertex
+    v and tuple of mates in parts 1 up to r-2, the image strided by the
+    part-0 step selects, with compress, the part-0 columns of the closing
+    edges, whose sum is listed at the mates read as one int index, parts
+    r-2 down to 1 in mixed radix. At r = 2 that is all. Otherwise the
+    distinct last-part vertices are folded in, the first one most
+    significant: each index's vectors are joined into one. Parts 1 up to
+    r-2 follow (the reverse of relaxed_count_table's order), each the least
+    significant digit, so one run of consecutive indices per rest; a part
+    is contracted a row at a time, the sum over mates w of row_k[w] times
+    the vector at w for each box row k, joined highest k first. Each last
+    subset entry's fields are cut from the final vector. No code is shared
+    with octopus.py or flatten, so one packing bug cannot corrupt both
+    routes.
     """
     h._check_box(box)
     last = h.r - 1
@@ -399,39 +405,53 @@ def _elimination_counts(
         bound *= max(map(max, part.values()))
     size = (bound.bit_length() + 7) // 8 or 1
     size = min((item for item in _ITEM_CODES if item >= size), default=size)
-    cols = []
-    shift = 8 * size
-    for i in range(last):
-        cols.append(_packed_columns([rows[i][v] for v in box[i]], shift))
-        shift *= len(box[i])
-    # keys of the mates in parts 1..r-2 in lexicographic order, part 1 least significant
-    keys = [0]
-    weight = 1
-    for j in range(1, last):
-        keys = [key + w * weight for key in keys for w in range(sizes[j])]
-        weight *= sizes[j]
-    # firsts[v][key]: the packed counts over box[0] of the closing edges
-    # through v whose mates in parts r-2 down to 1 read as key, zero sums left out
+    col = _packed_columns([rows[0][v] for v in box[0]], size)
     step = total // sizes[0]  # image distance between part-0 neighbours
-    col = cols[0]
-    firsts: dict[int, dict[int, int]] = {}
-    for v in set(box[last]):
-        sums = (sum(compress(col, image[t::step])) for t in range(v, step, n_last))
-        firsts[v] = {key: s for key, s in zip(keys, sums) if s}
-    fields = math.prod(map(len, box[:last]))
-    out = []
-    for v in box[last]:
-        vecs = firsts[v]
-        for p in range(1, last):
-            col = cols[p]
-            terms: dict[int, int] = {}
-            for key, vec in vecs.items():
-                rest, w = divmod(key, sizes[p])
-                if col[w]:
-                    terms[rest] = terms.get(rest, 0) + col[w] * vec
-            vecs = terms
-        out.append((v, _split_big_first(vecs.get(0, 0), fields, size)))
-    return out
+    chunk = size * len(box[0])  # one vertex's vector, in bytes
+    if last == 1:
+        counts = {v: sum(compress(col, image[v::step])) for v in set(box[last])}
+        return [
+            (v, _split_big_first(counts[v].to_bytes(chunk, "big"), size)) for v in box[last]
+        ]
+    verts = list(dict.fromkeys(box[last]))
+    # offsets[key]: the image index of the tuple (0, mates..., 0) whose mates
+    # in parts r-2 down to 1 read as key, part 1 least significant
+    offsets = [0]
+    weight = n_last  # image distance between part-j neighbours
+    for j in range(last - 1, 0, -1):
+        offsets = [t + w * weight for t in offsets for w in range(sizes[j])]
+        weight *= sizes[j]
+    # vecs[key]: the packed counts over box[0] of the closing edges through
+    # each of verts whose mates read as key
+    vecs: list[int] = []
+    if bound:  # else some part has no leg in the box and every count is 0
+        firsts = [[sum(compress(col, image[v + t :: step])) for t in offsets] for v in verts]
+        vecs = [
+            int.from_bytes(b"".join(s.to_bytes(chunk, "big") for s in sums), "big")
+            if any(sums) else 0
+            for sums in zip(*firsts)
+        ]
+    stride = span = chunk * len(verts)  # the folded vector, in bytes
+    for p in range(1, last):
+        high_first = [rows[p][v] for v in reversed(box[p])]
+        runs = (vecs[at : at + sizes[p]] for at in range(0, len(vecs), sizes[p]))
+        vecs = [
+            int.from_bytes(
+                b"".join(sum(map(mul, row, run)).to_bytes(span, "big") for row in high_first),
+                "big",
+            )
+            if any(run) else 0
+            for run in runs
+        ]
+        span *= len(box[p])
+    data = (vecs[0] if vecs else 0).to_bytes(span, "big")
+    at = {v: x * chunk for x, v in enumerate(verts)}
+    return [
+        (v, _split_big_first(
+            b"".join(data[s : s + chunk] for s in range(at[v], span, stride)), size
+        ))
+        for v in box[last]
+    ]
 
 
 def _edge_image(h: PartiteHypergraph) -> bytearray:
@@ -473,23 +493,33 @@ def _widened(col: array) -> bytes:
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _packed_columns(box_rows: list[list[int]], shift: int) -> list[int]:
-    """Per mate w: box_rows[0][w] + box_rows[1][w] << shift + ...."""
-    cols = []
-    for counts in zip(*box_rows):
-        col = 0
-        for c in reversed(counts):
-            col = col << shift | c
-        cols.append(col)
-    return cols
+def _packed_columns(box_rows: list[list[int]], size: int) -> list[int]:
+    """Per mate w: box_rows[0][w] + box_rows[1][w] << 8*size + ....
+
+    Each row fills every m-th item of one array of size-byte items, m the
+    row count, highest row first, so each mate's fields are m consecutive
+    items, read big-endian as one int."""
+    m = len(box_rows)
+    code = _ITEM_CODES.get(size)
+    if code is None:  # fields wider than 8 bytes
+        return [
+            int.from_bytes(b"".join(c.to_bytes(size, "big") for c in reversed(counts)), "big")
+            for counts in zip(*box_rows)
+        ]
+    items = array(code, bytes(size * m * len(box_rows[0])))
+    for k, row in enumerate(box_rows):
+        items[m - 1 - k :: m] = array(code, row)
+    if sys.byteorder == "little":
+        items.byteswap()
+    data = memoryview(items).cast("B")
+    return [int.from_bytes(data[s : s + size * m], "big") for s in range(0, len(data), size * m)]
 
 
-def _split_big_first(packed: int, n: int, size: int) -> Sequence[int]:
-    """The n fields of `size` bytes in packed, most significant first."""
-    data = packed.to_bytes(n * size, byteorder="big")
+def _split_big_first(data: bytes, size: int) -> Sequence[int]:
+    """The fields of `size` bytes in data, big-endian, in order."""
     code = _ITEM_CODES.get(size)
     if code is None:
-        return [int.from_bytes(data[t : t + size], "big") for t in range(0, n * size, size)]
+        return [int.from_bytes(data[t : t + size], "big") for t in range(0, len(data), size)]
     fields = array(code, data)
     if sys.byteorder == "little":
         fields.byteswap()

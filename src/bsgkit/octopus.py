@@ -10,11 +10,14 @@ part i < r on (v_i, w_i), where (w_1, ..., w_{r-1}, v_r) is itself an edge.
 The relaxed count multiplies leg counts over each closing edge, enforcing
 only w_i != v_i; every bound check uses it. relaxed_count_table is the one
 relaxed counter: one elimination kernel for every arity, over one box of
-supports (one index subset per part). It holds the counts of the box as
-one int with a fixed-width field per support (a Kronecker packing), wide
-enough for an exact bound the kernel computes, so adding two count vectors
-is one int addition and contracting a part is one multiply-add per mate;
-everything stays exact. It reads the hypergraph's edge columns directly,
+supports (one index subset per part). It holds count vectors as ints with
+a fixed-width field per support, wide enough for an exact bound the kernel
+computes, so adding two count vectors is one int addition and no field
+carries. After the first part is eliminated, the last part's vertices are
+folded into one vector per key of remaining mates, and each later part is
+contracted a row at a time: a box row's sum over the mates multiplies each
+vector by one small int, so no product multiplies zero padding.
+Everything stays exact. It reads the hypergraph's edge columns directly,
 returns each last-part vertex's fields, which the pipelines' sweep
 reduces, and builds no per-support tuple or dict.
 octopus_count_relaxed, used by ``bsgkit count`` and the witness-budget
@@ -38,7 +41,6 @@ adjacency masks directly.
 
 from __future__ import annotations
 
-import math
 import struct
 import sys
 from array import array
@@ -86,17 +88,24 @@ def relaxed_count_table(
     the j-th tuple of itertools.product over the sorted, deduplicated first
     r-1 subsets. An empty subset gives an empty list.
 
-    Support j owns the bits from 8*width*j up of one int; `width` bytes
-    (a native unsigned int size up to 8) hold the bound, the largest
-    last-part degree in the box times each part's largest leg count in the
-    box's rows, so no field carries into the next. Part i's column at mate
-    w packs the box's part-i leg rows at w at that part's stride. One pass
-    over the edge columns eliminates part r-2: each edge through a box
-    vertex v of the last part adds its part r-2 column to v's entry at one
-    int key, its mates in parts 0 to r-3 in mixed radix. Per v, parts r-3
-    down to 0 follow, each split off the key by divmod as its least
-    significant digit and multiplied in by its column. check_bounds counts
-    with its own kernel and shares no packing helper with this one.
+    Every count vector is one int of `width`-byte fields, least significant
+    first; `width` (a native unsigned int size up to 8) holds the bound, the
+    largest last-part degree in the box times each part's largest leg count
+    in the box's rows. Every partial sum below is at most a count's bound,
+    so no field carries into the next. Part r-2's column at mate w packs the
+    box's part r-2 leg rows at w, one field each. One pass over the edge
+    columns eliminates part r-2: each edge through a box vertex v of the
+    last part adds its part r-2 column to v's entry at one int key, its
+    mates in parts 0 to r-3 in mixed radix. At r = 2 that is all. Otherwise
+    the last part is folded in: each key's vectors, one per box vertex of
+    the last part, are joined into one, and parts r-3 down to 0 follow,
+    each split off the key by divmod as its least significant digit. A part
+    is contracted a row at a time: for box row k, the sum over mates w of
+    row_k[w] times the vector at w, and the new vector is those sums joined
+    in k order. The final vector holds, for each head over parts 0 to r-3,
+    the last part's vertices' part r-2 fields in turn; each vertex's fields
+    are cut from it. check_bounds counts with its own kernel and shares no
+    packing helper with this one.
     """
     h._check_box(box)
     last = h.r - 1
@@ -116,53 +125,86 @@ def relaxed_count_table(
     width = max(1, -(-bound.bit_length() // 8))
     if width <= 8:  # a native unsigned int size, so one array conversion unpacks
         width = 1 << (width - 1).bit_length()
-    cols = []  # built from part r-2, whose stride is one field, down to 0
-    shift = 8 * width
-    for i in range(last - 1, -1, -1):
-        cols.insert(0, _pack_columns(rows[i], shift))
-        shift *= len(subs[i])
+    col = _pack_columns(rows[last - 1], width)
     sizes, columns = h.part_sizes, h.columns
     keys = repeat(0)
     for p in range(last - 1):
         keys = map(add, map(mul, keys, repeat(sizes[p])), columns[p])
     # vecs[v][key]: packed counts over subs[r-2] of v's closing edges whose mates read as key
     vecs: dict[int, dict[int, int]] = {v: {} for v in subs[last]}
-    col = cols[last - 1]
     for v, key, w in zip(columns[last], keys, columns[last - 1]):
         sums = vecs.get(v)
         if sums is not None:
             sums[key] = sums.get(key, 0) + col[w]
-    heads = math.prod(map(len, subs[:last]))
-    out = []
-    for v, sums in vecs.items():
-        for p in range(last - 2, -1, -1):
-            col = cols[p]
-            terms: dict[int, int] = {}
-            for key, vec in sums.items():
-                rest, w = divmod(key, sizes[p])
-                c = col[w]
-                if c:
-                    terms[rest] = terms.get(rest, 0) + c * vec
-            sums = terms
-        out.append((v, _unpack_fields(sums.get(0, 0), heads, width)))
-    return out
+    block = width * len(subs[last - 1])  # one vertex's vector, in bytes
+    if last == 1:
+        return [
+            (v, _unpack_fields(sums.get(0, 0).to_bytes(block, "little"), width))
+            for v, sums in vecs.items()
+        ]
+    stride = span = block * len(subs[last])  # the folded vector, in bytes
+    terms: dict[int, int] = {}
+    if bound:  # else some part has no leg in the box and every count is 0
+        for key in set().union(*vecs.values()):
+            parts = (sums.get(key, 0).to_bytes(block, "little") for sums in vecs.values())
+            terms[key] = int.from_bytes(b"".join(parts), "little")
+    for p in range(last - 2, -1, -1):
+        # groups[rest][w]: the vector at the key with part p's digit w and the rest
+        groups: dict[int, list[int]] = {}
+        for key, vec in terms.items():
+            rest, w = divmod(key, sizes[p])
+            group = groups.get(rest)
+            if group is None:
+                group = groups[rest] = [0] * sizes[p]
+            group[w] = vec
+        terms = {
+            rest: int.from_bytes(
+                b"".join(sum(map(mul, row, group)).to_bytes(span, "little") for row in rows[p]),
+                "little",
+            )
+            for rest, group in groups.items()
+        }
+        span *= len(subs[p])
+    data = terms.get(0, 0).to_bytes(span, "little")
+    return [
+        (v, _unpack_fields(
+            b"".join(data[at : at + block] for at in range(x * block, span, stride)), width
+        ))
+        for x, v in enumerate(subs[last])
+    ]
 
 
-def _pack_columns(box_rows: list[list[int]], shift: int) -> list[int]:
-    """For each mate w, one int holding box_rows[k][w] at bit k * shift."""
-    cols = [0] * len(box_rows[0])
-    for at, row in zip(range(0, len(box_rows) * shift, shift), box_rows):
-        cols = [x | c << at for x, c in zip(cols, row)]
-    return cols
-
-
-def _unpack_fields(packed: int, n: int, width: int) -> Sequence[int]:
-    """The n fields of `width` bytes in packed, least significant first."""
-    buf = packed.to_bytes(n * width, sys.byteorder)
+def _pack_columns(box_rows: list[list[int]], width: int) -> list[int]:
+    """For each mate w, one int holding box_rows[k][w] in its k-th field of
+    `width` bytes, least significant first: each row is written into a
+    table of fields, mate-major, by one strided slice, and each mate's
+    fields are read as one int."""
     code = _NATIVE_UINTS.get(width)
-    if code is not None:
-        return array(code, buf)
-    return [int.from_bytes(buf[j : j + width], sys.byteorder) for j in range(0, len(buf), width)]
+    if code is None:  # fields wider than 8 bytes
+        return [
+            int.from_bytes(b"".join(c.to_bytes(width, "little") for c in counts), "little")
+            for counts in zip(*box_rows)
+        ]
+    m = len(box_rows)
+    table = array(code, bytes(width * m * len(box_rows[0])))
+    for k, row in enumerate(box_rows):
+        table[k::m] = array(code, row)
+    if sys.byteorder == "big":
+        table.byteswap()
+    data = memoryview(table).cast("B")
+    span = width * m
+    return [int.from_bytes(data[at : at + span], "little") for at in range(0, len(data), span)]
+
+
+def _unpack_fields(data: bytes, width: int) -> Sequence[int]:
+    """The fields of `width` bytes in data, little-endian, in order."""
+    code = _NATIVE_UINTS.get(width)
+    if code is None:
+        return [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    fields = array(code, data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
 
 # struct codes of the native unsigned ints by size: 1, 2, 4 and 8 bytes

@@ -2,6 +2,7 @@
 checks, and the brute-force subset oracle."""
 
 import dataclasses
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -237,9 +238,11 @@ def test_check_bounds_recounts_instead_of_trusting_the_trace():
 
 def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
     # check_bounds builds its own leg rows and packed counts from the edge
-    # list, so it still gives the same passing report when flatten, both
-    # octopus counters and octopus.py's packing code raise; the second
-    # instance (the complete-r2-n128 golden instance) has 16,384 supports
+    # list, so it still gives the same passing report when flatten and every
+    # function octopus.py defines raise: both octopus counters and the
+    # pipeline kernel's packing, contraction and unpacking code, whatever
+    # their names; the second instance (the complete-r2-n128 golden
+    # instance) has 16,384 supports
     insts = (
         gen_instance(GenConfig.make(r=3, n=8, family="random-density", seed=3, k=Fraction(2))),
         gen_instance(GenConfig.make(r=2, n=128, family="complete", seed=1)),
@@ -254,9 +257,12 @@ def test_check_bounds_counts_without_the_pipeline_counters(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check_bounds used a pipeline counter")
 
-    for name in (
-        "octopus_count_relaxed", "relaxed_count_table", "_pack_columns", "_unpack_fields"
-    ):
+    names = [
+        name for name, obj in vars(octopus).items()
+        if inspect.isfunction(obj) and obj.__module__ == octopus.__name__
+    ]
+    assert {"octopus_count_relaxed", "relaxed_count_table"} <= set(names)
+    for name in names:
         original = getattr(octopus, name)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "bsgkit" and getattr(mod, name, None) is original:

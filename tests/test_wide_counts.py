@@ -7,10 +7,12 @@ bound n^(r-1) * (n^(r-1))^(r-1) needs 1, 2, 4, 6 and 9 bytes for r = 2 to
 6, so every packed field width is used, 8 bytes included; at r = 6 every
 count is 305175781250000000000, a 69-bit number.
 
-Each kernel sizes its fields from a bound it computes. A second family
-puts the largest count exactly on that bound, at the top of a field width
-and one past it, so a kernel that underestimates the bound overflows a
-field. Needs no pytest: run it as a script with src on PYTHONPATH.
+Each kernel sizes its fields from a bound it computes. Two more families,
+at r = 2 and at r = 3, put the largest count exactly on that bound, at the
+top of a field width and one past it, so a kernel that underestimates the
+bound overflows a field. At r = 3 each kernel also contracts a part and
+folds two last-part vertices into one vector. Needs no pytest: run it as a
+script with src on PYTHONPATH.
 """
 
 from itertools import product
@@ -63,8 +65,44 @@ def test_counts_on_a_field_width_boundary_match_the_oracle():
             assert kernel(h, box) == expected, (m, z, kernel.__name__)
 
 
+# (|W0|, |W1|, |X|) with products 15, 16, 255 and 256, so the counts
+# (|W0| |W1| |X|)^2 are 225 and 65025, the last that fit 1 and 2 byte
+# fields, and 256 and 65536, the first that do not
+R3_BOUNDARY_SHAPES = [(1, 3, 5), (2, 2, 4), (3, 5, 17), (4, 8, 8)]
+
+
+def boundary_graph_r3(a: int, b: int, x: int) -> PartiteHypergraph:
+    """r = 3: part 0 is A = 0 plus W0 = 1..a, part 1 is B = 0 plus
+    W1 = 1..b, part 2 is C = 0, C' = 1 plus X = 2..x+1, and the edges are
+    W0 x W1 x {C, C'}, {A} x W1 x X, W0 x W1 x X and W0 x {B} x X. On the
+    box [[A], [B], [C, C']] each support has the closing mates W0 x W1, with
+    leg counts |W1| |X| at part 0 and |W0| |X| at part 1, so it counts
+    (|W0| |W1| |X|)^2; each kernel's field bound, the degree |W0| |W1| of C
+    and C' times the largest leg count in each part's box row, is that
+    count as well."""
+    w0, w1, xs = range(1, a + 1), range(1, b + 1), range(2, x + 2)
+    edges = [
+        *product(w0, w1, (0, 1)),
+        *product((0,), w1, xs),
+        *product(w0, w1, xs),
+        *product(w0, (0,), xs),
+    ]
+    return PartiteHypergraph.build(3, (a + 1, b + 1, x + 2), edges)
+
+
+def test_r3_counts_on_a_field_width_boundary_match_the_oracle():
+    box = [[0], [0], [0, 1]]
+    for a, b, x in R3_BOUNDARY_SHAPES:
+        h = boundary_graph_r3(a, b, x)
+        expected = {support: oracle_relaxed(h, support) for support in product(*box)}
+        assert set(expected.values()) == {(a * b * x) ** 2}
+        for kernel in (pipeline_table, verifier_table):
+            assert kernel(h, box) == expected, (a, b, x, kernel.__name__)
+
+
 if __name__ == "__main__":
     test_complete_n5_counts_match_the_closed_form()
     test_counts_on_a_field_width_boundary_match_the_oracle()
+    test_r3_counts_on_a_field_width_boundary_match_the_oracle()
     print("ok: both kernels match the closed form for r = 2 to 6 and the oracle"
-          " on counts at field-width boundaries")
+          " on counts at field-width boundaries for r = 2 and 3")
