@@ -349,7 +349,8 @@ def _elimination_counts(
     order; with the subsets as given, repeats included, the support with
     indices (k_0, ..., k_{r-2}) into the first r-1 subsets has field index
     k_0 + m_0 k_1 + m_0 m_1 k_2 + ..., m_i being the subset sizes, and the
-    fields come highest index first. An empty subset gives an empty list.
+    fields come highest index first. An empty subset gives an empty list,
+    and a zero bound (below) all-zero fields.
 
     Everything is read from the edge image (_edge_image): one 0/1 byte per
     index tuple in lexicographic order, at most TUPLE_CAP bytes, plus one
@@ -362,9 +363,11 @@ def _elimination_counts(
     a field of `size` bytes (an array item size up to 8) at its field index
     in one int; `size` holds the bound, the largest last-part degree times
     each part's largest leg count in the box, and no partial sum below
-    exceeds it. Part 0's column at mate w packs the box's part-0 leg rows
-    at w, one field each. Part 0 is eliminated first: per last-part vertex
-    v and tuple of mates in parts 1 up to r-2, the image strided by the
+    exceeds it. A zero bound makes every count 0, and nothing is packed,
+    since a leg count in the box may still exceed the 1-byte field. Part
+    0's column at mate w packs the box's part-0 leg rows at w, one field
+    each. Part 0 is eliminated first: per last-part vertex v and tuple of
+    mates in parts 1 up to r-2, the image strided by the
     part-0 step selects, with compress, the part-0 columns of the closing
     edges, whose sum is listed at the mates read as one int index, parts
     r-2 down to 1 in mixed radix. At r = 2 that is all. Otherwise the
@@ -405,6 +408,9 @@ def _elimination_counts(
         bound *= max(map(max, part.values()))
     size = (bound.bit_length() + 7) // 8 or 1
     size = min((item for item in _ITEM_CODES if item >= size), default=size)
+    if not bound:  # no box vertex of the last part has an edge, or some part no leg
+        zeros = bytes(size * math.prod(map(len, box[:last])))
+        return [(v, _split_big_first(zeros, size)) for v in box[last]]
     col = _packed_columns([rows[0][v] for v in box[0]], size)
     step = total // sizes[0]  # image distance between part-0 neighbours
     chunk = size * len(box[0])  # one vertex's vector, in bytes
@@ -423,14 +429,12 @@ def _elimination_counts(
         weight *= sizes[j]
     # vecs[key]: the packed counts over box[0] of the closing edges through
     # each of verts whose mates read as key
-    vecs: list[int] = []
-    if bound:  # else some part has no leg in the box and every count is 0
-        firsts = [[sum(compress(col, image[v + t :: step])) for t in offsets] for v in verts]
-        vecs = [
-            int.from_bytes(b"".join(s.to_bytes(chunk, "big") for s in sums), "big")
-            if any(sums) else 0
-            for sums in zip(*firsts)
-        ]
+    firsts = ([sum(compress(col, image[v + t :: step])) for v in verts] for t in offsets)
+    vecs = [
+        int.from_bytes(b"".join(s.to_bytes(chunk, "big") for s in sums), "big")
+        if any(sums) else 0
+        for sums in firsts
+    ]
     stride = span = chunk * len(verts)  # the folded vector, in bytes
     for p in range(1, last):
         high_first = [rows[p][v] for v in reversed(box[p])]

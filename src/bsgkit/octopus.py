@@ -41,6 +41,7 @@ adjacency masks directly.
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from array import array
@@ -86,13 +87,16 @@ def relaxed_count_table(
     Returns one (v_last, fields) pair per vertex of the box's last subset,
     ascending; fields[j] counts the support head_j + (v_last,), head_j being
     the j-th tuple of itertools.product over the sorted, deduplicated first
-    r-1 subsets. An empty subset gives an empty list.
+    r-1 subsets. An empty subset gives an empty list, and a zero bound
+    (below) all-zero fields.
 
     Every count vector is one int of `width`-byte fields, least significant
     first; `width` (a native unsigned int size up to 8) holds the bound, the
     largest last-part degree in the box times each part's largest leg count
     in the box's rows. Every partial sum below is at most a count's bound,
-    so no field carries into the next. Part r-2's column at mate w packs the
+    so no field carries into the next. A zero bound makes every count 0;
+    the kernel then packs nothing, since a leg count in the box's rows can
+    still exceed the 1-byte field. Part r-2's column at mate w packs the
     box's part r-2 leg rows at w, one field each. One pass over the edge
     columns eliminates part r-2: each edge through a box vertex v of the
     last part adds its part r-2 column to v's entry at one int key, its
@@ -125,6 +129,9 @@ def relaxed_count_table(
     width = max(1, -(-bound.bit_length() // 8))
     if width <= 8:  # a native unsigned int size, so one array conversion unpacks
         width = 1 << (width - 1).bit_length()
+    if not bound:  # no box vertex of the last part has an edge, or some part no leg
+        zeros = bytes(width * math.prod(map(len, subs[:last])))
+        return [(v, _unpack_fields(zeros, width)) for v in subs[last]]
     col = _pack_columns(rows[last - 1], width)
     sizes, columns = h.part_sizes, h.columns
     keys = repeat(0)
@@ -144,10 +151,9 @@ def relaxed_count_table(
         ]
     stride = span = block * len(subs[last])  # the folded vector, in bytes
     terms: dict[int, int] = {}
-    if bound:  # else some part has no leg in the box and every count is 0
-        for key in set().union(*vecs.values()):
-            parts = (sums.get(key, 0).to_bytes(block, "little") for sums in vecs.values())
-            terms[key] = int.from_bytes(b"".join(parts), "little")
+    for key in set().union(*vecs.values()):
+        parts = (sums.pop(key, 0).to_bytes(block, "little") for sums in vecs.values())
+        terms[key] = int.from_bytes(b"".join(parts), "little")
     for p in range(last - 2, -1, -1):
         # groups[rest][w]: the vector at the key with part p's digit w and the rest
         groups: dict[int, list[int]] = {}

@@ -11,13 +11,16 @@ Each kernel sizes its fields from a bound it computes. Two more families,
 at r = 2 and at r = 3, put the largest count exactly on that bound, at the
 top of a field width and one past it, so a kernel that underestimates the
 bound overflows a field. At r = 3 each kernel also contracts a part and
-folds two last-part vertices into one vector. Needs no pytest: run it as a
+folds two last-part vertices into one vector. A box whose bound is 0
+gets 1-byte fields while its leg rows hold counts past 255; both kernels
+must give 0 there, not pack those rows. Needs no pytest: run it as a
 script with src on PYTHONPATH.
 """
 
 from itertools import product
 
 from bsgkit.hypergraph import PartiteHypergraph
+from bsgkit.octopus import octopus_count_relaxed
 from kernel_tables import pipeline_table, verifier_table
 from oracles import oracle_relaxed
 
@@ -100,9 +103,36 @@ def test_r3_counts_on_a_field_width_boundary_match_the_oracle():
             assert kernel(h, box) == expected, (a, b, x, kernel.__name__)
 
 
+def zero_bound_cases():
+    """(h, box) pairs whose kernel bound is 0 while some box leg row holds a
+    count of 300, past a 1-byte field. At r = 2 part 0 is {0, 1}, part 1
+    is 0..300 and the edges are {0, 1} x 0..299: codegree(0, 1) is 300 and
+    the box's last vertex 300 has no edge. At r = 3 the core edges are
+    {0, 1} x {0, 1} x 0..149, so each of parts 0 and 1 has a leg count of
+    300 between its vertices 0 and 1, and 150 is the last part's extra
+    vertex: with no edge of its own, or with one edge through a box vertex
+    that has no leg, in part 0 or in part 1."""
+    yield PartiteHypergraph.build(2, (2, 301), list(product((0, 1), range(300)))), [[0], [300]]
+    core = list(product((0, 1), (0, 1), range(150)))
+    yield PartiteHypergraph.build(3, (2, 2, 151), core), [[0, 1], [0, 1], [150]]
+    yield PartiteHypergraph.build(3, (3, 2, 151), core + [(2, 0, 150)]), [[2], [0], [150]]
+    yield PartiteHypergraph.build(3, (2, 3, 151), core + [(0, 2, 150)]), [[0], [2], [150]]
+
+
+def test_zero_bound_boxes_count_zero_in_both_kernels():
+    for h, box in zero_bound_cases():
+        expected = {support: oracle_relaxed(h, support) for support in product(*box)}
+        assert set(expected.values()) == {0}
+        for kernel in (pipeline_table, verifier_table):
+            assert kernel(h, box) == expected, (h.r, box, kernel.__name__)
+        for support in expected:
+            assert octopus_count_relaxed(h, support) == 0
+
+
 if __name__ == "__main__":
     test_complete_n5_counts_match_the_closed_form()
     test_counts_on_a_field_width_boundary_match_the_oracle()
     test_r3_counts_on_a_field_width_boundary_match_the_oracle()
+    test_zero_bound_boxes_count_zero_in_both_kernels()
     print("ok: both kernels match the closed form for r = 2 to 6 and the oracle"
-          " on counts at field-width boundaries for r = 2 and 3")
+          " on counts at field-width boundaries for r = 2 and 3 and on zero-bound boxes")
