@@ -6,7 +6,7 @@ different parts are distinct vertices. The edge set is stored as one
 with the edges in lexicographic order and no repeats; each column uses the
 smallest unsigned type code that holds its part's indices. The columns are
 the only per-edge storage: ``edges``, the tuples, is a view built on each
-read for ``to_json`` and tests, and no package path reads it. The bipartite
+read for tests, and no package path reads it. The bipartite
 flattening against one part uses integer bitmasks over the mixed-radix
 index space of the remaining parts, so a vertex's degree or a pair's
 codegree is one popcount of ``adj``; ``_strides`` is the one definition of
@@ -20,8 +20,9 @@ one unsigned 4-byte array (which refuses a negative or wide coordinate) and
 one max; Horner's rule over those arrays, read as ints of 4-byte fields,
 gives every edge's lexicographic index, and input already sorted without
 repeats, as every written instance file is, is stored as it is, without a
-sort. ``_rescanned_edges`` rescans edge by edge only when that pass fails,
-to name the first bad edge (or to read edges that are not sequences).
+sort; other input is sorted by index and cut by ``_index_columns``, as the
+generator's indices are. ``_rescanned_edges`` rescans edge by edge only
+when that pass fails, to name the first bad edge (or to read non-sequences).
 ``from_json`` makes no scan of its own: it decodes coordinates written as
 decimal strings only when the pass fails, then builds from the decoded
 list. ``flatten``, ``PartiteHypergraph.degree`` and ``induce`` read the
@@ -170,8 +171,14 @@ def _edge_columns(sizes: tuple[int, ...], raw) -> tuple[array, ...] | None:
     if _increasing(index, len(raw)):
         return tuple(_narrowed(wide, _column_code(s)) for wide, s in zip(wides, sizes))
     unique = sorted(set(array(_WIDE, index.to_bytes(4 * len(raw), sys.byteorder))))
+    return _index_columns(sizes, unique)
+
+
+def _index_columns(sizes: tuple[int, ...], indices: Sequence[int]) -> tuple[array, ...]:
+    """The index tuples at these lexicographic indices, given sorted without
+    repeats, as one column per part; the one map from indices to columns."""
     return tuple(
-        array(_column_code(s), [x // st % s for x in unique])
+        array(_column_code(s), [x // st % s for x in indices])
         for s, st in zip(sizes, _strides(sizes))
     )
 
@@ -403,7 +410,7 @@ class PartiteHypergraph:
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """The edges as index tuples, in lexicographic order; built from the
-        columns on each read, for to_json and tests."""
+        columns on each read, for tests."""
         return tuple(zip(*self.columns))
 
     @cached_property
@@ -570,7 +577,7 @@ class Instance:
         if self.hypergraph.is_complete():
             edges = "complete"
         else:
-            edges = [list(e) for e in self.hypergraph.edges]
+            edges = list(map(list, zip(*self.hypergraph.columns)))
         data: dict = {
             "group": self.spec.to_json(),
             "parts": [p.to_json() for p in self.parts],

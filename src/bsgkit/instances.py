@@ -17,7 +17,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, product
+from itertools import compress, filterfalse, islice, product
 from operator import mul
 from typing import Sequence
 
@@ -35,7 +35,7 @@ from .extraction import (
     ledger,
 )
 from .groups import GroupElem, GroupSpec, make_group
-from .hypergraph import Instance, PartiteHypergraph, tuple_total
+from .hypergraph import Instance, PartiteHypergraph, _index_columns, tuple_total
 from .jsonio import exact_param, frac_str, is_int
 from .report import BoundReport, Inequality, check_eq, check_ge, check_le
 from .rng import ALGORITHM_ID, SplitMix64
@@ -167,21 +167,19 @@ def _random_element(spec: GroupSpec, rng: SplitMix64, free_span: int) -> GroupEl
     return tuple(coords)
 
 
-def _pad_lex(edges: list[tuple], ranges: Sequence[range], count: int) -> None:
-    """Append to edges the lexicographically first index tuples it lacks
-    until it holds count of them."""
-    if len(edges) < count:
-        present = set(edges)
-        missing = (e for e in product(*ranges) if e not in present)
-        edges.extend(islice(missing, count - len(edges)))
+def _pad_lex(picked: list[int], total: int, count: int) -> None:
+    """Append to picked the least lexicographic indices below total it
+    lacks until it holds count of them."""
+    if len(picked) < count:
+        missing = filterfalse(set(picked).__contains__, range(total))
+        picked.extend(islice(missing, count - len(picked)))
 
 
 def gen_instance(cfg: GenConfig) -> Instance:
-    """Deterministically generate the configured instance.
-
-    Index tuples come from one lexicographic stream, product over the part
-    ranges; the dense family removes tuples by their position in it.
-    """
+    """Deterministically generate the configured instance. Every family but
+    complete picks its edges by lexicographic index: random-density draws
+    once per index, dense removes randomly drawn indices, and the sorted
+    picks become the columns in one step."""
     total = tuple_total(cfg.sizes)
     spec = make_group(cfg.moduli)
     rng = SplitMix64(cfg.seed)
@@ -208,36 +206,31 @@ def gen_instance(cfg: GenConfig) -> Instance:
             parts.append(ElemSet(spec, tuple(sorted(elems))))
 
     sizes = tuple(len(p) for p in parts)
-    ranges = tuple(map(range, sizes))
     if cfg.family == "complete":
         hg = PartiteHypergraph.complete(sizes)
-    elif cfg.family == "random-density":
-        target = math.ceil(Fraction(total) / cfg.k)
-        keep_den, keep_num = cfg.k.as_integer_ratio()
-        # keep with probability 1/k, exactly: u/2^64 < 1/k
-        edges = [
-            e for e in product(*ranges) if rng.next_u64() * keep_den < (1 << 64) * keep_num
-        ]
-        del edges[target:]  # drop lex-largest kept tuples
-        _pad_lex(edges, ranges, target)
-        hg = PartiteHypergraph.build(cfg.r, sizes, edges)
-    elif cfg.family == "planted":
-        window = math.ceil(cfg.target_c * max(cfg.sizes))
-        target_set = {_ap_element(spec, j) for j in range(window)}
-        edges = [
-            e
-            for e in product(*ranges)
-            if index_sum(spec, parts, e) in target_set
-        ]
-        _pad_lex(edges, ranges, math.ceil(total * cfg.ap_fraction**cfg.r))
-        hg = PartiteHypergraph.build(cfg.r, sizes, edges)
-    else:  # dense
-        remove_count = math.floor(cfg.delta * total)
-        removed: set[int] = set()
-        while len(removed) < remove_count:
-            removed.add(rng.next_below(total))
-        edges = [e for idx, e in enumerate(product(*ranges)) if idx not in removed]
-        hg = PartiteHypergraph.build(cfg.r, sizes, edges)
+    else:
+        if cfg.family == "random-density":
+            target = math.ceil(Fraction(total) / cfg.k)
+            keep_den, keep_num = cfg.k.as_integer_ratio()
+            cut = (1 << 64) * keep_num
+            # keep with probability 1/k, exactly: u/2^64 < 1/k
+            picked = [i for i in range(total) if rng.next_u64() * keep_den < cut]
+            del picked[target:]  # drop the lex-largest kept indices
+        elif cfg.family == "planted":
+            window = math.ceil(cfg.target_c * max(cfg.sizes))
+            target_set = {_ap_element(spec, j) for j in range(window)}
+            sums = (index_sum(spec, parts, e) for e in product(*map(range, sizes)))
+            picked = [i for i, x in enumerate(sums) if x in target_set]
+            target = math.ceil(total * cfg.ap_fraction**cfg.r)
+        else:  # dense
+            remove_count = math.floor(cfg.delta * total)
+            removed: set[int] = set()
+            while len(removed) < remove_count:
+                removed.add(rng.next_below(total))
+            picked = [i for i in range(total) if i not in removed]
+            target = 0
+        _pad_lex(picked, total, target)
+        hg = PartiteHypergraph(cfg.r, sizes, _index_columns(sizes, sorted(picked)))
 
     return Instance(spec, tuple(parts), hg, meta=cfg.meta())
 

@@ -5,11 +5,17 @@ full index grids against a set of the edges, built once per call, octopuses by e
 candidate (mates, interiors) combination with explicit (part, vertex) set
 checks, codegrees by scanning all right tuples, best subsets by summing
 plain coordinate tuples for every combination, and sums of group elements by
-folding GroupSpec.add over every term.
+folding GroupSpec.add over every term. Generated edges are picked from one
+stream of index tuples and loaded through PartiteHypergraph.build.
 """
 
+import math
 from collections import Counter
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, islice, product
+
+from bsgkit.hypergraph import PartiteHypergraph
+from bsgkit.rng import SplitMix64
 
 
 def oracle_leg_count(h, part, v, w):
@@ -229,3 +235,48 @@ def oracle_induce(h, subsets):
         if old in edges
     ]
     return tuple(len(s) for s in ordered), tuple(kept)
+
+
+def oracle_gen_hypergraph(cfg, parts):
+    """The hypergraph gen_instance generates for cfg over its parts, by the
+    tuple-stream selection: every index tuple in lexicographic order is
+    tested and the kept ones listed, the lexicographically first missing
+    tuples pad the list up to the family's floor, and build validates the
+    sorted list, which it stores as it is, without _index_columns. Only
+    random-density and dense draw edges from the seed's stream; planted
+    draws its parts from it, and its edges from those."""
+    spec = parts[0].spec
+    sizes = tuple(map(len, parts))
+    ranges = tuple(map(range, sizes))
+    total = math.prod(sizes)
+    rng = SplitMix64(cfg.seed)
+    count = 0
+    if cfg.family == "complete":
+        edges = list(product(*ranges))
+    elif cfg.family == "random-density":
+        count = math.ceil(Fraction(total) / cfg.k)
+        keep_den, keep_num = cfg.k.as_integer_ratio()
+        edges = [
+            e for e in product(*ranges) if rng.next_u64() * keep_den < (1 << 64) * keep_num
+        ]
+        del edges[count:]
+    elif cfg.family == "planted":
+        window = math.ceil(cfg.target_c * max(cfg.sizes))
+        target_set = {spec.canon((j,) + (0,) * (spec.width - 1)) for j in range(window)}
+        elems = [part.elems for part in parts]
+        edges = [
+            e
+            for e in product(*ranges)
+            if oracle_sum_fold(spec, [elems[i][v] for i, v in enumerate(e)]) in target_set
+        ]
+        count = math.ceil(total * cfg.ap_fraction**cfg.r)
+    else:  # dense
+        removed = set()
+        while len(removed) < math.floor(cfg.delta * total):
+            removed.add(rng.next_below(total))
+        edges = [e for idx, e in enumerate(product(*ranges)) if idx not in removed]
+    if len(edges) < count:
+        present = set(edges)
+        missing = (e for e in product(*ranges) if e not in present)
+        edges.extend(islice(missing, count - len(edges)))
+    return PartiteHypergraph.build(cfg.r, sizes, sorted(edges))

@@ -501,12 +501,15 @@ def test_no_extract_or_verify_path_reads_the_edge_tuples(monkeypatch):
     inst = gen_instance(
         GenConfig.make(r=3, n=12, family="random-density", seed=1, k=Fraction(3, 2))
     )
-    data = json.loads(canonical_dumps(inst.to_json()))
+    text = canonical_dumps(inst.to_json())
+    data = json.loads(text)
 
     def refuse(self):
         raise AssertionError("the edge tuples were rebuilt")
 
     monkeypatch.setattr(PartiteHypergraph, "edges", property(refuse))
+    # writing an instance reads its columns, not the tuples
+    assert canonical_dumps(inst.to_json()) == text
     result, report = bsg_extract(Instance.from_json(data))
     verdict = check_bounds(result, Instance.from_json(data), "general")
     assert report.overall

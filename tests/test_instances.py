@@ -30,6 +30,7 @@ from bsgkit.hypergraph import Instance, PartiteHypergraph
 from bsgkit.instances import (
     BRUTE_FORCE_SIZE_GUARD,
     GenConfig,
+    _pad_lex,
     brute_force_best_subsets,
     check_bounds,
     check_representations,
@@ -41,7 +42,7 @@ from bsgkit.jsonio import canonical_dumps
 from bsgkit.octopus import octopus_count_relaxed
 from bsgkit.rng import SplitMix64
 from bsgkit.sumsets import ElemSet, iterated_sumset
-from oracles import oracle_best_subsets
+from oracles import oracle_best_subsets, oracle_gen_hypergraph
 
 
 def test_gen_complete_example():
@@ -102,6 +103,78 @@ def test_gen_planted_floor():
     inst = gen_instance(cfg)
     floor = math.ceil(144 * Fraction(1, 2) ** 2)
     assert inst.hypergraph.edge_count >= floor
+
+
+# Random-density cases name their seed's kept count against the target
+# ceil(total / K): above it the lex-largest kept indices are dropped, below it
+# the least missing ones are added, and at K = 1 every index is kept. The
+# planted cases with ap 1/4 and a small target C match fewer tuples than
+# their floor ceil(total / 4^r), so they pad too.
+GEN_CASES = {
+    "rd-r3-K3/2-pad-83<84": dict(r=3, n=5, family="random-density", seed=0, k=Fraction(3, 2)),
+    "rd-r3-K7/3-cut-55>54": dict(r=3, n=5, family="random-density", seed=0, k=Fraction(7, 3)),
+    "rd-3x40-K2-cut-61>60": dict(r=2, n=(3, 40), family="random-density", seed=0, k=Fraction(2)),
+    "rd-3x40-K2-pad-52<60": dict(r=2, n=(3, 40), family="random-density", seed=1, k=Fraction(2)),
+    "rd-2x7x5-K7/3-cut-32>30": dict(
+        r=3, n=(2, 7, 5), family="random-density", seed=0, k=Fraction(7, 3)
+    ),
+    "rd-2x7x5-K7/3-pad-28<30": dict(
+        r=3, n=(2, 7, 5), family="random-density", seed=3, k=Fraction(7, 3)
+    ),
+    "rd-3x300-K2-cut-472>450": dict(
+        r=2, n=(3, 300), family="random-density", seed=0, k=Fraction(2)
+    ),
+    "rd-3x300-K3/2-pad-587<600": dict(
+        r=2, n=(3, 300), family="random-density", seed=2, k=Fraction(3, 2)
+    ),
+    "rd-r4-K1-all": dict(r=4, n=4, family="random-density", seed=0, k=Fraction(1)),
+    "rd-r4-K3/2-pad-165<171": dict(r=4, n=4, family="random-density", seed=0, k=Fraction(3, 2)),
+    "planted-Z-pad-6<9": dict(
+        r=2, n=12, family="planted", seed=0, ap_fraction=Fraction(1, 4), target_c=Fraction(1, 4)
+    ),
+    "planted-Z-no-pad-12>9": dict(
+        r=2, n=12, family="planted", seed=1, ap_fraction=Fraction(1, 4), target_c=Fraction(2)
+    ),
+    "planted-Z7xZ-pad-3<4": dict(
+        r=2, n=7, family="planted", seed=0, moduli=(7, 0),
+        ap_fraction=Fraction(1, 4), target_c=Fraction(1, 4),
+    ),
+    "planted-Z-3x40-pad-5<8": dict(
+        r=2, n=(3, 40), family="planted", seed=1,
+        ap_fraction=Fraction(1, 4), target_c=Fraction(1, 8),
+    ),
+    "planted-Z7xZ-2x7x5-pad-1<2": dict(
+        r=3, n=(2, 7, 5), family="planted", seed=0, moduli=(7, 0),
+        ap_fraction=Fraction(1, 4), target_c=Fraction(1, 8),
+    ),
+    "dense-3x40-delta0": dict(r=2, n=(3, 40), family="dense", seed=0, delta=Fraction(0)),
+    "dense-r3-delta0": dict(r=3, n=5, family="dense", seed=1, delta=Fraction(0)),
+    "dense-2x7x5-delta1/2": dict(r=3, n=(2, 7, 5), family="dense", seed=1, delta=Fraction(1, 2)),
+    "dense-3x300-delta1/2": dict(r=2, n=(3, 300), family="dense", seed=2, delta=Fraction(1, 2)),
+    "complete-2x7x5": dict(r=3, n=(2, 7, 5), family="complete", seed=0),
+}
+
+
+@pytest.mark.parametrize("kwargs", GEN_CASES.values(), ids=GEN_CASES.keys())
+def test_gen_instance_matches_the_tuple_stream_oracle(kwargs):
+    cfg = GenConfig.make(**kwargs)
+    inst = gen_instance(cfg)
+    expected = oracle_gen_hypergraph(cfg, inst.parts)
+    h = inst.hypergraph
+    assert h.columns == expected.columns
+    assert [c.typecode for c in h.columns] == [c.typecode for c in expected.columns]
+    reference = Instance(inst.spec, inst.parts, expected, meta=cfg.meta())
+    assert canonical_dumps(inst.to_json()) == canonical_dumps(reference.to_json())
+
+
+def test_pad_lex_appends_the_least_missing_indices_below_the_total():
+    # the generator never asks for more than the total; here the request
+    # runs past it, and only indices below the total may be added
+    picked = [3, 1]
+    _pad_lex(picked, 4, 9)
+    assert picked == [3, 1, 0, 2]
+    _pad_lex(picked, 4, 2)
+    assert picked == [3, 1, 0, 2]
 
 
 def test_gen_config_validation():
