@@ -11,6 +11,8 @@ deterministic iteration order is needed. All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, mod
 from typing import Sequence
 
 from .errors import ConfigInvalidError, InvalidModulusError, ShapeMismatchError
@@ -84,4 +86,32 @@ def elem_to_json(elem: GroupElem) -> list:
 
 
 def elem_from_json(spec: GroupSpec, data: Sequence) -> GroupElem:
+    """One element from its JSON list of coordinates, each an int or a
+    decimal string. A string in place of the list raises
+    ConfigInvalidError: it is not read one character per coordinate."""
+    if isinstance(data, str):
+        raise ConfigInvalidError(f"element {data!r} is a string, not a list of coordinates")
     return spec.canon([decode_coord(c) for c in data])
+
+
+def _elems_from_json(spec: GroupSpec, data) -> tuple[GroupElem, ...]:
+    """The canonical elements of a JSON element list, in input order; the
+    one decoder of every element list in the package.
+
+    A list of lists, each of the group's width, is read a coordinate column
+    at a time: each column is taken with itemgetter, its set of types must
+    be exactly {int}, and cyclic columns are reduced mod m. Any other input
+    (decimal-string coordinates, a fault) is decoded element by element
+    with elem_from_json, which raises the error of the first bad element.
+    A string in place of the list raises ConfigInvalidError.
+    """
+    width = spec.width
+    if type(data) is list and set(map(type, data)) == {list} and set(map(len, data)) == {width}:
+        cols = [list(map(itemgetter(j), data)) for j in range(width)]
+        if all(set(map(type, col)) == {int} for col in cols):
+            return tuple(zip(*(
+                map(mod, col, repeat(m)) if m else col for col, m in zip(cols, spec.moduli)
+            )))
+    if isinstance(data, str):
+        raise ConfigInvalidError(f"element list {data!r} is a string, not a list of elements")
+    return tuple(elem_from_json(spec, e) for e in data)

@@ -31,6 +31,10 @@ one pass; ``Bipartite.restrict_leading`` cuts a flattening's leading right
 digits to kept lists, which is how the general pipeline reads a
 restricted hypergraph's flattening without inducing it.
 
+``Instance.from_json`` decodes each part's elements a coordinate column at
+a time (``groups._elems_from_json``). A string where a list belongs, other
+than ``"complete"`` edges, is refused, not read one character per entry.
+
 A hypergraph's shape (an int arity r >= 2, one int size >= 0 per part, at
 most TUPLE_CAP index tuples) has one check, ``_check_shape``; the
 PartiteHypergraph constructor runs it, and also refuses a number of
@@ -67,7 +71,7 @@ from .errors import (
     IndexOutOfRangeError,
     NoEdgesError,
 )
-from .groups import GroupSpec, elem_from_json
+from .groups import GroupSpec, _elems_from_json
 from .jsonio import decode_coord, is_int
 from .sumsets import ElemSet
 
@@ -211,6 +215,14 @@ def _narrowed(wide: array, code: str) -> array:
     for t in range(item):
         out[t::item] = data[low + t :: step]
     return array(code, out)
+
+
+def _decoded_edge(raw) -> list[int]:
+    """An instance file's edge with each coordinate decoded by decode_coord;
+    a string in place of the edge raises ConfigInvalidError."""
+    if isinstance(raw, str):
+        raise ConfigInvalidError(f"edge {raw!r} is a string, not a list of indices")
+    return [decode_coord(v) for v in raw]
 
 
 def _rescanned_edges(sizes: tuple[int, ...], edge_list: Iterable) -> list[tuple[int, ...]]:
@@ -589,15 +601,21 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
-        """An instance from its JSON. The shape is checked before any edge;
-        an edge list is read in one pass over its columns, and only when
-        that fails (coordinates written as decimal strings, or a fault) is
-        every coordinate decoded with decode_coord, before build checks the
-        edges again and names the first bad one."""
+        """An instance from its JSON. Each part's elements are decoded a
+        coordinate column at a time by _elems_from_json, which falls back to
+        one element at a time only on decimal-string coordinates or a
+        fault. The shape is checked before any edge; an edge list is read in
+        one pass over its columns, and only when that fails (coordinates
+        written as decimal strings, or a fault) is every coordinate decoded
+        with decode_coord, before build checks the edges again and names
+        the first bad one. A string in place of a list (the parts, a part,
+        an element, the edges other than "complete", or an edge) raises
+        ConfigInvalidError naming it."""
         spec = GroupSpec.from_json(data["group"])
-        parts = [
-            ElemSet(spec, tuple(elem_from_json(spec, e) for e in raw)) for raw in data["parts"]
-        ]
+        raw_parts = data["parts"]
+        if isinstance(raw_parts, str):
+            raise ConfigInvalidError(f"parts {raw_parts!r} is a string, not a list of parts")
+        parts = [ElemSet(spec, _elems_from_json(spec, raw)) for raw in raw_parts]
         r, sizes = len(parts), tuple(map(len, parts))
         raw_edges = data["edges"]
         if raw_edges == "complete":
@@ -606,8 +624,11 @@ class Instance:
             _check_shape(r, sizes)
             columns = _edge_columns(sizes, raw_edges)
             if columns is None:
-                decoded = [[decode_coord(v) for v in e] for e in raw_edges]
-                hg = PartiteHypergraph.build(r, sizes, decoded)
+                if isinstance(raw_edges, str):
+                    raise ConfigInvalidError(
+                        f"edge list {raw_edges!r} is a string, not a list of edges"
+                    )
+                hg = PartiteHypergraph.build(r, sizes, list(map(_decoded_edge, raw_edges)))
             else:
                 hg = PartiteHypergraph(r, sizes, columns)
         return cls(spec, tuple(parts), hg, meta=data.get("meta"))

@@ -17,8 +17,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, filterfalse, islice, product
-from operator import mul
+from itertools import chain, compress, filterfalse, islice, product, repeat
+from operator import add, mod, mul
 from typing import Sequence
 
 from .errors import (
@@ -613,10 +613,15 @@ def brute_force_best_subsets(
 
     No group addition happens per combination. The level-i sums are the
     distinct values of a level-(i-1) sum plus a part-i element, where level
-    -1 is the identity alone. Each is computed once with ``GroupSpec.add``
-    and given an id in order of first appearance, so that a set of level-i
-    sums is an int bitmask of ids; that is sum over i of |level i-1| *
-    |part i| additions in all. The search keeps the mask of level-(i-1) sums
+    -1 is the identity alone. Each is computed once, a coordinate column at
+    a time: column j of the |level i-1| * |part i| sums, in row-major
+    order, is one C-level ``map(add, ...)`` over the repeated level column
+    and the tiled part column, reduced by ``map(mod, ...)`` when
+    coordinate j is cyclic, and zipping the columns gives the sums in the
+    order of a nested loop. No ``sumsets`` kernel is used, so the oracle
+    stays independent of the pipeline's sumset code. Each sum is given an
+    id in order of first appearance, so that a set of level-i sums is an
+    int bitmask of ids. The search keeps the mask of level-(i-1) sums
     that the chosen prefix reaches. Column v of part i is the OR, over that
     mask's sums, of the bit of the sum plus element v. Vertices are picked
     one at a time and the mask is the OR of the picked columns; at the last
@@ -656,12 +661,19 @@ def brute_force_best_subsets(
     # bits[i][u][v] = 1 << id of (level-(i-1) sum u) + (element v of part i)
     bits: list[list[list[int]]] = []
     level: list[GroupElem] = [spec.identity()]
-    for part in inst.parts:
+    for part, n in zip(inst.parts, sizes):
+        # coordinate j of every sum, in row-major (u, v) order
+        cols = []
+        for level_j, part_j, m in zip(zip(*level), zip(*part.elems), spec.moduli):
+            col = map(
+                add,
+                chain.from_iterable(map(repeat, level_j, repeat(n))),
+                chain.from_iterable(repeat(part_j, len(level))),
+            )
+            cols.append(map(mod, col, repeat(m)) if m else col)
         ids: dict[GroupElem, int] = {}
-        bits.append([
-            [1 << ids.setdefault(spec.add(s, x), len(ids)) for x in part.elems]
-            for s in level
-        ])
+        row = [1 << ids.setdefault(t, len(ids)) for t in zip(*cols)]
+        bits.append([row[u : u + n] for u in range(0, len(row), n)])
         level = list(ids)
     last = inst.r - 1
     # tail[i]: sums the parts after part i add to any completion (0 with torsion)

@@ -34,7 +34,7 @@ from .errors import (
     SpecMismatchError,
     UnsupportedGroupError,
 )
-from .groups import GroupElem, GroupSpec, elem_from_json, elem_to_json
+from .groups import GroupElem, GroupSpec, _elems_from_json, elem_to_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hypergraph import Instance
@@ -86,7 +86,7 @@ class ElemSet:
 
     @classmethod
     def from_json(cls, spec: GroupSpec, data: Sequence) -> "ElemSet":
-        return cls.from_iterable(spec, (elem_from_json(spec, e) for e in data))
+        return cls.from_iterable(spec, _elems_from_json(spec, data))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ candidate (mates, interiors) combination with explicit (part, vertex) set
 checks, codegrees by scanning all right tuples, best subsets by summing
 plain coordinate tuples for every combination, and sums of group elements by
 folding GroupSpec.add over every term. Generated edges are picked from one
-stream of index tuples and loaded through PartiteHypergraph.build.
+stream of index tuples and loaded through PartiteHypergraph.build. Element
+lists are decoded one element at a time with elem_from_json.
 """
 
 import math
@@ -14,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
 
+from bsgkit.groups import elem_from_json
 from bsgkit.hypergraph import PartiteHypergraph
 from bsgkit.rng import SplitMix64
 
@@ -160,6 +162,12 @@ def oracle_sum_fold(spec, terms):
     for t in terms:
         total = spec.add(total, t)
     return total
+
+
+def oracle_elems_from_json(spec, data):
+    """The elements of a JSON element list, decoded one element at a time
+    with elem_from_json."""
+    return tuple(elem_from_json(spec, e) for e in data)
 
 
 def oracle_sumset(spec, sets):

@@ -22,9 +22,9 @@ from bsgkit.errors import (
     TooLargeError,
 )
 from bsgkit.extraction import bsg_extract
-from bsgkit.groups import make_group
+from bsgkit.groups import GroupSpec, make_group
 from bsgkit.hypergraph import Instance, PartiteHypergraph, tuple_total
-from bsgkit.instances import GenConfig, check_bounds, gen_instance
+from bsgkit.instances import GenConfig, brute_force_best_subsets, check_bounds, gen_instance
 from bsgkit.jsonio import canonical_dumps
 from bsgkit.octopus import leg_count
 from bsgkit.sumsets import ElemSet
@@ -494,6 +494,106 @@ def test_malformed_json_edges_fail_with_pinned_errors(tmp_path, capsys, edges, e
     wrapped = error in (ConfigInvalidError, TypeError)
     shown = f"malformed {path}: {info.value!r}" if wrapped else message
     assert capsys.readouterr().err == f"bsgkit: error: {shown}\n"
+
+
+_ZZ_BASE = {
+    "group": {"moduli": [0, 0]}, "parts": [[[0, 0], [1, 2]], [[0, 0]]], "edges": "complete"
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (dict(_JSON_BASE, parts=["12", "3"], edges="complete"),
+         "element list '12' is a string, not a list of elements"),
+        (dict(_JSON_BASE, parts="12", edges="complete"),
+         "parts '12' is a string, not a list of parts"),
+        (dict(_ZZ_BASE, parts=[[[0, 0], "12"], [[0, 0]]]),
+         "element '12' is a string, not a list of coordinates"),
+        (dict(_JSON_BASE, parts=[[[0], "1"], [[0]]], edges="complete"),
+         "element '1' is a string, not a list of coordinates"),
+        (dict(_JSON_BASE, edges=["01", "10"]), "edge '01' is a string, not a list of indices"),
+        (dict(_JSON_BASE, edges=[[0, 1], "10"]), "edge '10' is a string, not a list of indices"),
+        (dict(_JSON_BASE, edges="01"), "edge list '01' is a string, not a list of edges"),
+    ],
+    ids=["part", "parts", "element-zz", "element-z", "edges", "edge-after-edge", "edge-list"],
+)
+def test_json_strings_in_place_of_lists_fail_with_pinned_errors(
+    tmp_path, capsys, payload, message
+):
+    # a string is not read one character per entry; only "complete" edges are a string
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    with pytest.raises(ConfigInvalidError) as info:
+        Instance.from_json(payload)
+    assert type(info.value) is ConfigInvalidError
+    assert str(info.value) == message
+    for command in ("measure", "extract"):
+        assert main([command, "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bsgkit: error: malformed {path}: {info.value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "moduli, elems, message",
+    [
+        ([0, 0], ["12"], "element '12' is a string, not a list of coordinates"),
+        ([0], [[0], "1"], "element '1' is a string, not a list of coordinates"),
+        ([0], "12", "element list '12' is a string, not a list of elements"),
+    ],
+    ids=["element-zz", "element-z", "element-list"],
+)
+def test_json_strings_in_place_of_element_lists_fail_with_pinned_errors(
+    tmp_path, capsys, moduli, elems, message
+):
+    spec = make_group(moduli)
+    with pytest.raises(ConfigInvalidError) as info:
+        ElemSet.from_json(spec, elems)
+    assert type(info.value) is ConfigInvalidError
+    assert str(info.value) == message
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"group": spec.to_json(), "elems": elems}))
+    capsys.readouterr()
+    assert main(["energy", "--set", str(path)]) == 1
+    assert capsys.readouterr().err == f"bsgkit: error: malformed {path}: {info.value!r}\n"
+
+
+def test_decimal_string_coordinates_stay_valid_in_every_element_list():
+    payload = dict(_ZZ_BASE, parts=[[["0", 0], [1, "2"]], [[0, str(2**60)]]])
+    inst = Instance.from_json(payload)
+    assert inst.parts[0].elems == ((0, 0), (1, 2))
+    assert inst.parts[1].elems == ((0, 2**60),)
+    spec = make_group([0, 0])
+    assert ElemSet.from_json(spec, [[1, "2"], ["0", 0]]).elems == ((0, 0), (1, 2))
+
+
+def test_no_load_or_oracle_path_calls_a_group_method_per_element(monkeypatch):
+    # canonical input, the way extract and the oracle workload read it: parts
+    # are decoded a coordinate column at a time and the oracle's sum table is
+    # built a column at a time, with no GroupSpec.add or GroupSpec.canon call
+    free = gen_instance(
+        GenConfig.make(r=3, n=5, family="random-density", seed=1, k=Fraction(3, 2))
+    )
+    torsion = gen_instance(
+        GenConfig.make(r=2, n=6, family="planted", seed=3, moduli=(7, 0),
+                       ap_fraction=Fraction(1, 2), target_c=Fraction(2))
+    )
+    data = [json.loads(canonical_dumps(inst.to_json())) for inst in (free, torsion)]
+    floors = ([2, 3, 2], [3, 2])
+    expected = [brute_force_best_subsets(inst, f) for inst, f in zip((free, torsion), floors)]
+
+    def refuse(*args):
+        raise AssertionError("a GroupSpec method ran per element")
+
+    monkeypatch.setattr(GroupSpec, "add", refuse)
+    monkeypatch.setattr(GroupSpec, "canon", refuse)
+    for d, inst, f, best in zip(data, (free, torsion), floors, expected):
+        loaded = Instance.from_json(d)
+        assert loaded == inst
+        assert ElemSet.from_json(inst.spec, d["parts"][1]) == inst.parts[1]
+        assert brute_force_best_subsets(loaded, f) == best
 
 
 def test_no_extract_or_verify_path_reads_the_edge_tuples(monkeypatch):
